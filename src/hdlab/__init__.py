@@ -6,7 +6,6 @@ constants, and direct geometric search for scaled hypercube-skeleton
 copies, with a reproducible experiment CLI on top.
 """
 
-from .backend import USE_NUMBA, backend_name
 from .constants import ConstantsFile, load_constants, save_constants
 from .counting import (CountingParams, CountingReport, counting_sharp,
                        counting_smooth, degenerate_mass, eval_F,

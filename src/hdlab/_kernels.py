@@ -1,48 +1,19 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, vectorised with NumPy.
 
-Every kernel here exists twice: a numba ``@njit`` loop version and a
-vectorised pure-NumPy version.  The module-level names exported at the bottom
-point at whichever variant the active backend selects (see ``backend.py``).
-Within one backend results are bit-stable: summation order is fixed.
+Each kernel is defined once.  Summation order is fixed, so results are
+bit-stable from run to run.
 """
 
 import math
 
 import numpy as np
 
-from .backend import USE_NUMBA, njit
-
 # ---------------------------------------------------------------------------
 # bilinear reads; node centres sit at (i + 1/2) h, reads outside the window
 # return 0 in zero-extended mode and wrap in periodic mode
 
 
-@njit(cache=True)
-def _read_bilinear_nb(values, h, px, py, periodic):
-    n = values.shape[0]
-    u = px / h - 0.5
-    v = py / h - 0.5
-    i0 = int(math.floor(u))
-    j0 = int(math.floor(v))
-    fu = u - i0
-    fv = v - j0
-    acc = 0.0
-    for di in range(2):
-        wi = fu if di == 1 else 1.0 - fu
-        ii = i0 + di
-        if periodic:
-            ii %= n
-        for dj in range(2):
-            wj = fv if dj == 1 else 1.0 - fv
-            jj = j0 + dj
-            if periodic:
-                jj %= n
-            if 0 <= ii < n and 0 <= jj < n:
-                acc += wi * wj * values[ii, jj]
-    return acc
-
-
-def _read_bilinear_np(values, h, px, py, periodic):
+def read_bilinear(values, h, px, py, periodic):
     """Vectorised bilinear read at arrays of points."""
     n = values.shape[0]
     u = np.asarray(px) / h - 0.5
@@ -113,8 +84,7 @@ def shift_grid(values, h, dy1, dy2, periodic):
 # vertex product F_n(x; y_1..y_n) = prod over r in {0,1}^n of f(x + sum r_k y_k)
 
 
-@njit(cache=True)
-def _vertex_product_nb(values, h, x1, x2, ys, periodic):
+def vertex_product(values, h, x1, x2, ys, periodic):
     n = ys.shape[0]
     prod = 1.0
     for r in range(1 << n):
@@ -124,23 +94,7 @@ def _vertex_product_nb(values, h, x1, x2, ys, periodic):
             if (r >> k) & 1:
                 p1 += ys[k, 0]
                 p2 += ys[k, 1]
-        prod *= _read_bilinear_nb(values, h, p1, p2, periodic)
-        if prod == 0.0:
-            return 0.0
-    return prod
-
-
-def _vertex_product_np(values, h, x1, x2, ys, periodic):
-    n = ys.shape[0]
-    prod = 1.0
-    for r in range(1 << n):
-        p1 = x1
-        p2 = x2
-        for k in range(n):
-            if (r >> k) & 1:
-                p1 += ys[k, 0]
-                p2 += ys[k, 1]
-        prod *= float(_read_bilinear_np(values, h, np.float64(p1), np.float64(p2), periodic))
+        prod *= float(read_bilinear(values, h, np.float64(p1), np.float64(p2), periodic))
         if prod == 0.0:
             return 0.0
     return prod
@@ -150,7 +104,7 @@ def _vertex_product_np(values, h, x1, x2, ys, periodic):
 # sharp counting quadrature: (1/M^n) sum over angle tuples of h^2 sum_x F_n
 
 
-def _sharp_sum_np(values, h, lam, cos_t, sin_t, n, periodic):
+def sharp_sum(values, h, lam, cos_t, sin_t, n, periodic):
     m = cos_t.shape[0]
     tuples = m**n
     total = 0.0
@@ -175,81 +129,11 @@ def _sharp_sum_np(values, h, lam, cos_t, sin_t, n, periodic):
     return total * h * h / tuples
 
 
-@njit(cache=True)
-def _sharp_sum_nb(values, h, lam, cos_t, sin_t, n, periodic):
-    nn = values.shape[0]
-    m = cos_t.shape[0]
-    total = 0.0
-    ys = np.empty((n, 2))
-    idx = np.zeros(n, dtype=np.int64)
-    tuples = m**n
-    for t in range(tuples):
-        rem = t
-        for k in range(n):
-            idx[k] = rem % m
-            rem //= m
-        for k in range(n):
-            ys[k, 0] = lam * cos_t[idx[k]]
-            ys[k, 1] = lam * sin_t[idx[k]]
-        acc = 0.0
-        for i in range(nn):
-            x1 = (i + 0.5) * h
-            for j in range(nn):
-                fx = values[i, j]
-                if fx == 0.0:
-                    continue
-                x2 = (j + 0.5) * h
-                prod = fx
-                for r in range(1, 1 << n):
-                    p1 = x1
-                    p2 = x2
-                    for k in range(n):
-                        if (r >> k) & 1:
-                            p1 += ys[k, 0]
-                            p2 += ys[k, 1]
-                    prod *= _read_bilinear_nb(values, h, p1, p2, periodic)
-                    if prod == 0.0:
-                        break
-                acc += prod
-        total += acc
-    return total * h * h / tuples
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo: per-sample exact x-sum of the vertex product
 
 
-@njit(cache=True)
-def _mc_values_nb(values, h, ys, periodic, out):
-    nn = values.shape[0]
-    ns = ys.shape[0]
-    n = ys.shape[1]
-    for s in range(ns):
-        acc = 0.0
-        for i in range(nn):
-            x1 = (i + 0.5) * h
-            for j in range(nn):
-                fx = values[i, j]
-                if fx == 0.0:
-                    continue
-                x2 = (j + 0.5) * h
-                prod = fx
-                for r in range(1, 1 << n):
-                    p1 = x1
-                    p2 = x2
-                    for k in range(n):
-                        if (r >> k) & 1:
-                            p1 += ys[s, k, 0]
-                            p2 += ys[s, k, 1]
-                    prod *= _read_bilinear_nb(values, h, p1, p2, periodic)
-                    if prod == 0.0:
-                        break
-                acc += prod
-        out[s] = acc * h * h
-    return out
-
-
-def _mc_values_np(values, h, ys, periodic, out):
+def mc_values(values, h, ys, periodic, out):
     ns = ys.shape[0]
     n = ys.shape[1]
     for s in range(ns):
@@ -272,27 +156,7 @@ def _mc_values_np(values, h, ys, periodic, out):
 # Gowers box-sum routes on a torus (used as independent oracles for U^2)
 
 
-@njit(cache=True)
-def _u2_fourth_direct_nb(values, h):
-    n = values.shape[0]
-    total = 0.0
-    for d1 in range(n):
-        for d2 in range(n):
-            inner = 0.0
-            for i in range(n):
-                i2 = i + d1
-                if i2 >= n:
-                    i2 -= n
-                for j in range(n):
-                    j2 = j + d2
-                    if j2 >= n:
-                        j2 -= n
-                    inner += values[i, j] * values[i2, j2]
-            total += (inner * h * h) ** 2
-    return total * h * h
-
-
-def _u2_fourth_direct_np(values, h):
+def u2_fourth_direct(values, h):
     n = values.shape[0]
     total = 0.0
     for d1 in range(n):
@@ -303,86 +167,27 @@ def _u2_fourth_direct_np(values, h):
 
 
 # ---------------------------------------------------------------------------
-# candidate scan over (x, angle tuple) space for bitmap membership;
-# lexicographic cursor order, early exit, budget with resume cursor
+# candidate scan over (x, angle tuple) space; lexicographic cursor order,
+# early exit, budget with resume cursor
 
 
-@njit(cache=True)
-def _scan_bitmap_nb(bitmap, side, cell, xs1, xs2, cos_t, sin_t, lengths, eta_gap, start, stop):
-    """Return first cursor in [start, stop) giving a valid copy, else -1."""
-    m = cos_t.shape[0]
-    n = lengths.shape[0]
-    npts = xs1.shape[0]
+def scan_bitmap(member, xs1, xs2, cos_t, sin_t, lengths, eta_gap, start, stop) -> int:
+    """First cursor in [start, stop) whose copy lies in the set, in chunks.
+
+    ``member(p1, p2)`` is any vectorised membership test returning a boolean
+    array (a bitmap lookup or a shape union alike).  Cursor ``c`` is base
+    point ``c // m**n`` of ``(xs1, xs2)`` with slot angles read from
+    ``c % m**n`` most-significant digit first, slot k taking edge
+    ``lengths[k] * (cos_t[a], sin_t[a])``.  A candidate counts when all 2^n
+    vertices are members and every pair of them is at least ``eta_gap``
+    apart.  Returns the first such cursor, -1 when the base points run out
+    before ``stop``, -2 when ``stop`` is reached.
+    """
+    m = len(cos_t)
+    n = len(lengths)
     tuples = m**n
-    verts1 = np.empty(1 << n)
-    verts2 = np.empty(1 << n)
-    for cur in range(start, stop):
-        xi = cur // tuples
-        if xi >= npts:
-            return np.int64(-1)
-        x1 = xs1[xi]
-        x2 = xs2[xi]
-        # base point membership
-        if not (0.0 <= x1 < side and 0.0 <= x2 < side):
-            continue
-        if bitmap[int(x1 / cell), int(x2 / cell)] < 0.5:
-            continue
-        rem = cur % tuples
-        ok = True
-        nv = 1
-        verts1[0] = x1
-        verts2[0] = x2
-        for k in range(n):
-            a = rem % m
-            rem //= m
-            y1 = lengths[k] * cos_t[a]
-            y2 = lengths[k] * sin_t[a]
-            # double the vertex list by adding y_k
-            for v in range(nv):
-                p1 = verts1[v] + y1
-                p2 = verts2[v] + y2
-                if not (0.0 <= p1 < side and 0.0 <= p2 < side):
-                    ok = False
-                    break
-                if bitmap[int(p1 / cell), int(p2 / cell)] < 0.5:
-                    ok = False
-                    break
-                verts1[nv + v] = p1
-                verts2[nv + v] = p2
-            if not ok:
-                break
-            nv *= 2
-        if not ok:
-            continue
-        # all 2^n vertices are members; check pairwise gaps
-        gap_ok = True
-        for a in range(nv):
-            for b in range(a + 1, nv):
-                d1 = verts1[a] - verts1[b]
-                d2 = verts2[a] - verts2[b]
-                if d1 * d1 + d2 * d2 < eta_gap * eta_gap:
-                    gap_ok = False
-                    break
-            if not gap_ok:
-                break
-        if gap_ok:
-            return np.int64(cur)
-    return np.int64(-2)
-
-
-def _scan_bitmap_np(bitmap, side, cell, xs1, xs2, cos_t, sin_t, lengths, eta_gap, start, stop):
-    m = cos_t.shape[0]
-    n = lengths.shape[0]
-    npts = xs1.shape[0]
-    tuples = m**n
-    nbmp = bitmap.shape[0]
-
-    def member(p1, p2):
-        ok = (p1 >= 0.0) & (p1 < side) & (p2 >= 0.0) & (p2 < side)
-        i = np.clip((p1 / cell).astype(np.int64), 0, nbmp - 1)
-        j = np.clip((p2 / cell).astype(np.int64), 0, nbmp - 1)
-        return ok & (bitmap[i, j] >= 0.5)
-
+    npts = len(xs1)
+    strides = [m ** (n - 1 - k) for k in range(n)]
     chunk = 65536
     cur = start
     while cur < stop:
@@ -391,26 +196,21 @@ def _scan_bitmap_np(bitmap, side, cell, xs1, xs2, cos_t, sin_t, lengths, eta_gap
         xi = cs // tuples
         valid = xi < npts
         if not valid.any():
-            return np.int64(-1)
-        exhausted = not valid.all()
+            return -1
+        exhausted = not bool(valid.all())
         cs = cs[valid]
         xi = xi[valid]
-        x1 = xs1[xi]
-        x2 = xs2[xi]
-        alive = member(x1, x2)
-        verts1 = [x1]
-        verts2 = [x2]
+        alive = member(xs1[xi], xs2[xi])
+        verts1 = [xs1[xi]]
+        verts2 = [xs2[xi]]
         rem = cs % tuples
         for k in range(n):
-            a = rem % m
-            rem = rem // m
+            a = (rem // strides[k]) % m
             y1 = lengths[k] * cos_t[a]
             y2 = lengths[k] * sin_t[a]
-            new1 = []
-            new2 = []
+            new1, new2 = [], []
             for v1, v2 in zip(verts1, verts2):
-                p1 = v1 + y1
-                p2 = v2 + y2
+                p1, p2 = v1 + y1, v2 + y2
                 alive = alive & member(p1, p2)
                 new1.append(p1)
                 new2.append(p2)
@@ -423,30 +223,13 @@ def _scan_bitmap_np(bitmap, side, cell, xs1, xs2, cos_t, sin_t, lengths, eta_gap
             gap2 = np.full(v1.shape[0], np.inf)
             for a in range(nv):
                 for b in range(a + 1, nv):
-                    d = (v1[:, a] - v1[:, b]) ** 2 + (v2[:, a] - v2[:, b]) ** 2
-                    gap2 = np.minimum(gap2, d)
+                    gap2 = np.minimum(gap2, (v1[:, a] - v1[:, b]) ** 2 + (v2[:, a] - v2[:, b]) ** 2)
             hit = alive & (gap2 >= eta_gap * eta_gap)
             if hit.any():
-                return np.int64(cs[np.argmax(hit)])
+                return int(cs[int(np.argmax(hit))])
         if exhausted:
-            return np.int64(-1)
+            return -1
         cur = hi
-    return np.int64(-2)
+    return -2
 
 
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    read_bilinear = _read_bilinear_np  # vectorised reads stay numpy either way
-    vertex_product = _vertex_product_nb
-    sharp_sum = _sharp_sum_nb
-    mc_values = _mc_values_nb
-    u2_fourth_direct = _u2_fourth_direct_nb
-    scan_bitmap = _scan_bitmap_nb
-else:
-    read_bilinear = _read_bilinear_np
-    vertex_product = _vertex_product_np
-    sharp_sum = _sharp_sum_np
-    mc_values = _mc_values_np
-    u2_fourth_direct = _u2_fourth_direct_np
-    scan_bitmap = _scan_bitmap_np

@@ -13,14 +13,13 @@ import math
 import numpy as np
 
 from .constants import ConstantsFile
-from .counting import CountingParams, counting_sharp, counting_smooth, gowers_cs_bound
+from .counting import gowers_cs_bound
 from .decomposition import (ScaleLadder, check_error_bound,
-                            check_structured_bound, check_uniform_bound,
-                            structured_part)
+                            check_uniform_bound, structured_part)
 from .grid import PlanarGrid, make_indicator, measure
 from .sphere import (THETA, CircleQuadrature, decay_envelope,
                      domination_integral, lower_bound_constant,
-                     smooth_sphere_value, sphere_fourier_radial)
+                     smooth_sphere_value)
 from .gaussian import KernelSpec
 
 VERSION = "1"

@@ -372,10 +372,8 @@ class _Lock:
             self.path.unlink(missing_ok=True)
 
 
-def run(config: dict, out_dir, constants_path=None, use_cache: bool = True,
-        threads: int | None = None) -> int:
+def run(config: dict, out_dir, constants_path=None, use_cache: bool = True) -> int:
     """Execute one config; returns the process exit status."""
-    del threads  # inner loops are single-threaded and deterministic
     command = config.get("command")
     if command not in SCHEMAS:
         print(f"error: unknown command {command!r}", file=sys.stderr)
@@ -459,7 +457,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(config, args.out, constants_path=args.constants,
-                   use_cache=not args.no_cache, threads=args.threads)
+                   use_cache=not args.no_cache)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

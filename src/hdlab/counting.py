@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, spectral
-from .grid import PERIODIC, PlanarGrid, measure
+from .grid import PlanarGrid, measure
 from .sphere import CircleQuadrature, sphere_fourier_radial
 
 EXACT = "exact_quadrature"
@@ -195,15 +195,6 @@ def _ring_angles(params: CountingParams, step: float) -> int:
     return max(params.quadrature_nodes, need, 64)
 
 
-def _extent_len(f: PlanarGrid) -> float:
-    rows = np.flatnonzero(f.values.any(axis=1))
-    cols = np.flatnonzero(f.values.any(axis=0))
-    if len(rows) == 0:
-        return 0.0
-    cells = max(rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1)
-    return cells * f.step
-
-
 def ring_pad(f: PlanarGrid, lam: float) -> int:
     """Padding factor for circle-smoothed forms at scale ``lam``.
 
@@ -212,7 +203,7 @@ def ring_pad(f: PlanarGrid, lam: float) -> int:
     """
     if f.periodic:
         return 1
-    ext = _extent_len(f)
+    ext = spectral.support_extent(f.values) * f.step
     need = max(4.0 * ext, 5.0 * lam + 1.2 * ext + 6.0 * f.step)
     return max(1, int(math.ceil(need / f.side - 1e-9)))
 
@@ -235,7 +226,7 @@ def smooth_two_slot_value(f: PlanarGrid, params: CountingParams) -> float:
         raise ValueError("the exact two-slot path needs a zero-extended grid")
     tab = _offset_table(f, ring_pad(f, params.lam))
     weight, weight_exact = _sigma_weight_table(params, float(tab.xi_bar.max()), params.eps * params.lam)
-    zero_w = float(weight_exact(tab.cell_radii()).mean())
+    zero_w = float(weight_exact(spectral.cell_radii(tab.torus_side)).mean())
     c, _ = spectral.ring_tents(tab, params.lam, params.eps * params.lam,
                                _ring_angles(params, f.step))
     return spectral.assemble(tab, c, weight(tab.xi_bar), zero_w)

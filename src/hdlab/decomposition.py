@@ -151,7 +151,7 @@ def _l_form_once(f, lam, alpha, beta, m, n, params, tnodes) -> float:
     tab = _offset_table(f, ring_pad(f, lam))
     sig, sig_exact = _sigma_weight_table(params, float(tab.xi_bar.max()), 0.0)
     sig_bins = sig(tab.xi_bar)
-    cells = tab.cell_radii()
+    cells = spectral.cell_radii(tab.torus_side)
     sig_cells = sig_exact(cells)
     angles = _ring_angles(params, f.step)
     total = 0.0
@@ -212,7 +212,7 @@ def _theta_once(f, gammas, m, smin, smax, nodes) -> float:
                                              lambda u: _neg_khat(a, u), zero_w)
         return total
     tab = _offset_table(f)
-    cells = tab.cell_radii()
+    cells = spectral.cell_radii(tab.torus_side)
     total = 0.0
     for s, w in zip(ss, wq):
         a1 = s * gammas[0]

@@ -158,60 +158,6 @@ def _decode(cursor: int, tuples: int, m: int, n: int):
     return xi, digits
 
 
-def _scan_generic(member, side, xs1, xs2, cos_t, sin_t, lengths, eta_gap,
-                  start, stop) -> int:
-    """Chunked lexicographic scan with vectorised membership; returns the
-    first successful cursor, -1 when exhausted, -2 when stopped at ``stop``."""
-    m = len(cos_t)
-    n = len(lengths)
-    tuples = m**n
-    npts = len(xs1)
-    strides = [m ** (n - 1 - k) for k in range(n)]
-    chunk = 65536
-    cur = start
-    while cur < stop:
-        hi = min(cur + chunk, stop)
-        cs = np.arange(cur, hi, dtype=np.int64)
-        xi = cs // tuples
-        valid = xi < npts
-        if not valid.any():
-            return -1
-        exhausted = not bool(valid.all())
-        cs = cs[valid]
-        xi = xi[valid]
-        alive = member(xs1[xi], xs2[xi])
-        verts1 = [xs1[xi]]
-        verts2 = [xs2[xi]]
-        rem = cs % tuples
-        for k in range(n):
-            a = (rem // strides[k]) % m
-            y1 = lengths[k] * cos_t[a]
-            y2 = lengths[k] * sin_t[a]
-            new1, new2 = [], []
-            for v1, v2 in zip(verts1, verts2):
-                p1, p2 = v1 + y1, v2 + y2
-                alive = alive & member(p1, p2)
-                new1.append(p1)
-                new2.append(p2)
-            verts1 += new1
-            verts2 += new2
-        if alive.any():
-            v1 = np.stack(verts1, axis=-1)
-            v2 = np.stack(verts2, axis=-1)
-            nv = v1.shape[-1]
-            gap2 = np.full(v1.shape[0], np.inf)
-            for a in range(nv):
-                for b in range(a + 1, nv):
-                    gap2 = np.minimum(gap2, (v1[:, a] - v1[:, b]) ** 2 + (v2[:, a] - v2[:, b]) ** 2)
-            hit = alive & (gap2 >= eta_gap * eta_gap)
-            if hit.any():
-                return int(cs[int(np.argmax(hit))])
-        if exhausted:
-            return -1
-        cur = hi
-    return -2
-
-
 def find_copy(A: PlanarSet, lengths, search: SearchSpec) -> ScanOutcome:
     """First valid copy in lexicographic (x, angles) order, if any.
 
@@ -233,18 +179,10 @@ def find_copy(A: PlanarSet, lengths, search: SearchSpec) -> ScanOutcome:
     xs1, xs2 = _x_lattice(A.side, spec.x_step)
     tuples = m**n
     total = len(xs1) * tuples
-    start = spec.resume_cursor
+    start = min(spec.resume_cursor, total)
     stop = min(start + spec.budget, total)
-    lengths_arr = np.asarray(lengths)
-    if A.kind == "bitmap":
-        # the scan kernels enumerate slot angles least-significant-first;
-        # feed them reversed lengths so the cursor order matches _decode
-        res = int(_kernels.scan_bitmap(A.bitmap.values, A.side, A.bitmap.step,
-                                       xs1, xs2, cos_t, sin_t, lengths_arr[::-1].copy(),
-                                       spec.eta_gap, start, stop))
-    else:
-        res = _scan_generic(A.membership, A.side, xs1, xs2, cos_t, sin_t,
-                            lengths, spec.eta_gap, start, stop)
+    res = _kernels.scan_bitmap(A.membership, xs1, xs2, cos_t, sin_t, lengths,
+                               spec.eta_gap, start, stop)
     found_cursor = res if res >= 0 else None
     exhausted = res == -1 or stop >= total
     examined = (found_cursor + 1 - start) if found_cursor is not None else stop - start

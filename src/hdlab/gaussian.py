@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PERIODIC, PlanarGrid, conv_coords, convolve
+from .grid import PERIODIC, PlanarGrid, convolve
 
 FAMILIES = ("g", "h1", "h2", "k")
 
@@ -72,18 +72,6 @@ def fourier_kernel(spec: KernelSpec, xi) -> np.ndarray:
     if spec.family == "h2":
         return 2.0j * np.pi * u2 * e
     return (-4.0 * np.pi**2 * r2 * e).astype(np.complex128)
-
-
-def fourier_kernel_radial(spec: KernelSpec, u) -> np.ndarray:
-    """Radial profile of the transform for ``g`` and ``k`` (real families)."""
-    u = np.asarray(u, dtype=np.float64)
-    a = spec.scale * u
-    e = np.exp(-np.pi * a * a)
-    if spec.family == "g":
-        return e
-    if spec.family == "k":
-        return -4.0 * np.pi**2 * a * a * e
-    raise ValueError("radial profile only defined for g and k")
 
 
 def kernel_integral(spec: KernelSpec, node_count: int = 512) -> float:

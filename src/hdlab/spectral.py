@@ -63,6 +63,15 @@ def gauss_tent_da(x, a, h):
 # offset spectra table
 
 
+def support_extent(values: np.ndarray) -> int:
+    """Side in nodes of the bounding square of the support (0 if empty)."""
+    rows = np.flatnonzero(values.any(axis=1))
+    cols = np.flatnonzero(values.any(axis=0))
+    if len(rows) == 0:
+        return 0
+    return int(max(rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1))
+
+
 def auto_pad(values: np.ndarray, max_pad: int = 4) -> int:
     """Padding factor adapted to the support extent.
 
@@ -70,13 +79,26 @@ def auto_pad(values: np.ndarray, max_pad: int = 4) -> int:
     keep correlations wrap-free, twice more so the frequency lattice
     resolves the spectrum of the support.
     """
-    n = values.shape[0]
-    rows = np.flatnonzero(values.any(axis=1))
-    cols = np.flatnonzero(values.any(axis=0))
-    if len(rows) == 0:
+    extent = support_extent(values)
+    if extent == 0:
         return 1
-    extent = max(rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1)
-    return int(min(max_pad, max(1, math.ceil(4.0 * extent / n))))
+    return int(min(max_pad, max(1, math.ceil(4.0 * extent / values.shape[0]))))
+
+
+def frequency_lattice(n2: int, r2: float) -> tuple[np.ndarray, np.ndarray]:
+    """|xi| on the rfft2 half-lattice of an n2-node torus of side r2.
+
+    Also returns the multiplicity of each stored frequency: 2 where rfft2
+    does not store its mirror image, else 1.
+    """
+    kx = np.fft.fftfreq(n2, d=1.0 / n2) / r2
+    ky = np.fft.rfftfreq(n2, d=1.0 / n2) / r2
+    xi = np.sqrt(kx[:, None] ** 2 + ky[None, :] ** 2)
+    mult = np.full(xi.shape, 2.0)
+    mult[:, 0] = 1.0
+    if n2 % 2 == 0:
+        mult[:, -1] = 1.0
+    return xi, mult
 
 
 @dataclass
@@ -91,12 +113,6 @@ class OffsetTable:
     power: np.ndarray          # (nd*nd, nbins) float32, zero mode excluded
     zero_mode: np.ndarray      # (nd*nd,) |FFT(m_d)(0)|^2
 
-    def cell_radii(self) -> np.ndarray:
-        """Sub-sampled radii of the zero-frequency cell."""
-        q = ((np.arange(_CELL_SUB) + 0.5) / _CELL_SUB - 0.5) / self.torus_side
-        qx, qy = np.meshgrid(q, q, indexing="ij")
-        return np.sqrt(qx * qx + qy * qy).ravel()
-
 
 def build_offset_table(values: np.ndarray, step: float, pad: int | None = None,
                        nbins: int = 2048) -> OffsetTable:
@@ -110,13 +126,7 @@ def build_offset_table(values: np.ndarray, step: float, pad: int | None = None,
         pad = auto_pad(values)
     n2 = pad * n
     r2 = n2 * step
-    kx = np.fft.fftfreq(n2, d=1.0 / n2) / r2
-    ky = np.fft.rfftfreq(n2, d=1.0 / n2) / r2
-    xi = np.sqrt(kx[:, None] ** 2 + ky[None, :] ** 2)
-    mult = np.full(xi.shape, 2.0)  # rfft2 stores half the spectrum
-    mult[:, 0] = 1.0
-    if n2 % 2 == 0:
-        mult[:, -1] = 1.0
+    xi, mult = frequency_lattice(n2, r2)
     ximax = float(xi.max()) * (1.0 + 1e-12)
     binidx = np.minimum((xi / ximax * nbins).astype(np.int64), nbins - 1).ravel()
     wmult = mult.ravel()
@@ -147,23 +157,6 @@ def build_offset_table(values: np.ndarray, step: float, pad: int | None = None,
             pm[0] = 0.0
             power[a * nd + b] = np.bincount(binidx, weights=pm, minlength=nbins)
     return OffsetTable(step, n, r2, offs, xi_bar, power, zero)
-
-
-_TABLE_CACHE: dict[int, tuple[int, OffsetTable]] = {}
-
-
-def offset_table_for(grid) -> OffsetTable:
-    """Memoised table per grid object (grids are immutable)."""
-    key = id(grid)
-    hit = _TABLE_CACHE.get(key)
-    token = grid.values.__array_interface__["data"][0]
-    if hit is not None and hit[0] == token:
-        return hit[1]
-    tab = build_offset_table(grid.values, grid.step)
-    if len(_TABLE_CACHE) > 8:
-        _TABLE_CACHE.clear()
-    _TABLE_CACHE[key] = (token, tab)
-    return tab
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +219,7 @@ def pair_spectrum(values: np.ndarray, step: float, pad: int | None = None):
     buf[:n, :n] = values
     fm = np.fft.rfft2(buf) * (step * step)
     power = fm.real**2 + fm.imag**2
-    kx = np.fft.fftfreq(n2, d=1.0 / n2) / r2
-    ky = np.fft.rfftfreq(n2, d=1.0 / n2) / r2
-    xi = np.sqrt(kx[:, None] ** 2 + ky[None, :] ** 2)
-    mult = np.full(xi.shape, 2.0)
-    mult[:, 0] = 1.0
-    if n2 % 2 == 0:
-        mult[:, -1] = 1.0
+    xi, mult = frequency_lattice(n2, r2)
     return power, xi, mult, r2
 
 
@@ -245,6 +232,7 @@ def pair_value(power, xi, mult, r2, weight_fn, zero_weight: float) -> float:
 
 
 def cell_radii(r2: float, sub: int = _CELL_SUB) -> np.ndarray:
+    """Sub-sampled radii of the zero-frequency cell of a torus of side r2."""
     q = ((np.arange(sub) + 0.5) / sub - 0.5) / r2
     qx, qy = np.meshgrid(q, q, indexing="ij")
     return np.sqrt(qx * qx + qy * qy).ravel()

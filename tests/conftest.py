@@ -1,20 +1,12 @@
 import numpy as np
 import pytest
 
-from hdlab import PlanarGrid, load_constants, make_indicator
+from hdlab import load_constants, make_indicator
+from hdlab.calibrate import random_mask
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-
-
-def random_mask(side, nodes, density, seed) -> PlanarGrid:
-    vals = (seeded_rng(seed).random((nodes, nodes)) < density).astype(np.float64)
-    return PlanarGrid(side, side / nodes, vals)
-
-
-def random_grid(side, nodes, seed) -> PlanarGrid:
-    return PlanarGrid(side, side / nodes, seeded_rng(seed).random((nodes, nodes)))
 
 
 @pytest.fixture(scope="session")

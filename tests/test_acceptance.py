@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
 Each test prints a PASS line with its runtime; the stated budgets are
-enforced.  Kernel JIT compilation is warmed up once outside the timers.
+enforced.
 """
 
 import json
@@ -18,21 +18,11 @@ from hdlab import (CountingParams, L_form, PlanarGrid, PlanarSet, ScaleLadder,
                    gowers_cs_bound, gowers_norm, heat_flow_check,
                    make_indicator, measure, pigeonhole_interval, theta_form,
                    verify_conv_hh, verify_conv_kg, verify_copy)
+from hdlab.calibrate import random_grid, random_mask
 from hdlab.cli import main as cli_main
 from hdlab.decomposition import lp_pow_sum
 
-from conftest import random_grid, random_mask, seeded_rng
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # compile the hot kernels outside the timed sections
-    g = make_indicator([{"type": "rect", "x0": 0, "y0": 0, "x1": 1, "y1": 1}], 1.0, 1 / 8)
-    counting_sharp(g, CountingParams(n=1, lam=0.2, quadrature_nodes=4))
-    counting_smooth(g, CountingParams(n=2, lam=0.2, eps=1.0, estimator="monte_carlo",
-                                      mc_samples=2, seed=0))
-    gowers_norm(g, 2)
-    find_copy(PlanarSet.from_bitmap(g), (0.2,), SearchSpec(x_step=0.5, angle_count=8))
+from conftest import seeded_rng
 
 
 def _report(num, desc, t0, budget):

@@ -5,8 +5,9 @@ import pytest
 
 from hdlab import (PERIODIC, CountingParams, PlanarGrid, _kernels, counting_sharp,
                    counting_smooth, degenerate_mass, eval_F, make_indicator)
+from hdlab.calibrate import random_grid
 
-from conftest import random_grid, seeded_rng
+from conftest import seeded_rng
 
 LENS_AREA = 2 * math.acos(0.5) - 0.5 * math.sqrt(3)  # unit disk, lam = 1
 

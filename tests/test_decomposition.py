@@ -8,9 +8,8 @@ from hdlab import (PERIODIC, CountingParams, L_form, PlanarGrid, ScaleLadder,
                    check_uniform_bound, counting_sharp, counting_smooth,
                    decompose, decomposition_report, make_indicator, measure,
                    structured_part, theta_form, uniform_part)
+from hdlab.calibrate import random_mask
 from hdlab.decomposition import lp_pow_sum
-
-from conftest import random_mask
 
 
 def test_ladder_validation():

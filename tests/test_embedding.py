@@ -1,16 +1,18 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdlab import (CountingParams, HypercubeCopy, PlanarGrid, PlanarSet,
                    SearchSpec, avoided_distance_demo, counting_sharp,
                    degenerate_mass, estimate_banach_density, find_copy,
                    make_indicator, pigeonhole_interval, read_pgm, scale_scan,
                    verify_copy)
-
-from conftest import random_mask
+from hdlab.calibrate import random_mask
 
 
 def full_square(side=4.0):
@@ -81,6 +83,71 @@ def test_find_copy_budget_and_resume():
         again = find_copy(A, (0.4,), SearchSpec(x_step=1 / 32, angle_count=180,
                                                 resume_cursor=out.resume_cursor))
         assert again.status in ("found", "not_found")
+
+
+def test_find_copy_resume_past_the_end_examines_nothing():
+    disk = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.3}], 1.0, 1 / 32)
+    spec = SearchSpec(x_step=0.25, angle_count=8, resume_cursor=10_000)
+    out = find_copy(PlanarSet.from_bitmap(disk), (0.3,), spec)
+    assert (out.status, out.resume_cursor, out.examined) == ("not_found", 128, 0)
+
+
+def first_copy_by_loop(A, lengths, search):
+    """Reference scan: decode each cursor in order and test its 2^n vertices."""
+    spec = search.resolved(lengths)
+    n, m = len(lengths), spec.angle_count
+    th = 2.0 * np.pi * np.arange(m) / m
+    cos_t, sin_t = np.cos(th), np.sin(th)
+    pts = np.arange(spec.x_step / 2, A.side, spec.x_step)
+    tuples = m**n
+    total = len(pts) ** 2 * tuples
+    for cur in range(total):
+        xi, rem = divmod(cur, tuples)
+        digits = [(rem // m ** (n - 1 - k)) % m for k in range(n)]
+        verts = np.empty((1 << n, 2))
+        for r in range(1 << n):
+            p1, p2 = pts[xi // len(pts)], pts[xi % len(pts)]
+            for k in range(n):
+                if (r >> k) & 1:
+                    p1 = p1 + lengths[k] * cos_t[digits[k]]
+                    p2 = p2 + lengths[k] * sin_t[digits[k]]
+            verts[r] = p1, p2
+        if not A.membership(verts[:, 0], verts[:, 1]).all():
+            continue
+        v1, v2 = verts[:, 0], verts[:, 1]
+        d2 = (v1[:, None] - v1[None, :]) ** 2 + (v2[:, None] - v2[None, :]) ** 2
+        if d2[np.triu_indices(1 << n, 1)].min(initial=np.inf) >= spec.eta_gap * spec.eta_gap:
+            return "found", cur, cur + 1
+    return "not_found", total, total
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), nodes=st.integers(4, 12), density=st.floats(0.3, 1.0),
+       seed=st.integers(0, 2**32 - 1), data=st.data(),
+       angles=st.integers(3, 6), x_step=st.sampled_from([1 / 4, 1 / 5, 1 / 6]),
+       eta_gap=st.sampled_from([0.0, 0.0137, 0.29]), pieces=st.integers(2, 9))
+def test_find_copy_matches_cursor_loop(n, nodes, density, seed, data, angles, x_step,
+                                       eta_gap, pieces):
+    # gap thresholds lie off the bounds of the length range: a threshold equal
+    # to an edge length is a tie that the round-off of the vertex sums decides
+    lengths = tuple(data.draw(st.lists(st.floats(0.05, 0.7), min_size=n, max_size=n,
+                                       unique=True), label="lengths"))
+    A = PlanarSet.from_bitmap(random_mask(1.0, nodes, density, seed))
+    spec = SearchSpec(x_step=x_step, angle_count=angles, eta_gap=eta_gap)
+    out = find_copy(A, lengths, spec)
+    assert (out.status, out.resume_cursor, out.examined) == first_copy_by_loop(A, lengths, spec)
+    # the same scan cut into budgeted pieces and resumed finds the same cursor
+    total = int(round(1 / x_step)) ** 2 * angles**n
+    piece = replace(spec, budget=max(1, total // pieces))
+    part = find_copy(A, lengths, piece)
+    examined = part.examined
+    while part.status == "budget_exceeded":
+        part = find_copy(A, lengths, replace(piece, resume_cursor=part.resume_cursor))
+        examined += part.examined
+    assert (part.status, part.resume_cursor, examined) == (out.status, out.resume_cursor,
+                                                           out.examined)
+    if out.status == "found":
+        assert part.copy == out.copy
 
 
 def test_verify_copy_rejects_nudged_vertex():

@@ -3,8 +3,7 @@ import math
 import pytest
 
 from hdlab import gowers_cs_bound, gowers_norm, make_indicator
-
-from conftest import random_grid
+from hdlab.calibrate import random_grid
 
 U2_UNIT_SQUARE = (4.0 / 9.0) ** 0.25  # tent-correlation integral per axis is 2/3
 

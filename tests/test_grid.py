@@ -6,9 +6,10 @@ import pytest
 from hdlab import (PERIODIC, ZERO, PlanarGrid, _kernels, convolve, dft,
                    from_shape_json, idft, load_grid, make_indicator, measure,
                    save_grid)
+from hdlab.calibrate import random_grid
 from hdlab.gaussian import KernelSpec, sample_wrapped
 
-from conftest import random_grid, seeded_rng
+from conftest import seeded_rng
 
 
 def test_indicator_full_window_measure():
