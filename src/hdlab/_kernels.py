@@ -4,9 +4,8 @@ Each kernel is defined once.  Summation order is fixed, so results are
 bit-stable from run to run.
 """
 
-import math
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # ---------------------------------------------------------------------------
 # bilinear reads; node centres sit at (i + 1/2) h, reads outside the window
@@ -48,36 +47,70 @@ def shift_grid(values, h, dy1, dy2, periodic):
     more along either axis gives the all-zero array; in periodic mode
     shifts wrap around the torus.
     """
-    n = values.shape[0]
-    c1 = int(math.floor(dy1 / h))
-    c2 = int(math.floor(dy2 / h))
-    f1 = dy1 / h - c1
-    f2 = dy2 / h - c2
+    box = (0, values.shape[0], 0, values.shape[1])
+    return _shift_stack(values, h, dy1, dy2, periodic, box)[0]
 
-    def cellshift(a, s1, s2):
-        if periodic:
-            return np.roll(a, (-s1, -s2), axis=(0, 1))
-        out = np.zeros_like(a)
-        if abs(s1) >= n or abs(s2) >= n:
-            # the slice bounds below would go negative and count from the end
-            return out
-        src1 = slice(max(0, s1), min(n, n + s1))
-        dst1 = slice(max(0, -s1), min(n, n - s1))
-        src2 = slice(max(0, s2), min(n, n + s2))
-        dst2 = slice(max(0, -s2), min(n, n - s2))
-        out[dst1, dst2] = a[src1, src2]
-        return out
 
-    a00 = cellshift(values, c1, c2)
-    a10 = cellshift(values, c1 + 1, c2)
-    a01 = cellshift(values, c1, c2 + 1)
-    a11 = cellshift(values, c1 + 1, c2 + 1)
+def _shift_stack(values, h, dy1, dy2, periodic, box):
+    """Bilinear shifts of ``values`` by K displacements, read on a box of nodes.
+
+    ``dy1`` and ``dy2`` are scalars or length-K arrays; ``box = (i0, i1, j0,
+    j1)`` selects the output nodes [i0, i1) x [j0, j1).  Returns the
+    (K, i1 - i0, j1 - j0) stack whose slice k is ``shift_grid(values, h,
+    dy1[k], dy2[k], periodic)[i0:i1, j0:j1]``, bit for bit: each slice is
+    formed with the same per-element arithmetic whatever K is.  One
+    (K, rows + 1, cols + 1) block is gathered from a window view of an
+    extended copy of ``values`` (a zero border of N + 1 cells, or one
+    periodic repeat), and the four bilinear corners are slices of it.  The
+    cell shift is clipped in floating point before the integer cast, so a
+    zero-extended shift of a whole window or more reads only the border.
+    ``sharp_sum`` and ``mc_values`` keep K * (rows + 1) * (cols + 1) within
+    ``STACK_ELEMENTS``.
+    """
+    n1, n2 = values.shape
+    i0, i1, j0, j1 = box
+    q1 = np.asarray(dy1, dtype=np.float64).reshape(-1) / h
+    q2 = np.asarray(dy2, dtype=np.float64).reshape(-1) / h
+    c1 = np.floor(q1)
+    c2 = np.floor(q2)
+    f1 = (q1 - c1)[:, None, None]
+    f2 = (q2 - c2)[:, None, None]
+    if periodic:
+        ext = np.pad(values, ((0, n1), (0, n2)), mode="wrap")
+        o1 = np.mod(c1, n1)
+        o2 = np.mod(c2, n2)
+    else:
+        ext = np.pad(values, ((n1 + 1, n1 + 1), (n2 + 1, n2 + 1)))
+        o1 = np.clip(c1, -n1 - 1, n1) + (n1 + 1)
+        o2 = np.clip(c2, -n2 - 1, n2) + (n2 + 1)
+    windows = sliding_window_view(ext, (i1 - i0 + 1, j1 - j0 + 1))
+    block = windows[o1.astype(np.int64) + i0, o2.astype(np.int64) + j0]
     return (
-        (1 - f1) * (1 - f2) * a00
-        + f1 * (1 - f2) * a10
-        + (1 - f1) * f2 * a01
-        + f1 * f2 * a11
+        (1 - f1) * (1 - f2) * block[:, :-1, :-1]
+        + f1 * (1 - f2) * block[:, 1:, :-1]
+        + (1 - f1) * f2 * block[:, :-1, 1:]
+        + f1 * f2 * block[:, 1:, 1:]
     )
+
+
+# elements of one (K, rows + 1, cols + 1) shift stack; sharp_sum and
+# mc_values cut their stacks to this size, so a stack does not grow with
+# the number of angles or samples
+STACK_ELEMENTS = 1 << 19
+
+
+def support_box(values):
+    """(i0, i1, j0, j1) bounding the nonzero nodes, or None for a zero grid."""
+    rows = np.flatnonzero(values.any(axis=1))
+    cols = np.flatnonzero(values.any(axis=0))
+    if rows.size == 0:
+        return None
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
+def _stack_len(box):
+    i0, i1, j0, j1 = box
+    return max(1, STACK_ELEMENTS // ((i1 - i0 + 1) * (j1 - j0 + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -105,28 +138,60 @@ def vertex_product(values, h, x1, x2, ys, periodic):
 
 
 def sharp_sum(values, h, lam, cos_t, sin_t, n, periodic):
+    """(h^2 / M^n) * sum over angle tuples of sum_x F_n(x; lam e_a1, ..., lam e_an).
+
+    Tuple t takes slot k's angle from digit k of t in base M, so slot 0 is
+    the fast digit.  Each Python step takes a stack of slot-0 angles at
+    once: ``values * S_a`` (S_a the shift by lam e_a) is formed once per
+    slot-0 angle, the loop runs over the M^(n-1) slow digits, vertices
+    whose sum includes slot 0 take one stacked shift per step and the
+    others one single shift.  Vertices are multiplied in the order
+    r = 1 .. 2^n - 1, so every product is the one a per-tuple loop forms.
+
+    Every vertex product has ``values(x)`` as a factor, so the x-sum runs
+    over the bounding box of the support only, and an all-zero grid gives
+    0.0.  A stack holds at most ``STACK_ELEMENTS`` elements: the slot-0
+    angles are taken in blocks of that size, and the per-tuple sums (M^n
+    floats) are kept so they can be added in tuple order at the end.
+    """
+    box = support_box(values)
+    if box is None:
+        return 0.0
+    i0, i1, j0, j1 = box
+    base = values[i0:i1, j0:j1]
     m = cos_t.shape[0]
-    tuples = m**n
+    e1 = lam * cos_t
+    e2 = lam * sin_t
+    sums = np.zeros((m ** (n - 1), m))
+    last = (1 << n) - 1
+    step = _stack_len(box)
+    for lo in range(0, m, step):
+        fast = slice(lo, lo + step)
+        first = base * _shift_stack(values, h, e1[fast], e2[fast], periodic, box)
+        if not first.any():
+            continue
+        for s in range(m ** (n - 1)):
+            digit = [fast]
+            rem = s
+            for _ in range(1, n):
+                digit.append(rem % m)
+                rem //= m
+            prod = first
+            for r in range(2, last + 1):
+                d1 = 0.0
+                d2 = 0.0
+                for k in range(n):
+                    if (r >> k) & 1:
+                        d1 = d1 + e1[digit[k]]
+                        d2 = d2 + e2[digit[k]]
+                prod = prod * _shift_stack(values, h, d1, d2, periodic, box)
+                if r < last and not prod.any():
+                    break
+            sums[s, fast] = prod.reshape(prod.shape[0], -1).sum(axis=1)
     total = 0.0
-    for t in range(tuples):
-        rem = t
-        idx = []
-        for _ in range(n):
-            idx.append(rem % m)
-            rem //= m
-        prod = values.copy()
-        for r in range(1, 1 << n):
-            d1 = 0.0
-            d2 = 0.0
-            for k in range(n):
-                if (r >> k) & 1:
-                    d1 += lam * cos_t[idx[k]]
-                    d2 += lam * sin_t[idx[k]]
-            prod = prod * shift_grid(values, h, d1, d2, periodic)
-            if not prod.any():
-                break
-        total += prod.sum()
-    return total * h * h / tuples
+    for v in sums.ravel().tolist():
+        total += v
+    return total * h * h / m**n
 
 
 # ---------------------------------------------------------------------------
@@ -134,21 +199,34 @@ def sharp_sum(values, h, lam, cos_t, sin_t, n, periodic):
 
 
 def mc_values(values, h, ys, periodic, out):
+    """out[s] = h^2 sum_x F_n(x; ys[s]), over stacks of samples.
+
+    Same vertex order, support crop and stack size as ``sharp_sum``.
+    """
     ns = ys.shape[0]
     n = ys.shape[1]
-    for s in range(ns):
-        prod = values.copy()
-        for r in range(1, 1 << n):
+    box = support_box(values)
+    if box is None:
+        out[:] = 0.0
+        return out
+    i0, i1, j0, j1 = box
+    base = values[i0:i1, j0:j1]
+    last = (1 << n) - 1
+    step = _stack_len(box)
+    for lo in range(0, ns, step):
+        batch = slice(lo, lo + step)
+        prod = base
+        for r in range(1, last + 1):
             d1 = 0.0
             d2 = 0.0
             for k in range(n):
                 if (r >> k) & 1:
-                    d1 += ys[s, k, 0]
-                    d2 += ys[s, k, 1]
-            prod = prod * shift_grid(values, h, d1, d2, periodic)
-            if not prod.any():
+                    d1 = d1 + ys[batch, k, 0]
+                    d2 = d2 + ys[batch, k, 1]
+            prod = prod * _shift_stack(values, h, d1, d2, periodic, box)
+            if r < last and not prod.any():
                 break
-        out[s] = prod.sum() * h * h
+        out[batch] = prod.reshape(prod.shape[0], -1).sum(axis=1) * h * h
     return out
 
 

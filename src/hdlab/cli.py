@@ -3,9 +3,9 @@
 Subcommands: identities, counting, decompose, embed, interval,
 counterexample, calibrate.  Runs are driven by a JSON config validated
 against a per-command schema; reports land in the output directory and are
-cached under a digest of (config, constants file), so identical runs are
-byte-identical and served from the cache.  One run at a time per output
-directory (lock file).
+cached under a digest of (config, constants file, package version, bytes
+of a named PGM file), so identical runs are byte-identical and served from
+the cache.  One run at a time per output directory (lock file).
 
 Exit codes: 0 success, 1 numerical invariant failure (named on stderr),
 2 config/schema violation.
@@ -26,6 +26,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
+from . import __version__
 from . import calibrate as calibrate_mod
 from .constants import load_constants, save_constants
 from .counting import CountingParams, counting_sharp, counting_smooth
@@ -335,10 +336,18 @@ def _canonical(obj) -> str:
 
 
 def _digest(cfg, constants_bytes: bytes) -> str:
+    """Cache key: the config, the constants, the package version and the
+    bytes of a PGM file the config's set names."""
     hasher = hashlib.sha256()
     hasher.update(_canonical(cfg).encode())
     hasher.update(b"\x00")
     hasher.update(constants_bytes)
+    hasher.update(b"\x00")
+    hasher.update(__version__.encode())
+    pgm = cfg.get("set", {}).get("pgm")
+    if pgm is not None:
+        hasher.update(b"\x00")
+        hasher.update(Path(pgm).read_bytes())
     return hasher.hexdigest()
 
 

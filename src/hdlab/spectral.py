@@ -31,6 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
+from ._kernels import support_box
+
 _SQPI = math.sqrt(math.pi)
 _CELL_SUB = 12
 
@@ -65,11 +67,11 @@ def gauss_tent_da(x, a, h):
 
 def support_extent(values: np.ndarray) -> int:
     """Side in nodes of the bounding square of the support (0 if empty)."""
-    rows = np.flatnonzero(values.any(axis=1))
-    cols = np.flatnonzero(values.any(axis=0))
-    if len(rows) == 0:
+    box = support_box(values)
+    if box is None:
         return 0
-    return int(max(rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1))
+    i0, i1, j0, j1 = box
+    return max(i1 - i0, j1 - j0)
 
 
 def auto_pad(values: np.ndarray, max_pad: int = 4) -> int:

@@ -1,6 +1,6 @@
 import json
 
-import pytest
+import numpy as np
 
 from hdlab.cli import main
 
@@ -139,14 +139,16 @@ def test_lock_file_blocks_concurrent_runs(tmp_path):
     assert run_cli(["counterexample", "--config", cfg, "--out", out]) == 1
 
 
-def test_pgm_config_input(tmp_path):
-    import numpy as np
+def write_pgm(path, img):
+    with open(path, "wb") as fh:
+        fh.write(b"P5\n%d %d\n255\n" % img.shape)
+        fh.write(img.tobytes())
 
+
+def test_pgm_config_input(tmp_path):
     img = np.full((32, 32), 255, dtype=np.uint8)
     pgm = tmp_path / "full.pgm"
-    with open(pgm, "wb") as fh:
-        fh.write(b"P5\n32 32\n255\n")
-        fh.write(img.tobytes())
+    write_pgm(pgm, img)
     cfg = write_config(tmp_path, {
         "command": "counting", "set": {"pgm": str(pgm), "side": 1.0},
         "params": {"n": 1, "lambda": 0.25, "M": 32}, "form": "sharp",
@@ -155,3 +157,21 @@ def test_pgm_config_input(tmp_path):
     assert run_cli(["counting", "--config", cfg, "--out", out]) == 0
     doc = json.loads((out / "counting.json").read_text())
     assert doc["report"]["value"] > 0
+
+
+def test_rewritten_pgm_is_not_served_from_cache(tmp_path, capsys):
+    pgm = tmp_path / "set.pgm"
+    write_pgm(pgm, np.full((16, 16), 255, dtype=np.uint8))
+    cfg = write_config(tmp_path, {
+        "command": "embed", "set": {"pgm": str(pgm), "side": 1.0},
+        "lengths": [0.25], "search": {"x_step": 0.25},
+    })
+    out = tmp_path / "out"
+    assert run_cli(["embed", "--config", cfg, "--out", out]) == 0
+    assert json.loads((out / "embed.json").read_text())["report"]["status"] == "found"
+    capsys.readouterr()
+    # same config, same output directory, a different mask in the same file
+    write_pgm(pgm, np.zeros((16, 16), dtype=np.uint8))
+    assert run_cli(["embed", "--config", cfg, "--out", out]) == 0
+    assert "cache hit" not in capsys.readouterr().out
+    assert json.loads((out / "embed.json").read_text())["report"]["status"] == "not_found"

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdlab import (PERIODIC, CountingParams, PlanarGrid, _kernels, counting_sharp,
                    counting_smooth, degenerate_mass, eval_F, make_indicator)
@@ -101,6 +105,145 @@ def test_mc_values_match_pointwise_route_at_long_edges():
         ref = g.step**2 * sum(eval_F(g, (a, b), y, "direct") for a in x for b in x)
         assert value == pytest.approx(ref, rel=1e-12, abs=1e-15)
     assert out[:2].min() > 0 and not out[2:].any()
+
+
+# reference loops: one angle tuple (one sample) at a time, whole-grid shifts
+
+
+def sharp_sum_loop(values, h, lam, cos_t, sin_t, n, periodic):
+    m = cos_t.shape[0]
+    tuples = m**n
+    total = 0.0
+    for t in range(tuples):
+        rem = t
+        idx = []
+        for _ in range(n):
+            idx.append(rem % m)
+            rem //= m
+        prod = values.copy()
+        for r in range(1, 1 << n):
+            d1 = 0.0
+            d2 = 0.0
+            for k in range(n):
+                if (r >> k) & 1:
+                    d1 += lam * cos_t[idx[k]]
+                    d2 += lam * sin_t[idx[k]]
+            prod = prod * _kernels.shift_grid(values, h, d1, d2, periodic)
+            if not prod.any():
+                break
+        total += prod.sum()
+    return total * h * h / tuples
+
+
+def mc_values_loop(values, h, ys, periodic):
+    ns, n = ys.shape[:2]
+    out = np.empty(ns)
+    for s in range(ns):
+        prod = values.copy()
+        for r in range(1, 1 << n):
+            d1 = 0.0
+            d2 = 0.0
+            for k in range(n):
+                if (r >> k) & 1:
+                    d1 += ys[s, k, 0]
+                    d2 += ys[s, k, 1]
+            prod = prod * _kernels.shift_grid(values, h, d1, d2, periodic)
+            if not prod.any():
+                break
+        out[s] = prod.sum() * h * h
+    return out
+
+
+def assert_matches_loops(values, lam, m, n, periodic, ys, stack_elements):
+    h = 1.0 / values.shape[0]
+    th = 2.0 * np.pi * np.arange(m) / m
+    cos_t, sin_t = np.cos(th), np.sin(th)
+    with mock.patch.object(_kernels, "STACK_ELEMENTS", stack_elements):
+        got = [_kernels.sharp_sum(values, h, lam, cos_t, sin_t, n, periodic)]
+        got += list(_kernels.mc_values(values, h, ys, periodic, np.empty(len(ys))))
+    ref = [sharp_sum_loop(values, h, lam, cos_t, sin_t, n, periodic)]
+    ref += list(mc_values_loop(values, h, ys, periodic))
+    for a, b in zip(got, ref):
+        # round-off of a regrouped x-sum, and exact zeros where the loop has them
+        assert abs(a - b) <= 1e-12 * abs(b), (a, b)
+
+
+def corner_node(nodes):
+    v = np.zeros((nodes, nodes))
+    v[-1, 0] = 0.7
+    return v
+
+
+def one_row(nodes):
+    v = np.zeros((nodes, nodes))
+    v[3, :] = seeded_rng(5).random(nodes)
+    return v
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), m=st.integers(3, 8), nodes=st.integers(4, 16),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       periodic=st.booleans(), lam_cells=st.floats(0.01, 48.0),
+       stack_elements=st.sampled_from([1, 200, _kernels.STACK_ELEMENTS]))
+def test_kernels_match_tuple_and_sample_loops(n, m, nodes, density, seed, periodic,
+                                              lam_cells, stack_elements):
+    # lam from 0.01 cell to three window sides (48 cells of the largest grid);
+    # samples of every length up to three sides, in both boundary modes
+    rng = seeded_rng(seed)
+    values = rng.random((nodes, nodes)) * (rng.random((nodes, nodes)) < density)
+    lam = min(lam_cells / nodes, 3.0)
+    ys = rng.uniform(-3.0, 3.0, (5, n, 2)) * rng.uniform(0.0, 1.0, (5, n, 1)) ** 2
+    assert_matches_loops(values, lam, m, n, periodic, ys, stack_elements)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("values", [np.zeros((8, 8)), corner_node(8), one_row(12)],
+                         ids=["all_zero", "corner_node", "one_row"])
+def test_kernels_match_loops_on_edge_supports(values, periodic):
+    ys = seeded_rng(6).uniform(-1.5, 1.5, (6, 3, 2))
+    for n in (1, 2, 3):
+        for lam in (0.01 / len(values), 0.3, 1.0, 2.9):
+            assert_matches_loops(values, lam, 5, n, periodic, ys[:, :n], 200)
+
+
+def test_sharp_n1_matches_splatted_autocorrelation(disk_r4):
+    # independent n = 1 route: h^2/M sum_delta K(delta) C(delta), with K the
+    # bilinear splat of the M circle points onto integer cell offsets and C
+    # the autocorrelation of the grid values (one FFT on a 2N torus, so every
+    # offset |delta| < N is read without wrap-around)
+    values, h, m = disk_r4.values, disk_r4.step, 256
+    nodes = values.shape[0]
+    side = 2 * nodes
+    spec = np.fft.rfft2(values, s=(side, side))
+    corr = np.fft.irfft2(spec * spec.conj(), s=(side, side))
+    th = 2.0 * np.pi * np.arange(m) / m
+    for lam in (0.05, 0.3, 1.0, 1.9, 4.5):
+        q1, q2 = lam * np.cos(th) / h, lam * np.sin(th) / h
+        c1, c2 = np.floor(q1), np.floor(q2)
+        f1, f2 = q1 - c1, q2 - c2
+        splat = np.zeros((side, side))
+        for di, w1 in ((0, 1 - f1), (1, f1)):
+            for dj, w2 in ((0, 1 - f2), (1, f2)):
+                d1, d2 = (c1 + di).astype(int), (c2 + dj).astype(int)
+                inside = (np.abs(d1) < nodes) & (np.abs(d2) < nodes)
+                np.add.at(splat, (d1[inside] % side, d2[inside] % side), (w1 * w2)[inside])
+        oracle = h * h / m * float((splat * corr).sum())
+        value = counting_sharp(disk_r4, CountingParams(n=1, lam=lam, quadrature_nodes=m)).value
+        # the absolute term covers FFT round-off where C vanishes (lam = 4.5)
+        assert abs(value - oracle) <= 1e-12 * abs(oracle) + 1e-12 * h * h, lam
+
+
+def test_sharp_sum_memory_is_bounded_by_stack_chunks():
+    # (256, 129, 129) float64 stacks would take 34 MB each
+    values = seeded_rng(8).random((128, 128)) + 0.5
+    th = 2.0 * np.pi * np.arange(256) / 256
+    tracemalloc.start()
+    try:
+        _kernels.sharp_sum(values, 1 / 128, 0.3, np.cos(th), np.sin(th), 1, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_sharp_budget_rejection():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdlab import (CountingParams, HypercubeCopy, PlanarGrid, PlanarSet,
+from hdlab import (CountingParams, HypercubeCopy, PlanarSet,
                    SearchSpec, avoided_distance_demo, counting_sharp,
                    degenerate_mass, estimate_banach_density, find_copy,
                    make_indicator, pigeonhole_interval, read_pgm, scale_scan,

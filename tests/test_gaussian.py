@@ -6,7 +6,7 @@ import pytest
 from hdlab import (KernelSpec, dft, eval_kernel, fourier_kernel,
                    heat_flow_check, kernel_integral, verify_conv_hh,
                    verify_conv_kg)
-from hdlab.gaussian import conv_hh_identity, conv_kg_identity, sample_wrapped
+from hdlab.gaussian import conv_kg_identity, sample_wrapped
 
 from conftest import seeded_rng
 

@@ -79,10 +79,14 @@ def test_shift_grid_matches_bilinear_read_at_any_shift(boundary):
     x = g.node_coords()
     x1, x2 = np.meshgrid(x, x, indexing="ij")
     scale = np.abs(g.values).max()
-    for d1, d2 in shifts:
+    # the stacked helper takes every shift at once, each slice bit for bit
+    d1s, d2s = np.array(shifts).T
+    stack = _kernels._shift_stack(g.values, h, d1s, d2s, g.periodic, (0, n, 0, n))
+    for (d1, d2), sliced in zip(shifts, stack):
         whole = _kernels.shift_grid(g.values, h, d1, d2, g.periodic)
         pointwise = _kernels.read_bilinear(g.values, h, x1 + d1, x2 + d2, g.periodic)
         assert np.abs(whole - pointwise).max() <= 1e-12 * scale, (d1, d2)
+        assert np.array_equal(sliced, whole), (d1, d2)
 
 
 # --- convolution -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package or a test file imports is used in it."""
 
 import ast
 from pathlib import Path
@@ -8,8 +8,10 @@ import pytest
 import hdlab
 
 PACKAGE = Path(hdlab.__file__).parent
+TESTS = Path(__file__).parent
 # the package __init__ imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
