@@ -95,7 +95,8 @@ def _shift_stack(values, h, dy1, dy2, periodic, box):
 
 # elements of one (K, rows + 1, cols + 1) shift stack; sharp_sum and
 # mc_values cut their stacks to this size, so a stack does not grow with
-# the number of angles or samples
+# the number of angles or samples.  The spectral forms cut their batches
+# of outer scale nodes to it the same way.
 STACK_ELEMENTS = 1 << 19
 
 

@@ -20,6 +20,7 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -182,7 +183,10 @@ class InvariantFailure(RuntimeError):
 def _load_set(doc) -> tuple:
     """Returns (grid, planar_set)."""
     if "pgm" in doc:
-        grid = read_pgm(doc["pgm"], doc.get("side", 1.0))
+        try:
+            grid = read_pgm(doc["pgm"], doc.get("side", 1.0))
+        except OSError as exc:
+            raise ValueError(f"cannot read the set's PGM file: {exc}") from exc
     else:
         grid = from_shape_json(doc)
     return grid, PlanarSet.from_bitmap(grid)
@@ -359,6 +363,21 @@ def _render(name: str, payload, digest: str, version: str) -> bytes:
     return (header + payload).encode()
 
 
+def _write_cache(cache_dir: Path, rendered: dict):
+    """Write a cache entry into a temporary sibling, then move it into place.
+
+    A run that dies mid-write leaves no entry, so a later run does not
+    serve a partial one as a cache hit.
+    """
+    tmp = Path(tempfile.mkdtemp(prefix=f"{cache_dir.name}.", dir=cache_dir.parent))
+    try:
+        for name, blob in rendered.items():
+            (tmp / name).write_bytes(blob)
+        os.replace(tmp, cache_dir)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)  # already gone after the replace
+
+
 class _Lock:
     def __init__(self, out_dir: Path):
         self.path = out_dir / ".lock"
@@ -409,7 +428,11 @@ def run(config: dict, out_dir, constants_path=None, use_cache: bool = True) -> i
     else:
         consts = load_constants()
         constants_bytes = _canonical(consts.to_dict()).encode()
-    digest = _digest(config, constants_bytes)
+    try:
+        digest = _digest(config, constants_bytes)
+    except OSError as exc:
+        print(f"error: cannot read the set's PGM file: {exc}", file=sys.stderr)
+        return 2
 
     with _Lock(out):
         cache_dir = out / ".cache" / digest
@@ -429,9 +452,8 @@ def run(config: dict, out_dir, constants_path=None, use_cache: bool = True) -> i
         rendered = {name: _render(name, payload, digest, consts.version)
                     for name, payload in payloads.items()}
         if use_cache:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            for name, blob in rendered.items():
-                (cache_dir / name).write_bytes(blob)
+            cache_dir.parent.mkdir(exist_ok=True)
+            _write_cache(cache_dir, rendered)
         for name, blob in rendered.items():
             (out / name).write_bytes(blob)
             print(f"wrote {out / name}")

@@ -217,7 +217,7 @@ def smooth_pair_value(f: PlanarGrid, params: CountingParams, gauss_scale: float)
         zero_w = 1.0
     else:
         zero_w = float(weight_exact(spectral.cell_radii(r2)).mean())
-    return spectral.pair_value(power, xi, mult, r2, weight, zero_w)
+    return float(spectral.pair_value(power, mult, r2, weight(xi)[None], np.array([zero_w]))[0])
 
 
 def smooth_two_slot_value(f: PlanarGrid, params: CountingParams) -> float:
@@ -227,9 +227,9 @@ def smooth_two_slot_value(f: PlanarGrid, params: CountingParams) -> float:
     tab = _offset_table(f, ring_pad(f, params.lam))
     weight, weight_exact = _sigma_weight_table(params, float(tab.xi_bar.max()), params.eps * params.lam)
     zero_w = float(weight_exact(spectral.cell_radii(tab.torus_side)).mean())
-    c, _ = spectral.ring_tents(tab, params.lam, params.eps * params.lam,
-                               _ring_angles(params, f.step))
-    return spectral.assemble(tab, c, weight(tab.xi_bar), zero_w)
+    c = spectral.ring_tents(tab, params.lam, [params.eps * params.lam],
+                            _ring_angles(params, f.step))
+    return float(spectral.assemble(tab, c, weight(tab.xi_bar)[:, None], np.array([zero_w]))[0])
 
 
 def _offset_table(f: PlanarGrid, pad: int | None = None) -> spectral.OffsetTable:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spectral
+from . import _kernels, spectral
 from .counting import (CountingParams, _offset_table, _ring_angles,
                        _sigma_weight_table, counting_sharp, counting_smooth,
                        ring_pad)
@@ -134,41 +134,60 @@ def _ghat(a: float, u: np.ndarray) -> np.ndarray:
     return np.exp(-np.pi * au * au)
 
 
-def _l_form_once(f, lam, alpha, beta, m, n, params, tnodes) -> float:
-    ts, wq = _log_nodes(alpha, beta, tnodes)
-    if n == 1:
-        pad = ring_pad(f, lam)
-        power, xi, mult, r2 = spectral.pair_spectrum(f.values, f.step, pad)
-        sig, sig_exact = _sigma_weight_table(params, float(xi.max()), 0.0)
-        cells = spectral.cell_radii(r2)
-        sig_cells = sig_exact(cells)
-        total = 0.0
-        for t, w in zip(ts, wq):
-            wfun = lambda u: sig(u) * _neg_khat(t * lam, u)
-            zero_w = 0.0 if f.periodic else float((sig_cells * _neg_khat(t * lam, cells)).mean())
-            total += w * spectral.pair_value(power, xi, mult, r2, wfun, zero_w)
-        return total / (2.0 * math.pi)
-    tab = _offset_table(f, ring_pad(f, lam))
-    sig, sig_exact = _sigma_weight_table(params, float(tab.xi_bar.max()), 0.0)
-    sig_bins = sig(tab.xi_bar)
-    cells = spectral.cell_radii(tab.torus_side)
-    sig_cells = sig_exact(cells)
-    angles = _ring_angles(params, f.step)
-    total = 0.0
-    for t, w in zip(ts, wq):
-        a = t * lam
+def _outer_sums(integrand, lo, hi, nodes) -> tuple[float, float]:
+    """Log-trapezoid sums with ``nodes`` and ``2 nodes`` nodes on [lo, hi].
+
+    The integrand is evaluated once, on both node sets together.
+    """
+    sc, wc = _log_nodes(lo, hi, nodes)
+    sf, wf = _log_nodes(lo, hi, 2 * nodes)
+    v = integrand(np.concatenate([sc, sf]))
+    return float(wc @ v[:nodes]), float(wf @ v[nodes:])
+
+
+def _form_values(f, pad, m, a1, params=None, tents=None, a2=None, angles=0) -> np.ndarray:
+    """Integrand of a derivative or box form at T outer nodes.
+
+    The spectral slot carries -khat (m = 1) or g-hat (m = 2) at the scales
+    a1, times the circle transform of ``params`` when given.  A single-slot
+    form (``tents`` None) pairs it with |F|^2 on the padded lattice; a
+    two-slot form pairs it with the offset table and the tent slot
+    ``tents(tab, scales, deriv)`` at the scales a2: the plain tents for
+    m = 1, the Laplacian-side weights -2 pi a2 dc/da2 for m = 2.  Nodes go
+    in chunks whose blocks of ``column`` elements per node stay within
+    ``_kernels.STACK_ELEMENTS``.
+    """
+    kernel = _neg_khat if m == 1 else _ghat
+    if tents is None:
+        power, lattice, mult, r2 = spectral.pair_spectrum(f.values, f.step, pad)
+        column = lattice.size
+    else:
+        tab = _offset_table(f, pad)
+        lattice, r2 = tab.xi_bar, tab.torus_side
+        nd = len(tab.offsets)
+        column = max(lattice.size, nd * nd, (nd + 2) * angles)
+    cells = spectral.cell_radii(r2)
+    sig_lattice = sig_cells = 1.0
+    if params is not None:
+        sig, sig_exact = _sigma_weight_table(params, float(lattice.max()), 0.0)
+        sig_lattice, sig_cells = sig(lattice), sig_exact(cells)
+
+    def values(sl):
+        a = a1[sl].reshape((-1,) + (1,) * lattice.ndim)
+        weights = sig_lattice * kernel(a, lattice)
+        zero_w = (sig_cells * kernel(a1[sl, None], cells)).mean(axis=1)
+        if tents is None:
+            if f.periodic:  # unpadded torus: the zero cell is the frequency 0 alone
+                zero_w[:] = 0.0
+            return spectral.pair_value(power, mult, r2, weights, zero_w)
         if m == 1:
-            wk = sig_bins * _neg_khat(a, tab.xi_bar)
-            zero_w = float((sig_cells * _neg_khat(a, cells)).mean())
-            c, _ = spectral.ring_tents(tab, lam, a, angles)
-            total += w * spectral.assemble(tab, c, wk, zero_w)
+            c = tents(tab, a2[sl], False)
         else:
-            wg = sig_bins * _ghat(a, tab.xi_bar)
-            zero_w = float((sig_cells * _ghat(a, cells)).mean())
-            _, dc = spectral.ring_tents(tab, lam, a, angles, deriv=True)
-            kappa = 2.0 * math.pi * a * dc
-            total += w * -spectral.assemble(tab, kappa, wg, zero_w)
-    return total / (2.0 * math.pi)
+            c = -2.0 * math.pi * a2[sl] * tents(tab, a2[sl], True)
+        return spectral.assemble(tab, c, weights.T, zero_w)
+
+    size = max(1, _kernels.STACK_ELEMENTS // column)
+    return np.concatenate([values(slice(i, i + size)) for i in range(0, len(a1), size)])
 
 
 def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
@@ -179,6 +198,8 @@ def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
     Summed over m = 1..n this telescopes smooth_alpha - smooth_beta.  The
     slot carrying the Laplacian smoothing is slot 1 in the spectral sense;
     slot 2 is realised through the scale derivative of its tent weights.
+    The coarse (``tnodes``) and fine (``2 tnodes``) outer quadratures come
+    from one batched evaluation over both node sets.
     """
     if not 0 < alpha < beta <= 1:
         raise ValueError("need 0 < alpha < beta <= 1")
@@ -187,8 +208,19 @@ def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
     if n > 2:
         raise ValueError("the exact derivative form supports n <= 2")
     params = CountingParams(n=n, lam=lam, eps=1.0, quadrature_nodes=quadrature_nodes)
-    coarse = _l_form_once(f, lam, alpha, beta, m, n, params, tnodes)
-    fine = _l_form_once(f, lam, alpha, beta, m, n, params, 2 * tnodes)
+    pad = ring_pad(f, lam)
+    angles = _ring_angles(params, f.step)
+
+    def ring(tab, scales, deriv):
+        return spectral.ring_tents(tab, lam, scales, angles, deriv)
+
+    def integrand(ts):
+        a = ts * lam
+        if n == 1:
+            return _form_values(f, pad, m, a, params)
+        return _form_values(f, pad, m, a, params, ring, a, angles)
+
+    coarse, fine = (v / (2.0 * math.pi) for v in _outer_sums(integrand, alpha, beta, tnodes))
     scale = max(abs(fine), 1e-300)
     return QuadratureValue(fine, coarse, abs(fine - coarse) <= flag_tolerance * scale)
 
@@ -198,46 +230,15 @@ def lp_pow_sum(f: PlanarGrid, p: float) -> float:
     return float((f.values**p).sum() * f.step * f.step)
 
 
-def _theta_once(f, gammas, m, smin, smax, nodes) -> float:
-    n = len(gammas)
-    ss, wq = _log_nodes(smin, smax, nodes)
-    if n == 1:
-        power, xi, mult, r2 = spectral.pair_spectrum(f.values, f.step)
-        cells = spectral.cell_radii(r2)
-        total = 0.0
-        for s, w in zip(ss, wq):
-            a = s * gammas[0]
-            zero_w = float(_neg_khat(a, cells).mean())
-            total += w * spectral.pair_value(power, xi, mult, r2,
-                                             lambda u: _neg_khat(a, u), zero_w)
-        return total
-    tab = _offset_table(f)
-    cells = spectral.cell_radii(tab.torus_side)
-    total = 0.0
-    for s, w in zip(ss, wq):
-        a1 = s * gammas[0]
-        a2 = s * gammas[1]
-        if m == 1:
-            wk = _neg_khat(a1, tab.xi_bar)
-            zero_w = float(_neg_khat(a1, cells).mean())
-            c, _ = spectral.ball_tents(tab, a2)
-            total += w * spectral.assemble(tab, c, wk, zero_w)
-        else:
-            wg = _ghat(a1, tab.xi_bar)
-            zero_w = float(_ghat(a1, cells).mean())
-            _, dc = spectral.ball_tents(tab, a2, deriv=True)
-            kappa = 2.0 * math.pi * a2 * dc
-            total += w * -spectral.assemble(tab, kappa, wg, zero_w)
-    return total
-
-
 def theta_form(f: PlanarGrid, gammas, m: int, s_window=None, nodes: int = 128,
                flag_tolerance: float = 0.01) -> QuadratureValue:
     """Scale-integrated box form with the Laplacian in slot m, truncated.
 
     The s-window defaults to [1e-3 h, 1e3 R].  The value is nonnegative up
     to truncation and quadrature; a negative result beyond a small multiple
-    of the telescoping total is an error.
+    of the telescoping total is an error.  The coarse (``nodes``) and fine
+    (``2 nodes``) outer quadratures come from one batched evaluation over
+    both node sets.
     """
     gammas = tuple(float(g) for g in gammas)
     n = len(gammas)
@@ -254,8 +255,14 @@ def theta_form(f: PlanarGrid, gammas, m: int, s_window=None, nodes: int = 128,
     smin, smax = s_window
     if smin > 1e-2 * f.step or smax < 1e2 * f.side:
         raise ValueError("s-window must cover [1e-2 step, 1e2 side]")
-    coarse = _theta_once(f, gammas, m, smin, smax, nodes)
-    fine = _theta_once(f, gammas, m, smin, smax, 2 * nodes)
+
+    def integrand(ss):
+        a1 = ss * gammas[0]
+        if n == 1:
+            return _form_values(f, None, 1, a1)
+        return _form_values(f, None, m, a1, tents=spectral.ball_tents, a2=ss * gammas[1])
+
+    coarse, fine = _outer_sums(integrand, smin, smax, nodes)
     scale = 2.0 * math.pi * lp_pow_sum(f, 2.0**n)
     if fine < -1e-6 * scale:
         raise ArithmeticError(

@@ -21,6 +21,13 @@ carrying the Laplacian kernel is either the spectral slot (weight
 ``-khat``) or the tent slot (weights ``-2 pi s dc_d/ds``).  Both express
 the scale derivative of one functional, so telescoping sums built from a
 matched pair are exact up to the outer quadrature.
+
+Every evaluator takes a batch of T outer scale nodes on its last (tent and
+bin weights) or first (lattice weights) axis and returns T values: one
+matrix product ``P @ W`` reads the offset table once per batch instead of
+once per node.  A single smoothed value is the T = 1 case.  Callers cut T
+so that each (offsets^2 x T), (offsets x angles x T), (bins x T) or
+(lattice x T) block stays within ``_kernels.STACK_ELEMENTS`` elements.
 """
 
 from __future__ import annotations
@@ -45,20 +52,34 @@ def gauss1(x, a):
     return np.exp(-np.pi * np.minimum((x / a) ** 2, 700.0 / np.pi)) / a
 
 
+def _lattice_second_difference(fn, x, h):
+    """v(x + h) - 2 v(x) + v(x - h) with v = fn(u), u on the lattice x.
+
+    The last axis of ``x`` steps by h, so x - h and x + h are neighbouring
+    lattice points: fn is evaluated once per point of the lattice extended
+    by one node at each end.
+    """
+    v = fn(np.concatenate([x[..., :1] - h, x, x[..., -1:] + h], axis=-1))
+    return v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]
+
+
 def gauss_tent(x, a, h):
-    """(g1_a * tent_h)(x) with tent(u) = max(0, 1 - |u|/h)."""
+    """(g1_a * tent_h)(x) with tent(u) = max(0, 1 - |u|/h).
+
+    ``x`` steps by h along its last axis; ``a`` broadcasts against it.
+    """
     k = _SQPI / a
 
     def anti(u):  # antiderivative of the cdf of g1_a
         ku = k * u
         return 0.5 * u + 0.5 * (u * erf(ku) + np.exp(-np.minimum(ku * ku, 700.0)) / (k * _SQPI))
 
-    return (anti(x + h) - 2.0 * anti(x) + anti(x - h)) / h
+    return _lattice_second_difference(anti, x, h) / h
 
 
 def gauss_tent_da(x, a, h):
     """d/da of gauss_tent; second difference of the Gaussian itself."""
-    return a * (gauss1(x - h, a) - 2.0 * gauss1(x, a) + gauss1(x + h, a)) / (2.0 * math.pi * h)
+    return a * _lattice_second_difference(lambda u: gauss1(u, a), x, h) / (2.0 * math.pi * h)
 
 
 # ---------------------------------------------------------------------------
@@ -162,37 +183,48 @@ def build_offset_table(values: np.ndarray, step: float, pad: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# tent weights for the quadrature slot
+# tent weights for the quadrature slot, T scales at a time
 
 
-def ball_tents(tab: OffsetTable, scale: float, deriv: bool = False):
-    """Tent weights of the plain Gaussian g_scale centred at the origin."""
+def ball_tents(tab: OffsetTable, scales, deriv: bool = False) -> np.ndarray:
+    """Tent weights of the plain Gaussians g_s centred at the origin.
+
+    Returns an (offsets^2, T) array for the T scales s, or with ``deriv``
+    their derivatives d/ds.
+    """
     x = tab.offsets * tab.step
-    g = gauss_tent(x, scale, tab.step)
-    c = np.outer(g, g).ravel()
+    s = np.asarray(scales, dtype=np.float64)[:, None]
+    g = gauss_tent(x, s, tab.step)
     if not deriv:
-        return c, None
-    dg = gauss_tent_da(x, scale, tab.step)
-    dc = (np.outer(dg, g) + np.outer(g, dg)).ravel()
-    return c, dc
+        c = g[:, :, None] * g[:, None, :]
+    else:
+        dg = gauss_tent_da(x, s, tab.step)
+        c = dg[:, :, None] * g[:, None, :] + g[:, :, None] * dg[:, None, :]
+    return c.reshape(len(s), -1).T
 
 
-def ring_tents(tab: OffsetTable, lam: float, scale: float, angles: int,
-               deriv: bool = False):
-    """Tent weights of sigma_lam * g_scale (equal-weight circle nodes)."""
+def ring_tents(tab: OffsetTable, lam: float, scales, angles: int,
+               deriv: bool = False) -> np.ndarray:
+    """Tent weights of sigma_lam * g_s (equal-weight circle nodes).
+
+    Returns an (offsets^2, T) array for the T scales s, or with ``deriv``
+    their derivatives d/ds.  The Gaussian-tent profiles form
+    (T, angles, offsets + 2) blocks.
+    """
     x = tab.offsets * tab.step
+    s = np.asarray(scales, dtype=np.float64)[:, None, None]
     th = 2.0 * np.pi * np.arange(angles) / angles
-    cx = lam * np.cos(th)
-    cy = lam * np.sin(th)
-    gx = gauss_tent(x[:, None] - cx[None, :], scale, tab.step)
-    gy = gauss_tent(x[:, None] - cy[None, :], scale, tab.step)
-    c = np.einsum("am,bm->ab", gx, gy) / angles
+    ux = x[None, :] - lam * np.cos(th)[:, None]
+    uy = x[None, :] - lam * np.sin(th)[:, None]
+    gx = gauss_tent(ux, s, tab.step)
+    gy = gauss_tent(uy, s, tab.step)
     if not deriv:
-        return c.ravel(), None
-    dgx = gauss_tent_da(x[:, None] - cx[None, :], scale, tab.step)
-    dgy = gauss_tent_da(x[:, None] - cy[None, :], scale, tab.step)
-    dc = (np.einsum("am,bm->ab", dgx, gy) + np.einsum("am,bm->ab", gx, dgy)) / angles
-    return c.ravel(), dc.ravel()
+        c = np.matmul(gx.transpose(0, 2, 1), gy)
+    else:
+        dgx = gauss_tent_da(ux, s, tab.step)
+        dgy = gauss_tent_da(uy, s, tab.step)
+        c = np.matmul(dgx.transpose(0, 2, 1), gy) + np.matmul(gx.transpose(0, 2, 1), dgy)
+    return (c / angles).reshape(len(s), -1).T
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +232,16 @@ def ring_tents(tab: OffsetTable, lam: float, scale: float, angles: int,
 
 
 def assemble(tab: OffsetTable, tent_weights: np.ndarray, bin_weights: np.ndarray,
-             zero_weight: float) -> float:
-    """sum_d c_d [ sum_b P(d,b) W(b) + P0(d) W0 ] / R2^2."""
+             zero_weights: np.ndarray) -> np.ndarray:
+    """sum_d C[d, t] [ sum_b P(d, b) W[b, t] + P0(d) w0[t] ] / R2^2 for each t.
+
+    ``tent_weights`` C is (offsets^2, T), ``bin_weights`` W is (bins, T)
+    and ``zero_weights`` w0 has T entries.  One float32 product ``P @ W``
+    reads the table once for all T columns.
+    """
     vals = tab.power @ bin_weights.astype(np.float32)
-    vals = vals + tab.zero_mode * zero_weight
-    return float(tent_weights @ vals) / tab.torus_side**2
+    vals = vals + tab.zero_mode[:, None] * zero_weights
+    return np.einsum("dt,dt->t", tent_weights, vals) / tab.torus_side**2
 
 
 def pair_spectrum(values: np.ndarray, step: float, pad: int | None = None):
@@ -225,12 +262,15 @@ def pair_spectrum(values: np.ndarray, step: float, pad: int | None = None):
     return power, xi, mult, r2
 
 
-def pair_value(power, xi, mult, r2, weight_fn, zero_weight: float) -> float:
-    """sum over the padded lattice of |F|^2 W(|xi|), zero cell averaged."""
-    w = weight_fn(xi)
-    total = float((power * w * mult).sum()) - power[0, 0] * w[0, 0]
-    total += power[0, 0] * zero_weight
-    return float(total / r2**2)
+def pair_value(power, mult, r2, weights, zero_weights) -> np.ndarray:
+    """sum over the padded lattice of |F|^2 W_t(|xi|), zero cell averaged.
+
+    ``weights`` stacks T lattice weights (T, *power.shape); ``zero_weights``
+    holds the T zero-cell averages that replace W_t(0).
+    """
+    total = (power * weights * mult).sum(axis=(1, 2)) - power[0, 0] * weights[:, 0, 0]
+    total += power[0, 0] * zero_weights
+    return total / r2**2
 
 
 def cell_radii(r2: float, sub: int = _CELL_SUB) -> np.ndarray:

@@ -1,7 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+from hdlab import cli
 from hdlab.cli import main
 
 DISK_SET = {"R": 4.0, "h": 1 / 32, "shapes": [{"type": "disk", "cx": 2, "cy": 2, "r": 1}]}
@@ -175,3 +178,49 @@ def test_rewritten_pgm_is_not_served_from_cache(tmp_path, capsys):
     assert run_cli(["embed", "--config", cfg, "--out", out]) == 0
     assert "cache hit" not in capsys.readouterr().out
     assert json.loads((out / "embed.json").read_text())["report"]["status"] == "not_found"
+
+
+def test_missing_pgm_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "absent.pgm"
+    cfg = write_config(tmp_path, {
+        "command": "embed", "set": {"pgm": str(missing), "side": 1.0},
+        "lengths": [0.25], "search": {"x_step": 0.25},
+    })
+    assert run_cli(["embed", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err
+    assert "Traceback" not in err
+    # the set loader reports the same way when the file goes away after
+    # the cache key was taken
+    with pytest.raises(ValueError, match="PGM"):
+        cli._load_set({"pgm": str(missing)})
+
+
+def test_interrupted_cache_write_leaves_no_entry(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, {
+        "command": "decompose",
+        "set": {"R": 1.0, "h": 1 / 32,
+                "shapes": [{"type": "rect", "x0": 0.25, "y0": 0.25, "x1": 0.75, "y1": 0.75}]},
+        "n": 1, "eps": 0.5, "M": 16, "ladder": {"smallest": 0.125, "count": 1},
+    })
+    out = tmp_path / "out"
+    write_bytes = Path.write_bytes
+    writes = []
+
+    def second_write_fails(path, data):
+        writes.append(path)
+        if len(writes) == 2:
+            raise OSError("disk full")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", second_write_fails)
+    with pytest.raises(OSError, match="disk full"):
+        run_cli(["decompose", "--config", cfg, "--out", out])
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert run_cli(["decompose", "--config", cfg, "--out", out]) == 0
+    assert "cache hit" not in capsys.readouterr().out
+    assert (out / "decompose.json").is_file() and (out / "decompose.csv").is_file()
+    # the completed entry is served whole on the next run
+    assert run_cli(["decompose", "--config", cfg, "--out", out]) == 0
+    assert capsys.readouterr().out.count("cache hit") == 2

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdlab import (PERIODIC, CountingParams, PlanarGrid, _kernels, counting_sharp,
-                   counting_smooth, degenerate_mass, eval_F, make_indicator)
+from hdlab import (PERIODIC, ZERO, CountingParams, PlanarGrid, _kernels,
+                   counting_sharp, counting_smooth, degenerate_mass, eval_F,
+                   make_indicator)
 from hdlab.calibrate import random_grid
 
 from conftest import seeded_rng
@@ -44,6 +45,21 @@ def test_eval_F_recurrence_agrees_with_direct():
         b = eval_F(g, x, ys, "recurrence")
         worst = max(worst, abs(a - b))
     assert worst <= 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), nodes=st.integers(4, 16), seed=st.integers(0, 2**32 - 1),
+       periodic=st.booleans(), reach=st.floats(0.0, 3.0))
+def test_eval_F_routes_agree(n, nodes, seed, periodic, reach):
+    # edge vectors up to three window sides, so vertices leave the window
+    # (zero-extended) or wrap around it (periodic)
+    rng = seeded_rng(seed)
+    g = PlanarGrid(1.0, 1.0 / nodes, rng.random((nodes, nodes)), PERIODIC if periodic else ZERO)
+    x = rng.uniform(0.0, 1.0, 2)
+    ys = rng.uniform(-reach, reach, (n, 2))
+    a = eval_F(g, x, ys, "direct")
+    b = eval_F(g, x, ys, "recurrence")
+    assert abs(a - b) <= 1e-12 * abs(b), (a, b)
 
 
 def test_eval_F_symmetric_in_slots():

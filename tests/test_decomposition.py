@@ -1,15 +1,23 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erf
 
 from hdlab import (PERIODIC, CountingParams, L_form, PlanarGrid, ScaleLadder,
-                   check_error_bound, check_structured_bound,
+                   _kernels, check_error_bound, check_structured_bound,
                    check_uniform_bound, counting_sharp, counting_smooth,
                    decompose, decomposition_report, make_indicator, measure,
-                   structured_part, theta_form, uniform_part)
+                   spectral, structured_part, theta_form, uniform_part)
 from hdlab.calibrate import random_mask
-from hdlab.decomposition import lp_pow_sum
+from hdlab.counting import (_offset_table, _ring_angles, _sigma_weight_table,
+                            ring_pad)
+from hdlab.decomposition import _ghat, _log_nodes, _neg_khat, lp_pow_sum
+
+from conftest import seeded_rng
 
 
 def test_ladder_validation():
@@ -111,6 +119,172 @@ def test_L_validates_band():
     f = make_indicator([], 1.0, 1 / 32)
     with pytest.raises(ValueError):
         L_form(f, 0.5, 0.5, 0.25, 1, 1)
+
+
+# --- the batched evaluator against per-node loops --------------------------------
+#
+# The loops below evaluate the outer scale quadrature one node at a time,
+# with one tent call and one matrix-vector product per node.  They are the
+# reference for the batched evaluator.
+
+
+def gauss_tent_ref(x, a, h):
+    k = math.sqrt(math.pi) / a
+
+    def anti(u):
+        ku = k * u
+        return 0.5 * u + 0.5 * (u * erf(ku) + np.exp(-np.minimum(ku * ku, 700.0)) / (k * math.sqrt(math.pi)))
+
+    return (anti(x + h) - 2.0 * anti(x) + anti(x - h)) / h
+
+
+def gauss_tent_da_ref(x, a, h):
+    return a * (spectral.gauss1(x - h, a) - 2.0 * spectral.gauss1(x, a)
+                + spectral.gauss1(x + h, a)) / (2.0 * math.pi * h)
+
+
+def ball_tents_ref(tab, scale, deriv):
+    x = tab.offsets * tab.step
+    g = gauss_tent_ref(x, scale, tab.step)
+    if not deriv:
+        return np.outer(g, g).ravel()
+    dg = gauss_tent_da_ref(x, scale, tab.step)
+    return (np.outer(dg, g) + np.outer(g, dg)).ravel()
+
+
+def ring_tents_ref(tab, lam, scale, angles, deriv):
+    x = tab.offsets * tab.step
+    th = 2.0 * np.pi * np.arange(angles) / angles
+    ux = x[:, None] - lam * np.cos(th)[None, :]
+    uy = x[:, None] - lam * np.sin(th)[None, :]
+    gx = gauss_tent_ref(ux, scale, tab.step)
+    gy = gauss_tent_ref(uy, scale, tab.step)
+    if not deriv:
+        return (np.einsum("am,bm->ab", gx, gy) / angles).ravel()
+    dgx = gauss_tent_da_ref(ux, scale, tab.step)
+    dgy = gauss_tent_da_ref(uy, scale, tab.step)
+    return ((np.einsum("am,bm->ab", dgx, gy) + np.einsum("am,bm->ab", gx, dgy)) / angles).ravel()
+
+
+def assemble_ref(tab, c, w, zero_w):
+    """The assembled value and the same sum over absolute terms."""
+    vals = tab.power @ w.astype(np.float32) + tab.zero_mode * zero_w
+    mags = tab.power @ np.abs(w).astype(np.float32) + tab.zero_mode * abs(zero_w)
+    return np.array([c @ vals, np.abs(c) @ mags]) / tab.torus_side**2
+
+
+def pair_value_ref(power, xi, mult, r2, weight_fn, zero_w):
+    w = weight_fn(xi)
+    total = float((power * w * mult).sum()) - power[0, 0] * w[0, 0] + power[0, 0] * zero_w
+    return np.array([total, abs(total)]) / r2**2
+
+
+def l_form_loop(f, lam, alpha, beta, m, n, params, tnodes):
+    ts, wq = _log_nodes(alpha, beta, tnodes)
+    total = np.zeros(2)
+    if n == 1:
+        power, xi, mult, r2 = spectral.pair_spectrum(f.values, f.step, ring_pad(f, lam))
+        sig, sig_exact = _sigma_weight_table(params, float(xi.max()), 0.0)
+        cells = spectral.cell_radii(r2)
+        sig_cells = sig_exact(cells)
+        for t, w in zip(ts, wq):
+            zero_w = 0.0 if f.periodic else float((sig_cells * _neg_khat(t * lam, cells)).mean())
+            total += w * pair_value_ref(power, xi, mult, r2,
+                                        lambda u: sig(u) * _neg_khat(t * lam, u), zero_w)
+        return total / (2.0 * math.pi)
+    tab = _offset_table(f, ring_pad(f, lam))
+    sig, sig_exact = _sigma_weight_table(params, float(tab.xi_bar.max()), 0.0)
+    sig_bins = sig(tab.xi_bar)
+    cells = spectral.cell_radii(tab.torus_side)
+    sig_cells = sig_exact(cells)
+    angles = _ring_angles(params, f.step)
+    kernel = _neg_khat if m == 1 else _ghat
+    for t, w in zip(ts, wq):
+        a = t * lam
+        wk = sig_bins * kernel(a, tab.xi_bar)
+        zero_w = float((sig_cells * kernel(a, cells)).mean())
+        if m == 1:
+            total += w * assemble_ref(tab, ring_tents_ref(tab, lam, a, angles, False), wk, zero_w)
+        else:
+            kappa = 2.0 * math.pi * a * ring_tents_ref(tab, lam, a, angles, True)
+            total += w * np.array([-1.0, 1.0]) * assemble_ref(tab, kappa, wk, zero_w)
+    return total / (2.0 * math.pi)
+
+
+def theta_loop(f, gammas, m, smin, smax, nodes):
+    ss, wq = _log_nodes(smin, smax, nodes)
+    total = np.zeros(2)
+    if len(gammas) == 1:
+        power, xi, mult, r2 = spectral.pair_spectrum(f.values, f.step)
+        cells = spectral.cell_radii(r2)
+        for s, w in zip(ss, wq):
+            a = s * gammas[0]
+            zero_w = float(_neg_khat(a, cells).mean())
+            total += w * pair_value_ref(power, xi, mult, r2, lambda u: _neg_khat(a, u), zero_w)
+        return total
+    tab = _offset_table(f)
+    cells = spectral.cell_radii(tab.torus_side)
+    kernel = _neg_khat if m == 1 else _ghat
+    for s, w in zip(ss, wq):
+        a1, a2 = s * gammas[0], s * gammas[1]
+        wk = kernel(a1, tab.xi_bar)
+        zero_w = float(kernel(a1, cells).mean())
+        if m == 1:
+            total += w * assemble_ref(tab, ball_tents_ref(tab, a2, False), wk, zero_w)
+        else:
+            kappa = 2.0 * math.pi * a2 * ball_tents_ref(tab, a2, True)
+            total += w * np.array([-1.0, 1.0]) * assemble_ref(tab, kappa, wk, zero_w)
+    return total
+
+
+@pytest.mark.parametrize("form,n,m", [("L", 1, 1), ("L", 2, 1), ("L", 2, 2),
+                                      ("theta", 1, 1), ("theta", 2, 1), ("theta", 2, 2)])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(nodes=st.integers(8, 20), density=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1),
+       lam_cells=st.floats(1.0, 12.0), outer_nodes=st.integers(3, 24),
+       stack_elements=st.sampled_from([1, 3000, 40000, _kernels.STACK_ELEMENTS]))
+def test_batched_forms_match_node_loops(form, n, m, nodes, density, seed, lam_cells,
+                                        outer_nodes, stack_elements):
+    # a stack of one element makes every chunk a single node; 3000 and
+    # 40000 cut the (offsets^2 x T), (offsets x angles x T) and lattice
+    # blocks of these grids into chunks of a few nodes
+    rng = seeded_rng(seed)
+    f = PlanarGrid(1.0, 1.0 / nodes, (rng.random((nodes, nodes)) < density).astype(float))
+    with mock.patch.object(_kernels, "STACK_ELEMENTS", stack_elements):
+        if form == "theta":
+            gammas = (1.0, math.sqrt(2.0))[:n]
+            window = (1e-3 * f.step, 1e3 * f.side)
+            got = theta_form(f, gammas, m, nodes=outer_nodes)
+            ref = [theta_loop(f, gammas, m, *window, k * outer_nodes) for k in (1, 2)]
+        else:
+            lam = lam_cells * f.step
+            params = CountingParams(n=n, lam=lam, eps=1.0, quadrature_nodes=16)
+            got = L_form(f, lam, 0.25, 1.0, m, n, tnodes=outer_nodes, quadrature_nodes=16)
+            ref = [l_form_loop(f, lam, 0.25, 1.0, m, n, params, k * outer_nodes) for k in (1, 2)]
+    # n = 1: float64 round-off, relative to the value.  n = 2: float32
+    # products over the bins summed in another order, relative to the sum
+    # of absolute terms, because sigma-hat and the tent derivatives change
+    # sign and the value itself can cancel to near zero
+    rel = 1e-12 if n == 1 else 1e-6
+    for a, (b, magnitude) in zip((got.coarse, got.value), ref):
+        assert abs(a - b) <= rel * (abs(b) if n == 1 else magnitude), (a, b, magnitude)
+
+
+def test_gauss_tent_profiles_match_three_point_formula():
+    # one stack of scales from far below to far above the step, as the ring
+    # tents see them; wide profiles are second differences of large
+    # antiderivatives, so both formulas carry round-off of the stack's scale
+    h = 1 / 16
+    x = np.arange(-47, 48) * h
+    shifts = np.array([0.0, 0.013, -0.4, 1.7])
+    u = x[None, :] - shifts[:, None]
+    scales = np.geomspace(1e-4, 40.0, 13)[:, None, None]
+    for batched, ref in ((spectral.gauss_tent, gauss_tent_ref),
+                         (spectral.gauss_tent_da, gauss_tent_da_ref)):
+        got = batched(u, scales, h)
+        want = np.stack([ref(u, s, h) for s in scales[:, 0, 0]])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # --- the scale-integrated box form ---------------------------------------------
