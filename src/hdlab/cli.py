@@ -5,7 +5,8 @@ counterexample, calibrate.  Runs are driven by a JSON config validated
 against a per-command schema; reports land in the output directory and are
 cached under a digest of (config, constants file, package version, bytes
 of a named PGM file), so identical runs are byte-identical and served from
-the cache.  One run at a time per output directory (lock file).
+the cache.  One run at a time per output directory (lock file holding the
+PID; a lock whose PID is no longer running is taken over).
 
 Exit codes: 0 success, 1 numerical invariant failure (named on stderr),
 2 config/schema violation.
@@ -387,12 +388,28 @@ class _Lock:
         try:
             self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise RuntimeError(
-                f"output directory is locked by another run ({self.path}); "
-                "remove the lock file if that run is gone"
-            )
+            if not self._holder_gone():
+                raise RuntimeError(
+                    f"output directory is locked by another run ({self.path}); "
+                    "remove the lock file if that run is gone"
+                )
+            # its run is gone (a run that read the same dead PID may still drop our new lock)
+            self.path.unlink(missing_ok=True)
+            return self.__enter__()
         os.write(self.fd, str(os.getpid()).encode())
         return self
+
+    def _holder_gone(self) -> bool:
+        """True when the lock names a PID that is no longer running."""
+        try:
+            pid = int(self.path.read_text())
+            if pid > 0:
+                os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, ValueError):  # unreadable, unparseable, or alive but not ours
+            pass
+        return False
 
     def __exit__(self, *exc):
         if self.fd is not None:
@@ -423,8 +440,12 @@ def run(config: dict, out_dir, constants_path=None, use_cache: bool = True) -> i
         return 0
 
     if constants_path is not None:
-        constants_bytes = Path(constants_path).read_bytes()
-        consts = load_constants(constants_path)
+        try:
+            constants_bytes = Path(constants_path).read_bytes()
+            consts = load_constants(constants_path)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read constants: {exc}", file=sys.stderr)
+            return 2
     else:
         consts = load_constants()
         constants_bytes = _canonical(consts.to_dict()).encode()

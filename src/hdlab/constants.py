@@ -40,7 +40,7 @@ def load_constants(path=None) -> ConstantsFile:
     else:
         with open(path) as fh:
             doc = json.load(fh)
-    if "version" not in doc or "entries" not in doc:
+    if not isinstance(doc, dict) or "version" not in doc or "entries" not in doc:
         raise ValueError("constants file needs 'version' and 'entries'")
     return ConstantsFile(str(doc["version"]), dict(doc["entries"]))
 

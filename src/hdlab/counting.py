@@ -7,6 +7,10 @@ evaluation goes through angle quadrature plus grid sums (sharp) or the
 spectral engine (smooth); the Monte Carlo estimator samples the smoothing
 measure per slot while keeping the x-sum exact, with a counter-based
 generator so results are a pure function of the seed.
+
+The smoothed form is the T = 1 call of ``_spectral_values``, the one
+pairing of a spectrum with sigma-hat times a kernel, which also gives the
+derivative and box forms of ``decomposition`` at T outer scales.
 """
 
 from __future__ import annotations
@@ -159,34 +163,19 @@ def _mc_report(f: PlanarGrid, params: CountingParams, smooth: bool) -> CountingR
     return CountingReport(value, stderr, params)
 
 
-def _sigma_weight_table(params: CountingParams, xi_max: float, gauss_scale: float):
-    """Radial table of sigma-hat times the Gaussian factor.
+def _sigma_weight_table(params: CountingParams, u_cut: float, lattice, cells):
+    """Sigma-hat on ``lattice`` from a radial table on [0, u_cut], zero
+    beyond, and exactly at the zero-cell radii ``cells``.
 
-    Frequencies where the Gaussian factor is below 1e-14 are cut; the
-    circle-quadrature size is floored at 8 nodes per unit of lam * |xi| so
-    the transform stays faithful over the whole table.
+    The circle-quadrature size is floored at 8 nodes per unit of
+    lam * |xi| so the transform stays faithful over the whole table.
     """
-    u_cut = xi_max * (1 + 1e-9)
-    if gauss_scale > 0:
-        u_cut = min(u_cut, 3.6 / gauss_scale)
     m_eff = max(params.quadrature_nodes,
                 int(math.ceil(8.0 * params.lam * u_cut / 2.0)) * 2, 64)
     q = CircleQuadrature(m_eff, params.lam)
     u = np.linspace(0.0, u_cut, 1 << 15)
-    w = sphere_fourier_radial(q, u)
-    if gauss_scale > 0:
-        w = w * np.exp(-np.pi * (gauss_scale * u) ** 2)
-
-    def weight(xi):
-        return np.interp(xi, u, w, right=0.0)
-
-    def weight_exact(xi):
-        v = sphere_fourier_radial(q, np.asarray(xi, dtype=np.float64))
-        if gauss_scale > 0:
-            v = v * np.exp(-np.pi * (gauss_scale * np.asarray(xi)) ** 2)
-        return v
-
-    return weight, weight_exact
+    table = sphere_fourier_radial(q, u)
+    return np.interp(lattice, u, table, right=0.0), sphere_fourier_radial(q, cells)
 
 
 def _ring_angles(params: CountingParams, step: float) -> int:
@@ -208,28 +197,54 @@ def ring_pad(f: PlanarGrid, lam: float) -> int:
     return max(1, int(math.ceil(need / f.side - 1e-9)))
 
 
-def smooth_pair_value(f: PlanarGrid, params: CountingParams, gauss_scale: float) -> float:
-    """n = 1 smoothed form: spectral pairing against sigma-hat times g-hat."""
-    pad = ring_pad(f, params.lam)
-    power, xi, mult, r2 = spectral.pair_spectrum(f.values, f.step, pad)
-    weight, weight_exact = _sigma_weight_table(params, float(xi.max()), gauss_scale)
-    if f.periodic:
-        zero_w = 1.0
+def _neg_khat(a, u: np.ndarray) -> np.ndarray:
+    au = a * np.asarray(u)
+    return 4.0 * np.pi**2 * au * au * np.exp(-np.pi * au * au)
+
+
+def _ghat(a, u: np.ndarray) -> np.ndarray:
+    au = a * np.asarray(u)
+    return np.exp(-np.pi * au * au)
+
+
+def _spectral_values(f: PlanarGrid, kernel, scales, params: CountingParams | None = None,
+                     pad: int | None = None, tab: spectral.OffsetTable | None = None,
+                     tents=None, angles: int = 0) -> np.ndarray:
+    """A spectrum paired with sigma-hat times ``kernel(a, |xi|)`` at T scales a.
+
+    Sigma-hat (the circle transform of ``params``, 1 when None) is tabulated
+    once, up to where g-hat at the smallest scale falls below 1e-17, and the
+    kernel multiplies it after the lookup.  Without ``tab`` the pairing is
+    with |F|^2 on the lattice of ``f`` padded by ``pad``; with an offset
+    table it is with the table and ``tents(sl)``, the (offsets^2, T) tent
+    weights of the scale nodes in the slice sl on rings of ``angles`` nodes.
+    Nodes go in chunks whose blocks of ``column`` elements per node stay
+    within ``_kernels.STACK_ELEMENTS``.
+    """
+    if tab is None:
+        power, lattice, mult, r2 = spectral.pair_spectrum(f.values, f.step, pad)
+        column = lattice.size
     else:
-        zero_w = float(weight_exact(spectral.cell_radii(r2)).mean())
-    return float(spectral.pair_value(power, mult, r2, weight(xi)[None], np.array([zero_w]))[0])
+        lattice, r2 = tab.xi_bar, tab.torus_side
+        nd = len(tab.offsets)
+        column = max(lattice.size, nd * nd, (nd + 2) * angles)
+    cells = spectral.cell_radii(r2)
+    sig_lattice = sig_cells = 1.0
+    if params is not None:
+        u_cut = min(float(lattice.max()) * (1 + 1e-9), 3.6 / float(scales.min()))
+        sig_lattice, sig_cells = _sigma_weight_table(params, u_cut, lattice, cells)
 
+    def values(sl):
+        weights = sig_lattice * kernel(scales[sl].reshape((-1,) + (1,) * lattice.ndim), lattice)
+        zero_w = (sig_cells * kernel(scales[sl, None], cells)).mean(axis=1)
+        if tab is None and f.periodic:  # unpadded torus: the zero cell is the frequency 0 alone
+            zero_w = weights[:, 0, 0]
+        if tab is None:
+            return spectral.pair_value(power, mult, r2, weights, zero_w)
+        return spectral.assemble(tab, tents(sl), weights.T, zero_w)
 
-def smooth_two_slot_value(f: PlanarGrid, params: CountingParams) -> float:
-    """n = 2 smoothed form via the offset-spectra table."""
-    if f.periodic:
-        raise ValueError("the exact two-slot path needs a zero-extended grid")
-    tab = _offset_table(f, ring_pad(f, params.lam))
-    weight, weight_exact = _sigma_weight_table(params, float(tab.xi_bar.max()), params.eps * params.lam)
-    zero_w = float(weight_exact(spectral.cell_radii(tab.torus_side)).mean())
-    c = spectral.ring_tents(tab, params.lam, [params.eps * params.lam],
-                            _ring_angles(params, f.step))
-    return float(spectral.assemble(tab, c, weight(tab.xi_bar)[:, None], np.array([zero_w]))[0])
+    size = max(1, _kernels.STACK_ELEMENTS // column)
+    return np.concatenate([values(slice(i, i + size)) for i in range(0, len(scales), size)])
 
 
 def _offset_table(f: PlanarGrid, pad: int | None = None) -> spectral.OffsetTable:
@@ -270,22 +285,30 @@ def _clamped(value: float, f: PlanarGrid) -> float:
 
 
 def counting_smooth(f: PlanarGrid, params: CountingParams) -> CountingReport:
-    """Smoothed form at relative width eps."""
+    """Smoothed form at relative width eps: g-hat at eps * lam, T = 1."""
     if params.estimator == MONTE_CARLO:
         return _mc_report(f, params, smooth=True)
+    if params.n > 2:
+        raise ValueError(
+            "counting_smooth: the exact path supports n <= 2; use the monte_carlo estimator for n = 3"
+        )
+    a = np.array([params.eps * params.lam])
     if params.n == 1:
         cost = f.node_count**2 * 8
         _require_budget(cost, params, "counting_smooth")
-        value = _clamped(smooth_pair_value(f, params, params.eps * params.lam), f)
-        return CountingReport(value, 0.0, params)
-    if params.n == 2:
+        value = _spectral_values(f, _ghat, a, params, ring_pad(f, params.lam))
+    else:
         nd = 2 * f.node_count - 1
         cost = nd * nd * (4 * f.node_count) ** 2 // 4
         _require_budget(cost, params, "counting_smooth")
-        return CountingReport(_clamped(smooth_two_slot_value(f, params), f), 0.0, params)
-    raise ValueError(
-        "counting_smooth: the exact path supports n <= 2; use the monte_carlo estimator for n = 3"
-    )
+        if f.periodic:
+            raise ValueError("the exact two-slot path needs a zero-extended grid")
+        tab = _offset_table(f, ring_pad(f, params.lam))
+        angles = _ring_angles(params, f.step)
+        value = _spectral_values(
+            f, _ghat, a, params, tab=tab, angles=angles,
+            tents=lambda sl: spectral.ring_tents(tab, params.lam, a[sl], angles))
+    return CountingReport(_clamped(float(value[0]), f), 0.0, params)
 
 
 # ---------------------------------------------------------------------------

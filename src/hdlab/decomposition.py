@@ -12,7 +12,8 @@ the calibration sweeps that freeze the empirical constants.
 Derivative forms come in matched pairs per slot (see ``spectral``): summed
 over slots they telescope the smoothed form exactly up to the outer scale
 quadrature, which is log-spaced and accepted only when one refinement
-moves the result by less than a set fraction.
+moves the result by less than a set fraction.  The integrands come from
+the spectral evaluator in ``counting``; this module picks their slots.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, spectral
-from .counting import (CountingParams, _offset_table, _ring_angles,
-                       _sigma_weight_table, counting_sharp, counting_smooth,
-                       ring_pad)
+from . import spectral
+from .counting import (CountingParams, _ghat, _neg_khat, _offset_table,
+                       _ring_angles, _spectral_values, counting_sharp,
+                       counting_smooth, ring_pad)
 from .grid import PlanarGrid, measure
 
 # ---------------------------------------------------------------------------
@@ -124,16 +125,6 @@ def _log_nodes(lo: float, hi: float, count: int):
     return np.exp(u), w
 
 
-def _neg_khat(a: float, u: np.ndarray) -> np.ndarray:
-    au = a * np.asarray(u)
-    return 4.0 * np.pi**2 * au * au * np.exp(-np.pi * au * au)
-
-
-def _ghat(a: float, u: np.ndarray) -> np.ndarray:
-    au = a * np.asarray(u)
-    return np.exp(-np.pi * au * au)
-
-
 def _outer_sums(integrand, lo, hi, nodes) -> tuple[float, float]:
     """Log-trapezoid sums with ``nodes`` and ``2 nodes`` nodes on [lo, hi].
 
@@ -145,49 +136,15 @@ def _outer_sums(integrand, lo, hi, nodes) -> tuple[float, float]:
     return float(wc @ v[:nodes]), float(wf @ v[nodes:])
 
 
-def _form_values(f, pad, m, a1, params=None, tents=None, a2=None, angles=0) -> np.ndarray:
-    """Integrand of a derivative or box form at T outer nodes.
+def _laplacian_slot(m: int, tents, scales):
+    """Spectral kernel and slice -> tent weights, Laplacian in slot m.
 
-    The spectral slot carries -khat (m = 1) or g-hat (m = 2) at the scales
-    a1, times the circle transform of ``params`` when given.  A single-slot
-    form (``tents`` None) pairs it with |F|^2 on the padded lattice; a
-    two-slot form pairs it with the offset table and the tent slot
-    ``tents(tab, scales, deriv)`` at the scales a2: the plain tents for
-    m = 1, the Laplacian-side weights -2 pi a2 dc/da2 for m = 2.  Nodes go
-    in chunks whose blocks of ``column`` elements per node stay within
-    ``_kernels.STACK_ELEMENTS``.
+    m = 1 pairs -khat with the plain tents ``tents(s, False)``; m = 2 pairs
+    g-hat with the Laplacian-side weights -2 pi s dc/ds.
     """
-    kernel = _neg_khat if m == 1 else _ghat
-    if tents is None:
-        power, lattice, mult, r2 = spectral.pair_spectrum(f.values, f.step, pad)
-        column = lattice.size
-    else:
-        tab = _offset_table(f, pad)
-        lattice, r2 = tab.xi_bar, tab.torus_side
-        nd = len(tab.offsets)
-        column = max(lattice.size, nd * nd, (nd + 2) * angles)
-    cells = spectral.cell_radii(r2)
-    sig_lattice = sig_cells = 1.0
-    if params is not None:
-        sig, sig_exact = _sigma_weight_table(params, float(lattice.max()), 0.0)
-        sig_lattice, sig_cells = sig(lattice), sig_exact(cells)
-
-    def values(sl):
-        a = a1[sl].reshape((-1,) + (1,) * lattice.ndim)
-        weights = sig_lattice * kernel(a, lattice)
-        zero_w = (sig_cells * kernel(a1[sl, None], cells)).mean(axis=1)
-        if tents is None:
-            if f.periodic:  # unpadded torus: the zero cell is the frequency 0 alone
-                zero_w[:] = 0.0
-            return spectral.pair_value(power, mult, r2, weights, zero_w)
-        if m == 1:
-            c = tents(tab, a2[sl], False)
-        else:
-            c = -2.0 * math.pi * a2[sl] * tents(tab, a2[sl], True)
-        return spectral.assemble(tab, c, weights.T, zero_w)
-
-    size = max(1, _kernels.STACK_ELEMENTS // column)
-    return np.concatenate([values(slice(i, i + size)) for i in range(0, len(a1), size)])
+    if m == 1:
+        return _neg_khat, lambda sl: tents(scales[sl], False)
+    return _ghat, lambda sl: -2.0 * math.pi * scales[sl] * tents(scales[sl], True)
 
 
 def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
@@ -210,15 +167,15 @@ def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
     params = CountingParams(n=n, lam=lam, eps=1.0, quadrature_nodes=quadrature_nodes)
     pad = ring_pad(f, lam)
     angles = _ring_angles(params, f.step)
-
-    def ring(tab, scales, deriv):
-        return spectral.ring_tents(tab, lam, scales, angles, deriv)
+    tab = _offset_table(f, pad) if n == 2 else None
 
     def integrand(ts):
         a = ts * lam
         if n == 1:
-            return _form_values(f, pad, m, a, params)
-        return _form_values(f, pad, m, a, params, ring, a, angles)
+            return _spectral_values(f, _neg_khat, a, params, pad)
+        kernel, tents = _laplacian_slot(
+            m, lambda s, deriv: spectral.ring_tents(tab, lam, s, angles, deriv), a)
+        return _spectral_values(f, kernel, a, params, tab=tab, tents=tents, angles=angles)
 
     coarse, fine = (v / (2.0 * math.pi) for v in _outer_sums(integrand, alpha, beta, tnodes))
     scale = max(abs(fine), 1e-300)
@@ -256,11 +213,15 @@ def theta_form(f: PlanarGrid, gammas, m: int, s_window=None, nodes: int = 128,
     if smin > 1e-2 * f.step or smax < 1e2 * f.side:
         raise ValueError("s-window must cover [1e-2 step, 1e2 side]")
 
+    tab = _offset_table(f) if n == 2 else None
+
     def integrand(ss):
         a1 = ss * gammas[0]
         if n == 1:
-            return _form_values(f, None, 1, a1)
-        return _form_values(f, None, m, a1, tents=spectral.ball_tents, a2=ss * gammas[1])
+            return _spectral_values(f, _neg_khat, a1)
+        kernel, tents = _laplacian_slot(
+            m, lambda s, deriv: spectral.ball_tents(tab, s, deriv), ss * gammas[1])
+        return _spectral_values(f, kernel, a1, tab=tab, tents=tents)
 
     coarse, fine = _outer_sums(integrand, smin, smax, nodes)
     scale = 2.0 * math.pi * lp_pow_sum(f, 2.0**n)

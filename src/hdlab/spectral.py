@@ -8,6 +8,8 @@ Smoothed counting-type integrals are assembled from two ingredients:
 * for two-slot forms, offset spectra ``P[d] = |FFT(f . f(.+dh))|^2`` over
   all lattice offsets d, combined with closed-form tent weights
   ``c_d = integral of slot_kernel(y) tent_d(y) dy`` (erf expressions).
+  The slot kernel is a Gaussian on a ring of circle nodes; the plain
+  Gaussian of the box form is the ring of radius 0 with one node.
 
 For 0/1 pixel grids the slice profile in the quadrature slot is exactly
 piecewise bilinear with lattice knots, so the tent reconstruction is exact
@@ -22,7 +24,8 @@ carrying the Laplacian kernel is either the spectral slot (weight
 the scale derivative of one functional, so telescoping sums built from a
 matched pair are exact up to the outer quadrature.
 
-Every evaluator takes a batch of T outer scale nodes on its last (tent and
+``counting._spectral_values`` pairs these ingredients.  Every
+function here takes a batch of T outer scale nodes on its last (tent and
 bin weights) or first (lattice weights) axis and returns T values: one
 matrix product ``P @ W`` reads the offset table once per batch instead of
 once per node.  A single smoothed value is the T = 1 case.  Callers cut T
@@ -186,23 +189,6 @@ def build_offset_table(values: np.ndarray, step: float, pad: int | None = None,
 # tent weights for the quadrature slot, T scales at a time
 
 
-def ball_tents(tab: OffsetTable, scales, deriv: bool = False) -> np.ndarray:
-    """Tent weights of the plain Gaussians g_s centred at the origin.
-
-    Returns an (offsets^2, T) array for the T scales s, or with ``deriv``
-    their derivatives d/ds.
-    """
-    x = tab.offsets * tab.step
-    s = np.asarray(scales, dtype=np.float64)[:, None]
-    g = gauss_tent(x, s, tab.step)
-    if not deriv:
-        c = g[:, :, None] * g[:, None, :]
-    else:
-        dg = gauss_tent_da(x, s, tab.step)
-        c = dg[:, :, None] * g[:, None, :] + g[:, :, None] * dg[:, None, :]
-    return c.reshape(len(s), -1).T
-
-
 def ring_tents(tab: OffsetTable, lam: float, scales, angles: int,
                deriv: bool = False) -> np.ndarray:
     """Tent weights of sigma_lam * g_s (equal-weight circle nodes).
@@ -225,6 +211,14 @@ def ring_tents(tab: OffsetTable, lam: float, scales, angles: int,
         dgy = gauss_tent_da(uy, s, tab.step)
         c = np.matmul(dgx.transpose(0, 2, 1), gy) + np.matmul(gx.transpose(0, 2, 1), dgy)
     return (c / angles).reshape(len(s), -1).T
+
+
+def ball_tents(tab: OffsetTable, scales, deriv: bool = False) -> np.ndarray:
+    """Tent weights of the plain Gaussians g_s centred at the origin.
+
+    The ring of radius 0 with one node; same layout as ``ring_tents``.
+    """
+    return ring_tents(tab, 0.0, scales, 1, deriv)
 
 
 # ---------------------------------------------------------------------------

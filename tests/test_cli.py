@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +143,42 @@ def test_lock_file_blocks_concurrent_runs(tmp_path):
     out.mkdir()
     (out / ".lock").write_text("held")
     assert run_cli(["counterexample", "--config", cfg, "--out", out]) == 1
+
+
+def test_lock_of_a_finished_run_is_taken_over(tmp_path):
+    cfg = write_config(tmp_path, {"command": "counterexample", "kind": "banach_Z",
+                                  "lambda": 0.5})
+    out = tmp_path / "out"
+    out.mkdir()
+    done = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                          capture_output=True, text=True, check=True)
+    (out / ".lock").write_text(done.stdout.strip())
+    assert run_cli(["counterexample", "--config", cfg, "--out", out]) == 0
+    assert not (out / ".lock").exists()
+
+
+def test_lock_of_a_live_run_blocks(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"command": "counterexample", "kind": "banach_Z",
+                                  "lambda": 0.5})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".lock").write_text(str(os.getpid()))
+    assert run_cli(["counterexample", "--config", cfg, "--out", out]) == 1
+    assert "locked by another run" in capsys.readouterr().err
+    assert (out / ".lock").read_text() == str(os.getpid())
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "5"])
+def test_unreadable_constants_file_exit_2(tmp_path, capsys, content):
+    constants = tmp_path / "constants.json"
+    if content is not None:
+        constants.write_text(content)
+    cfg = write_config(tmp_path, {"command": "counterexample", "kind": "banach_Z",
+                                  "lambda": 0.5})
+    assert run_cli(["counterexample", "--config", cfg, "--out", tmp_path / "out",
+                    "--constants", constants]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read constants:") and "Traceback" not in err
 
 
 def write_pgm(path, img):

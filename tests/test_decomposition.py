@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from hdlab import (PERIODIC, CountingParams, L_form, PlanarGrid, ScaleLadder,
+from hdlab import (PERIODIC, ZERO, CountingParams, L_form, PlanarGrid, ScaleLadder,
                    _kernels, check_error_bound, check_structured_bound,
                    check_uniform_bound, counting_sharp, counting_smooth,
                    decompose, decomposition_report, make_indicator, measure,
                    spectral, structured_part, theta_form, uniform_part)
 from hdlab.calibrate import random_mask
-from hdlab.counting import (_offset_table, _ring_angles, _sigma_weight_table,
-                            ring_pad)
-from hdlab.decomposition import _ghat, _log_nodes, _neg_khat, lp_pow_sum
+from hdlab.counting import (_ghat, _neg_khat, _offset_table, _ring_angles,
+                            _sigma_weight_table, ring_pad)
+from hdlab.decomposition import _log_nodes, lp_pow_sum
 
 from conftest import seeded_rng
 
@@ -179,24 +179,28 @@ def pair_value_ref(power, xi, mult, r2, weight_fn, zero_w):
     return np.array([total, abs(total)]) / r2**2
 
 
+def sigma_hat(params, lattice, cells, smallest_scale):
+    """Sigma-hat on the lattice and at the zero-cell radii, from a table that
+    ends at the lattice or at 3.6 / (the smallest kernel scale)."""
+    cut = min(float(lattice.max()) * (1 + 1e-9), 3.6 / smallest_scale)
+    return _sigma_weight_table(params, cut, lattice, cells)
+
+
 def l_form_loop(f, lam, alpha, beta, m, n, params, tnodes):
     ts, wq = _log_nodes(alpha, beta, tnodes)
     total = np.zeros(2)
     if n == 1:
         power, xi, mult, r2 = spectral.pair_spectrum(f.values, f.step, ring_pad(f, lam))
-        sig, sig_exact = _sigma_weight_table(params, float(xi.max()), 0.0)
         cells = spectral.cell_radii(r2)
-        sig_cells = sig_exact(cells)
+        sig_xi, sig_cells = sigma_hat(params, xi, cells, alpha * lam)
         for t, w in zip(ts, wq):
             zero_w = 0.0 if f.periodic else float((sig_cells * _neg_khat(t * lam, cells)).mean())
             total += w * pair_value_ref(power, xi, mult, r2,
-                                        lambda u: sig(u) * _neg_khat(t * lam, u), zero_w)
+                                        lambda u: sig_xi * _neg_khat(t * lam, u), zero_w)
         return total / (2.0 * math.pi)
     tab = _offset_table(f, ring_pad(f, lam))
-    sig, sig_exact = _sigma_weight_table(params, float(tab.xi_bar.max()), 0.0)
-    sig_bins = sig(tab.xi_bar)
     cells = spectral.cell_radii(tab.torus_side)
-    sig_cells = sig_exact(cells)
+    sig_bins, sig_cells = sigma_hat(params, tab.xi_bar, cells, alpha * lam)
     angles = _ring_angles(params, f.step)
     kernel = _neg_khat if m == 1 else _ghat
     for t, w in zip(ts, wq):
@@ -268,6 +272,63 @@ def test_batched_forms_match_node_loops(form, n, m, nodes, density, seed, lam_ce
     rel = 1e-12 if n == 1 else 1e-6
     for a, (b, magnitude) in zip((got.coarse, got.value), ref):
         assert abs(a - b) <= rel * (abs(b) if n == 1 else magnitude), (a, b, magnitude)
+
+
+def smooth_ref(f, params):
+    """counting_smooth at eps as one node of the loops above (T = 1)."""
+    lam, a = params.lam, params.eps * params.lam
+    if params.n == 1:
+        power, xi, mult, r2 = spectral.pair_spectrum(f.values, f.step, ring_pad(f, lam))
+        cells = spectral.cell_radii(r2)
+        sig_xi, sig_cells = sigma_hat(params, xi, cells, a)
+        # on the unpadded torus the zero cell is the frequency 0 alone, where
+        # sigma-hat and g-hat are both 1
+        zero_w = 1.0 if f.periodic else float((sig_cells * _ghat(a, cells)).mean())
+        return pair_value_ref(power, xi, mult, r2, lambda u: sig_xi * _ghat(a, u), zero_w)
+    tab = _offset_table(f, ring_pad(f, lam))
+    cells = spectral.cell_radii(tab.torus_side)
+    sig_bins, sig_cells = sigma_hat(params, tab.xi_bar, cells, a)
+    zero_w = float((sig_cells * _ghat(a, cells)).mean())
+    c = ring_tents_ref(tab, lam, a, _ring_angles(params, f.step), False)
+    return assemble_ref(tab, c, sig_bins * _ghat(a, tab.xi_bar), zero_w)
+
+
+@pytest.mark.parametrize("n,boundary", [(1, ZERO), (1, PERIODIC), (2, ZERO)])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(nodes=st.integers(8, 20), density=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1),
+       lam_cells=st.floats(1.0, 12.0), eps=st.floats(0.05, 1.0))
+def test_counting_smooth_matches_single_node_reference(n, boundary, nodes, density, seed,
+                                                       lam_cells, eps):
+    rng = seeded_rng(seed)
+    f = PlanarGrid(1.0, 1.0 / nodes, (rng.random((nodes, nodes)) < density).astype(float), boundary)
+    params = CountingParams(n=n, lam=lam_cells * f.step, eps=eps, quadrature_nodes=16)
+    want, magnitude = smooth_ref(f, params)
+    # a smoothing width below a cell can leave the spectral value negative
+    # beyond the noise floor of counting._clamped, which then raises
+    floor = 1e-3 * max(float(f.values.sum()) * f.step**2, f.step**2)
+    if want < -floor:
+        with pytest.raises(ArithmeticError, match="negative"):
+            counting_smooth(f, params)
+        return
+    got = counting_smooth(f, params).value
+    # the tolerances of test_batched_forms_match_node_loops, around the
+    # clamped reference
+    tol = 1e-12 * abs(want) if n == 1 else 1e-6 * magnitude
+    assert abs(got - max(want, 0.0)) <= tol, (got, want)
+
+
+def test_ball_tents_are_the_radius_zero_ring():
+    # the radius-0 ring of one node reproduces the outer product of the
+    # 1-d profiles bit for bit, tents and scale derivatives alike
+    tab = _offset_table(random_mask(1.0, 16, 0.5, 5))
+    x = tab.offsets * tab.step
+    s = np.geomspace(1e-4, 1e3, 57)[:, None]
+    g = spectral.gauss_tent(x, s, tab.step)
+    dg = spectral.gauss_tent_da(x, s, tab.step)
+    outer = {False: g[:, :, None] * g[:, None, :],
+             True: dg[:, :, None] * g[:, None, :] + g[:, :, None] * dg[:, None, :]}
+    for deriv, c in outer.items():
+        assert np.array_equal(spectral.ball_tents(tab, s[:, 0], deriv), c.reshape(len(s), -1).T)
 
 
 def test_gauss_tent_profiles_match_three_point_formula():
