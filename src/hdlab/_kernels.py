@@ -246,12 +246,18 @@ def u2_fourth_direct(values, h):
 
 
 # ---------------------------------------------------------------------------
-# candidate scan over (x, angle tuple) space; lexicographic cursor order,
-# early exit, budget with resume cursor
+# candidate scan over (x, angle tuple) space: a depth-first walk of the
+# angle tree in lexicographic cursor order, early exit, budget with resume
+# cursor
+
+# base points, or child prefixes, made in one vectorised step of the scan
+# (the chunk of 65 536 cursors of the exhaustive walk it replaced); a step
+# holds at most SCAN_CHUNK * 2^n vertex coordinates per level
+SCAN_CHUNK = 1 << 16
 
 
 def scan_bitmap(member, xs1, xs2, cos_t, sin_t, lengths, eta_gap, start, stop) -> int:
-    """First cursor in [start, stop) whose copy lies in the set, in chunks.
+    """First cursor in [start, stop) whose copy lies in the set.
 
     ``member(p1, p2)`` is any vectorised membership test returning a boolean
     array (a bitmap lookup or a shape union alike).  Cursor ``c`` is base
@@ -261,54 +267,83 @@ def scan_bitmap(member, xs1, xs2, cos_t, sin_t, lengths, eta_gap, start, stop) -
     vertices are members and every pair of them is at least ``eta_gap``
     apart.  Returns the first such cursor, -1 when the base points run out
     before ``stop``, -2 when ``stop`` is reached.
+
+    The walk is pruned and gives the same answer as testing every cursor.
+    Each base point whose cursors meet [start, stop) is tested once and
+    only members are kept.  The angle tuples then grow slot by slot: slot k
+    adds 2^k new vertices, and a prefix with one of them outside the set is
+    dropped together with its m^(n-1-k) tuples.  The pairwise gap is
+    checked on complete tuples only.  Prefixes are kept in cursor order and
+    clipped to [start, stop), so the first hit is the first cursor in
+    lexicographic order; work is spent on members, not on cursors.
     """
     m = len(cos_t)
     n = len(lengths)
     tuples = m**n
-    npts = len(xs1)
-    strides = [m ** (n - 1 - k) for k in range(n)]
-    chunk = 65536
-    cur = start
-    while cur < stop:
-        hi = min(cur + chunk, stop)
-        cs = np.arange(cur, hi, dtype=np.int64)
-        xi = cs // tuples
-        valid = xi < npts
-        if not valid.any():
-            return -1
-        exhausted = not bool(valid.all())
-        cs = cs[valid]
-        xi = xi[valid]
-        alive = member(xs1[xi], xs2[xi])
-        verts1 = [xs1[xi]]
-        verts2 = [xs2[xi]]
-        rem = cs % tuples
-        for k in range(n):
-            a = (rem // strides[k]) % m
-            y1 = lengths[k] * cos_t[a]
-            y2 = lengths[k] * sin_t[a]
-            new1, new2 = [], []
-            for v1, v2 in zip(verts1, verts2):
-                p1, p2 = v1 + y1, v2 + y2
-                alive = alive & member(p1, p2)
-                new1.append(p1)
-                new2.append(p2)
-            verts1 += new1
-            verts2 += new2
-        if alive.any():
-            v1 = np.stack(verts1, axis=-1)
-            v2 = np.stack(verts2, axis=-1)
-            nv = v1.shape[-1]
-            gap2 = np.full(v1.shape[0], np.inf)
-            for a in range(nv):
-                for b in range(a + 1, nv):
-                    gap2 = np.minimum(gap2, (v1[:, a] - v1[:, b]) ** 2 + (v2[:, a] - v2[:, b]) ** 2)
-            hit = alive & (gap2 >= eta_gap * eta_gap)
-            if hit.any():
-                return int(cs[int(np.argmax(hit))])
-        if exhausted:
-            return -1
-        cur = hi
-    return -2
+    end = min(stop, len(xs1) * tuples)
+    miss = -1 if stop > len(xs1) * tuples else -2
+    if stop <= start:
+        return -2
+    edges = [(lengths[k] * cos_t, lengths[k] * sin_t) for k in range(n)]
+    ctx = (member, edges, m, n, eta_gap * eta_gap, start, end)
+    for lo in range(start // tuples, (end - 1) // tuples + 1, SCAN_CHUNK):
+        xi = np.arange(lo, min(lo + SCAN_CHUNK, (end - 1) // tuples + 1), dtype=np.int64)
+        xi = xi[member(xs1[xi], xs2[xi])]
+        if xi.size:
+            hit = _scan_subtrees(ctx, xs1[xi][None], xs2[xi][None], xi * tuples, 0)
+            if hit >= 0:
+                return hit
+    return miss
 
 
+def _scan_subtrees(ctx, v1, v2, first, k) -> int:
+    """First hit below P prefixes of k slots, or -1.
+
+    ``v1``, ``v2`` are the (2^k, P) vertex coordinates of the prefixes, in
+    cursor order along the second axis, and ``first`` their first cursors.
+    Vertex r has bit k of r set when slot k's edge is in its sum, and each
+    sum adds the edges in slot order, so every vertex is the float a
+    per-cursor loop forms.  Children are made for blocks of parents times
+    angles of at most ``SCAN_CHUNK`` children, parent-major, so each block
+    and the survivors passed down stay in cursor order.
+    """
+    member, edges, m, n, gap2_min, start, end = ctx
+    if k == n:
+        gap2 = np.full(first.shape, np.inf)
+        for a in range(1 << n):
+            for b in range(a + 1, 1 << n):
+                d = v1[a] - v1[b]
+                d *= d
+                e = v2[a] - v2[b]
+                e *= e
+                d += e
+                np.minimum(gap2, d, out=gap2)
+        hit = gap2 >= gap2_min
+        return int(first[int(np.argmax(hit))]) if hit.any() else -1
+    span = m ** (n - 1 - k)
+    e1, e2 = edges[k]
+    rows = max(1, SCAN_CHUNK // m)
+    for p in range(0, first.size, rows):
+        for a in range(0, m, SCAN_CHUNK):
+            cols = slice(a, a + SCAN_CHUNK)
+            cur = first[p:p + rows, None] + np.arange(a, min(a + SCAN_CHUNK, m)) * span
+            # rows 2^k.. of next1/next2 are the new vertices, made in place
+            next1 = np.empty((2 << k,) + cur.shape)
+            next2 = np.empty_like(next1)
+            for nxt, v, e in ((next1, v1, e1), (next2, v2, e2)):
+                nxt[:1 << k] = v[:, p:p + rows, None]
+                np.add(v[:, p:p + rows, None], e[cols], out=nxt[1 << k:])
+            alive = member(next1[1 << k:].ravel(), next2[1 << k:].ravel())
+            alive = alive.reshape((1 << k,) + cur.shape).all(axis=0)
+            # only the first and last prefix of a scan can reach outside it
+            alive &= (cur < end) & (cur + span > start)
+            if alive.all():
+                next1, next2, cur = next1.reshape(2 << k, -1), next2.reshape(2 << k, -1), cur.ravel()
+            elif alive.any():
+                next1, next2, cur = next1[:, alive], next2[:, alive], cur[alive]
+            else:
+                continue
+            hit = _scan_subtrees(ctx, next1, next2, cur, k + 1)
+            if hit >= 0:
+                return hit
+    return -1

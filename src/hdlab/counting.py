@@ -275,12 +275,16 @@ def counting_sharp(f: PlanarGrid, params: CountingParams) -> CountingReport:
     return CountingReport(float(val), 0.0, params)
 
 
-def _clamped(value: float, f: PlanarGrid) -> float:
+def _clamped(value: float, f: PlanarGrid, params: CountingParams) -> float:
     # the spectral assembly carries a noise floor from midpoint-sampled
     # oscillatory weights; a value within it is zero at this precision
     floor = 1e-3 * max(float(f.values.sum()) * f.step**2, f.step**2)
     if value < -floor:
-        raise ArithmeticError(f"counting value came out negative: {value:.3e}")
+        raise ArithmeticError(
+            f"counting value came out negative: {value:.3e} at lambda/h = "
+            f"{params.lam / f.step:.4g}, eps*lambda/h = {params.eps * params.lam / f.step:.4g}; "
+            "the smoothing width is under-resolved on this grid (use a finer grid, "
+            "a larger lambda or a larger eps)")
     return max(value, 0.0)
 
 
@@ -308,7 +312,7 @@ def counting_smooth(f: PlanarGrid, params: CountingParams) -> CountingReport:
         value = _spectral_values(
             f, _ghat, a, params, tab=tab, angles=angles,
             tents=lambda sl: spectral.ring_tents(tab, params.lam, a[sl], angles))
-    return CountingReport(_clamped(float(value[0]), f), 0.0, params)
+    return CountingReport(_clamped(float(value[0]), f, params), 0.0, params)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Direct geometric search for scaled hypercube-skeleton copies.
 
 A copy with edge lengths ``a_1..a_n`` at base point x and unit directions
-``w_k`` is the set of 2^n points ``x + sum_k r_k a_k w_k``.  The scan walks
-base points on a lattice and directions on a uniform angle grid in
-lexicographic order and returns the first candidate whose vertices all
-belong to the set and stay pairwise separated.  Absence of a hit says the
-scan found none at its resolution, nothing more.
+``w_k`` is the set of 2^n points ``x + sum_k r_k a_k w_k``.  The scan orders
+candidates by a cursor over base points on a lattice and directions on a
+uniform angle grid, lexicographically, and returns the first candidate
+whose vertices all belong to the set and stay pairwise separated.  It does
+not test every cursor: base points outside the set are skipped, and the
+angle tuples sharing a prefix are dropped as soon as one vertex of the
+prefix leaves the set.  The hit is still the lexicographically first one,
+and ``examined``, ``budget`` and ``resume_cursor`` count logical cursors,
+not membership tests.  Absence of a hit says the scan found none at its
+resolution, nothing more.
 
 The one-dimensional counterexample demos use exact rational interval
 arithmetic instead of scanning.
@@ -158,19 +163,41 @@ def _decode(cursor: int, tuples: int, m: int, n: int):
     return xi, digits
 
 
+def _check_search(search: SearchSpec) -> None:
+    """Reject the spec fields a scan cannot run with, naming the field."""
+    if not (math.isfinite(search.x_step) and search.x_step > 0):
+        raise ValueError(f"x_step must be finite and positive, got {search.x_step!r}")
+    for name in ("eta_len", "eta_gap"):
+        v = getattr(search, name)
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"{name} must be finite and non-negative (0 = default), got {v!r}")
+    for name, least in (("angle_count", 0), ("budget", 1), ("resume_cursor", 0)):
+        v = getattr(search, name)
+        if not (isinstance(v, (int, np.integer)) and v >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+
+
 def find_copy(A: PlanarSet, lengths, search: SearchSpec) -> ScanOutcome:
     """First valid copy in lexicographic (x, angles) order, if any.
 
-    The scan enumerates base points row-major on an ``x_step`` lattice and
+    The scan orders base points row-major on an ``x_step`` lattice and
     directions most-significant-first, so results are reproducible and
-    independent of how the set was assembled.  A budget bound on examined
-    candidates yields a resumable partial scan.
+    independent of how the set was assembled.  Base points outside the set
+    and angle prefixes with a vertex outside it are skipped without testing
+    the cursors below them; the hit returned is still the lexicographically
+    first.  ``budget`` bounds the cursors of one call, ``resume_cursor``
+    is where a call starts, and ``examined`` is the span of cursors a call
+    covered, all counted as logical cursors, not membership tests, so a
+    budgeted scan resumed piece by piece ends where one call does.
     """
     if A.dimension != 2:
         raise ValueError("the scan needs a planar set")
     lengths = tuple(float(a) for a in lengths)
-    if any(a <= 0 for a in lengths):
-        raise ValueError("edge lengths must be positive")
+    if not lengths:
+        raise ValueError("lengths must name at least one edge length")
+    if not all(math.isfinite(a) and a > 0 for a in lengths):
+        raise ValueError(f"lengths must be finite and positive, got {lengths}")
+    _check_search(search)
     spec = search.resolved(lengths)
     n = len(lengths)
     m = spec.angle_count

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hdlab import cli
+from hdlab.calibrate import random_mask
 from hdlab.cli import main
 
 DISK_SET = {"R": 4.0, "h": 1 / 32, "shapes": [{"type": "disk", "cx": 2, "cy": 2, "r": 1}]}
@@ -51,6 +52,22 @@ def test_schema_violation_exit_2(tmp_path, capsys):
     assert run_cli(["counting", "--config", cfg, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert "eps" in err and "minimum" in err
+
+
+def test_under_resolved_smoothing_exit_2(tmp_path, capsys):
+    # an 8 x 8 mask at lambda = 1.5 h, eps = 0.5: eps * lambda is under a cell
+    vals = random_mask(1.0, 8, 0.125, 0).values >= 0.5
+    raster = np.where(vals, 255, 0).astype(np.uint8).T[::-1, :]
+    pgm = tmp_path / "mask.pgm"
+    pgm.write_bytes(b"P5\n8 8\n255\n" + raster.tobytes())
+    cfg = write_config(tmp_path, {
+        "command": "counting", "set": {"pgm": str(pgm), "side": 1.0},
+        "params": {"n": 1, "lambda": 1.5 / 8, "eps": 0.5}, "form": "smooth",
+    })
+    assert run_cli(["counting", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "negative" in err and "lambda/h = 1.5," in err and "eps*lambda/h = 0.75;" in err
+    assert "under-resolved on this grid" in err
 
 
 def test_command_mismatch_exit_2(tmp_path):

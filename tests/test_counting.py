@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hdlab import (PERIODIC, ZERO, CountingParams, PlanarGrid, _kernels,
                    counting_sharp, counting_smooth, degenerate_mass, eval_F,
                    make_indicator)
-from hdlab.calibrate import random_grid
+from hdlab.calibrate import random_grid, random_mask
 
 from conftest import seeded_rng
 
@@ -260,6 +260,18 @@ def test_sharp_sum_memory_is_bounded_by_stack_chunks():
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+
+
+@pytest.mark.parametrize("eps,value", [(0.5, "-1.715e-03"), (0.25, "-4.798e-03")])
+def test_negative_smoothed_value_names_the_under_resolved_width(eps, value):
+    # eps * lambda below a cell: the spectral value falls under the noise floor
+    f = random_mask(1.0, 8, 0.125, 0)
+    with pytest.raises(ArithmeticError) as err:
+        counting_smooth(f, CountingParams(n=1, lam=1.5 * f.step, eps=eps))
+    msg = str(err.value)
+    assert f"negative: {value}" in msg
+    assert "lambda/h = 1.5," in msg and f"eps*lambda/h = {1.5 * eps:g};" in msg
+    assert "under-resolved on this grid" in msg
 
 
 def test_sharp_budget_rejection():

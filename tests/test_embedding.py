@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdlab import (CountingParams, HypercubeCopy, PlanarSet,
-                   SearchSpec, avoided_distance_demo, counting_sharp,
+                   SearchSpec, _kernels, avoided_distance_demo, counting_sharp,
                    degenerate_mass, estimate_banach_density, find_copy,
                    make_indicator, pigeonhole_interval, read_pgm, scale_scan,
                    verify_copy)
@@ -148,6 +150,177 @@ def test_find_copy_matches_cursor_loop(n, nodes, density, seed, data, angles, x_
                                                            out.examined)
     if out.status == "found":
         assert part.copy == out.copy
+
+
+def scan_by_cursor_chunks(member, xs1, xs2, cos_t, sin_t, lengths, eta_gap, start, stop):
+    """Reference scan: every cursor of [start, stop) in chunks, no pruning.
+
+    The exhaustive walk ``_kernels.scan_bitmap`` replaced; same arguments
+    and return codes (-1 when the base points run out, -2 at ``stop``).
+    """
+    m, n = len(cos_t), len(lengths)
+    tuples = m**n
+    strides = [m ** (n - 1 - k) for k in range(n)]
+    cur = start
+    while cur < stop:
+        hi = min(cur + 65536, stop)
+        cs = np.arange(cur, hi, dtype=np.int64)
+        xi = cs // tuples
+        valid = xi < len(xs1)
+        if not valid.any():
+            return -1
+        cs, xi = cs[valid], xi[valid]
+        alive = member(xs1[xi], xs2[xi])
+        verts1, verts2 = [xs1[xi]], [xs2[xi]]
+        rem = cs % tuples
+        for k in range(n):
+            a = (rem // strides[k]) % m
+            y1, y2 = lengths[k] * cos_t[a], lengths[k] * sin_t[a]
+            new1, new2 = [], []
+            for v1, v2 in zip(verts1, verts2):
+                p1, p2 = v1 + y1, v2 + y2
+                alive = alive & member(p1, p2)
+                new1.append(p1)
+                new2.append(p2)
+            verts1 += new1
+            verts2 += new2
+        v1, v2 = np.stack(verts1, axis=-1), np.stack(verts2, axis=-1)
+        gap2 = np.full(len(cs), np.inf)
+        for a in range(1 << n):
+            for b in range(a + 1, 1 << n):
+                gap2 = np.minimum(gap2, (v1[:, a] - v1[:, b]) ** 2 + (v2[:, a] - v2[:, b]) ** 2)
+        hit = alive & (gap2 >= eta_gap * eta_gap)
+        if hit.any():
+            return int(cs[int(np.argmax(hit))])
+        if not valid.all():
+            return -1
+        cur = hi
+    return -2
+
+
+def random_union(data, side=1.0):
+    """A disk and a rectangle placed at random in the window."""
+    u = st.floats(0.0, side)
+    cx, cy, x0, y0 = (data.draw(u) for _ in range(4))
+    return PlanarSet.from_shapes(
+        [{"type": "disk", "cx": cx, "cy": cy, "r": data.draw(st.floats(0.1, 0.5))},
+         {"type": "rect", "x0": x0, "y0": y0, "x1": x0 + data.draw(st.floats(0.1, 0.8)),
+          "y1": y0 + data.draw(st.floats(0.1, 0.8))}], side)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), kind=st.sampled_from(["bitmap", "shapes"]),
+       nodes=st.integers(4, 16), density=st.floats(0.02, 0.3),
+       seed=st.integers(0, 2**32 - 1), data=st.data(), angles=st.integers(3, 6),
+       x_step=st.sampled_from([1 / 4, 1 / 5, 1 / 6]), eta_gap=st.sampled_from([0.0, 0.0137, 0.29]),
+       pieces=st.integers(2, 40))
+def test_pruned_scan_matches_cursor_loop_on_sparse_sets(n, kind, nodes, density, seed, data,
+                                                        angles, x_step, eta_gap, pieces):
+    # sparse sets and small shape unions: most base points and prefixes
+    # leave the set, which is where the scan prunes
+    lengths = tuple(data.draw(st.lists(st.floats(0.05, 0.35), min_size=n, max_size=n,
+                                       unique=True), label="lengths"))
+    if kind == "bitmap":
+        A = PlanarSet.from_bitmap(random_mask(1.0, nodes, density, seed))
+    else:
+        A = random_union(data)
+    spec = SearchSpec(x_step=x_step, angle_count=angles, eta_gap=eta_gap)
+    out = find_copy(A, lengths, spec)
+    assert (out.status, out.resume_cursor, out.examined) == first_copy_by_loop(A, lengths, spec)
+    total = int(round(1 / x_step)) ** 2 * angles**n
+    piece = replace(spec, budget=max(1, total // pieces))
+    part = find_copy(A, lengths, piece)
+    examined = part.examined
+    while part.status == "budget_exceeded":
+        assert part.examined == piece.budget
+        part = find_copy(A, lengths, replace(piece, resume_cursor=part.resume_cursor))
+        examined += part.examined
+    assert (part.status, part.resume_cursor, examined, part.copy) == (
+        out.status, out.resume_cursor, out.examined, out.copy)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), density=st.floats(0.02, 0.3) | st.floats(0.7, 1.0),
+       seed=st.integers(0, 2**32 - 1),
+       data=st.data(), angles=st.integers(1, 9), chunk=st.sampled_from([1, 2, 7, 64, 1 << 16]),
+       eta_gap=st.sampled_from([0.0, 0.0137, 0.29]))
+def test_scan_bitmap_matches_cursor_chunks(n, density, seed, data, angles, chunk, eta_gap):
+    # any [start, stop) window, also past the last base point, and chunks
+    # small enough to split parents and angles
+    lengths = tuple(data.draw(st.lists(st.floats(0.05, 0.35), min_size=n, max_size=n)))
+    A = PlanarSet.from_bitmap(random_mask(1.0, 12, density, seed))
+    pts = np.arange(1 / 12, 1.0, 1 / 6)
+    xs1, xs2 = np.repeat(pts, len(pts)), np.tile(pts, len(pts))
+    th = 2.0 * np.pi * np.arange(angles) / angles
+    total = len(xs1) * angles**n
+    start = data.draw(st.integers(0, total + 3), label="start")
+    stop = data.draw(st.integers(0, total + 3), label="stop")
+    args = (A.membership, xs1, xs2, np.cos(th), np.sin(th), lengths, eta_gap, start, stop)
+    with mock.patch.object(_kernels, "SCAN_CHUNK", chunk):
+        got = _kernels.scan_bitmap(*args)
+    assert got == scan_by_cursor_chunks(*args)
+
+
+class CountedSet:
+    """A planar set that counts the points its membership test is asked about."""
+
+    def __init__(self, A):
+        self.A, self.side, self.dimension = A, A.side, A.dimension
+        self.tested = 0
+
+    def membership(self, p1, p2):
+        self.tested += np.size(p1)
+        return self.A.membership(p1, p2)
+
+
+def test_scan_skips_base_points_and_prefixes_outside_the_set():
+    disk = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.1}], 1.0, 1 / 64)
+    A = CountedSet(PlanarSet.from_bitmap(disk))
+    pts = np.arange(1 / 64, 1.0, 1 / 32)
+    X1, X2 = np.meshgrid(pts, pts, indexing="ij")
+    base, members = X1.size, int(A.A.membership(X1.ravel(), X2.ravel()).sum())
+    m = 36
+    # lambda above the diameter: every slot-0 vertex of every member leaves the set
+    out = find_copy(A, (0.5, 0.5), SearchSpec(x_step=1 / 32, angle_count=m))
+    assert (out.status, out.examined) == ("not_found", base * m**2)
+    assert 0 < members < base
+    assert A.tested <= base + 2 * members * m
+
+
+def test_dense_scan_memory_is_bounded_by_chunks():
+    # nothing is pruned: every vertex stays inside and the gap test rejects
+    # every complete tuple; 3.5e6 tuples of 8 vertices would take 450 MB
+    sq = full_square()
+    spec = SearchSpec(x_step=0.25, angle_count=24, eta_gap=1.0)
+    tracemalloc.start()
+    try:
+        out = find_copy(sq, (0.01, 0.02, 0.03), spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.status, out.examined) == ("not_found", 256 * 24**3)
+    assert peak < 40e6
+
+
+@pytest.mark.parametrize("lengths,change,field", [
+    ((0.3,), {"resume_cursor": -3}, "resume_cursor"),
+    ((0.3,), {"budget": 0}, "budget"),
+    ((0.3,), {"budget": -4}, "budget"),
+    ((0.3,), {"angle_count": -3}, "angle_count"),
+    ((0.3,), {"x_step": 0.0}, "x_step"),
+    ((0.3,), {"x_step": -0.1}, "x_step"),
+    ((0.3,), {"x_step": math.nan}, "x_step"),
+    ((0.3,), {"eta_gap": math.nan}, "eta_gap"),
+    ((0.3,), {"eta_len": -1.0}, "eta_len"),
+    ((math.nan,), {}, "lengths"),
+    ((0.3, math.inf), {}, "lengths"),
+    ((), {}, "lengths"),
+])
+def test_find_copy_rejects_invalid_inputs(lengths, change, field):
+    disk = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.3}], 1.0, 1 / 32)
+    spec = replace(SearchSpec(x_step=0.25, angle_count=8), **change)
+    with pytest.raises(ValueError, match=field):
+        find_copy(PlanarSet.from_bitmap(disk), lengths, spec)
 
 
 def test_verify_copy_rejects_nudged_vertex():
