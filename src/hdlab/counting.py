@@ -163,19 +163,38 @@ def _mc_report(f: PlanarGrid, params: CountingParams, smooth: bool) -> CountingR
     return CountingReport(value, stderr, params)
 
 
-def _sigma_weight_table(params: CountingParams, u_cut: float, lattice, cells):
+def _grid_memo(f: PlanarGrid, name: str) -> dict:
+    """A dict stored on the grid, so it lives exactly as long as the grid."""
+    memo = getattr(f, name, None)
+    if memo is None:
+        memo = {}
+        object.__setattr__(f, name, memo)
+    return memo
+
+
+def _sigma_weight_table(f: PlanarGrid, params: CountingParams, u_cut: float, lattice,
+                        r2: float):
     """Sigma-hat on ``lattice`` from a radial table on [0, u_cut], zero
-    beyond, and exactly at the zero-cell radii ``cells``.
+    beyond, and exactly at the zero-cell radii of a torus of side ``r2``.
 
     The circle-quadrature size is floored at 8 nodes per unit of
-    lam * |xi| so the transform stays faithful over the whole table.
+    lam * |xi| so the transform stays faithful over the whole table.  The
+    table and the cell values are kept on ``f`` per (node count, lam,
+    u_cut, r2), so the coarse and fine outer quadratures, the slots of
+    ``L_form`` and the smoothed forms at a shared cut reuse one table.
     """
     m_eff = max(params.quadrature_nodes,
                 int(math.ceil(8.0 * params.lam * u_cut / 2.0)) * 2, 64)
-    q = CircleQuadrature(m_eff, params.lam)
-    u = np.linspace(0.0, u_cut, 1 << 15)
-    table = sphere_fourier_radial(q, u)
-    return np.interp(lattice, u, table, right=0.0), sphere_fourier_radial(q, cells)
+    memo = _grid_memo(f, "_sigma_tables")
+    key = (m_eff, params.lam, u_cut, r2)
+    if key not in memo:
+        u = np.linspace(0.0, u_cut, 1 << 15)
+        radii = np.concatenate([u, spectral.cell_radii(r2)])
+        values = sphere_fourier_radial(CircleQuadrature(m_eff, params.lam), radii)
+        values.setflags(write=False)
+        memo[key] = u, values[:len(u)], values[len(u):]
+    u, table, cells = memo[key]
+    return np.interp(lattice, u, table, right=0.0), cells
 
 
 def _ring_angles(params: CountingParams, step: float) -> int:
@@ -232,7 +251,7 @@ def _spectral_values(f: PlanarGrid, kernel, scales, params: CountingParams | Non
     sig_lattice = sig_cells = 1.0
     if params is not None:
         u_cut = min(float(lattice.max()) * (1 + 1e-9), 3.6 / float(scales.min()))
-        sig_lattice, sig_cells = _sigma_weight_table(params, u_cut, lattice, cells)
+        sig_lattice, sig_cells = _sigma_weight_table(f, params, u_cut, lattice, r2)
 
     def values(sl):
         weights = sig_lattice * kernel(scales[sl].reshape((-1,) + (1,) * lattice.ndim), lattice)
@@ -250,10 +269,7 @@ def _spectral_values(f: PlanarGrid, kernel, scales, params: CountingParams | Non
 def _offset_table(f: PlanarGrid, pad: int | None = None) -> spectral.OffsetTable:
     if pad is None:
         pad = spectral.auto_pad(f.values)
-    cache = getattr(f, "_offset_tables", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(f, "_offset_tables", cache)
+    cache = _grid_memo(f, "_offset_tables")
     if pad not in cache:
         cache[pad] = spectral.build_offset_table(f.values, f.step, pad)
     return cache[pad]

@@ -6,7 +6,8 @@ Smoothed counting-type integrals are assembled from two ingredients:
   (the transform of the slot kernel, optionally times the circle-measure
   transform), applied to binned power spectra;
 * for two-slot forms, offset spectra ``P[d] = |FFT(f . f(.+dh))|^2`` over
-  all lattice offsets d, combined with closed-form tent weights
+  the lattice offsets d, stored for half of them because P[-d] = P[d]
+  (``OffsetTable``), combined with closed-form tent weights
   ``c_d = integral of slot_kernel(y) tent_d(y) dy`` (erf expressions).
   The slot kernel is a Gaussian on a ring of circle nodes; the plain
   Gaussian of the box form is the ring of radius 0 with one node.
@@ -129,20 +130,27 @@ def frequency_lattice(n2: int, r2: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class OffsetTable:
-    """Binned power spectra of all offset products of one grid."""
+    """Binned power spectra of the offset products of one grid.
+
+    Offsets d = (offsets[a], offsets[b]) have the flat index k = a nd + b,
+    nd = len(offsets).  Since m_-d is m_d translated by -d, P[-d] = P[d],
+    and -d has the mirror index nd^2 - 1 - k.  Only the rows up to the
+    middle one (d = 0, k = (nd^2 - 1) / 2) are stored.
+    """
 
     step: float
     node_count: int
     torus_side: float          # padded side R2
     offsets: np.ndarray        # 1-d offsets in nodes, -(N-1) .. N-1
     xi_bar: np.ndarray         # per-bin centroid of |xi|
-    power: np.ndarray          # (nd*nd, nbins) float32, zero mode excluded
-    zero_mode: np.ndarray      # (nd*nd,) |FFT(m_d)(0)|^2
+    power: np.ndarray          # ((nd*nd + 1) / 2, nbins) float32, zero mode excluded
+    zero_mode: np.ndarray      # ((nd*nd + 1) / 2,) |FFT(m_d)(0)|^2
 
 
 def build_offset_table(values: np.ndarray, step: float, pad: int | None = None,
                        nbins: int = 2048) -> OffsetTable:
-    """One rfft2 per lattice offset; O((2N)^2) transforms of the padded grid.
+    """One rfft2 per stored lattice offset: (nd^2 + 1) / 2 transforms of the
+    padded grid, nd = 2N - 1 (the other half are mirror images).
 
     Padding keeps the frequency lattice fine enough to resolve the spectrum
     of the support (factor 4 for sets as large as the window itself).
@@ -161,27 +169,28 @@ def build_offset_table(values: np.ndarray, step: float, pad: int | None = None,
     xi_bar = np.where(cnt > 0, xi_bar / np.maximum(cnt, 1e-300), 0.0)
     offs = np.arange(-(n - 1), n)
     nd = len(offs)
-    power = np.zeros((nd * nd, nbins), dtype=np.float32)
-    zero = np.zeros(nd * nd)
+    rows = (nd * nd + 1) // 2
+    power = np.zeros((rows, nbins), dtype=np.float32)
+    zero = np.zeros(rows)
     buf = np.zeros((n2, n2))
     hh = step * step
-    for a, da in enumerate(offs):
+    for k in range(rows):
+        da, db = offs[k // nd], offs[k % nd]
         sa = slice(max(0, -da), min(n, n - da))
         sa2 = slice(max(0, da), min(n, n + da))
-        for b, db in enumerate(offs):
-            sb = slice(max(0, -db), min(n, n - db))
-            sb2 = slice(max(0, db), min(n, n + db))
-            m = values[sa, sb] * values[sa2, sb2]
-            if not m.any():
-                continue
-            buf[sa, sb] = m
-            fm = np.fft.rfft2(buf) * hh
-            buf[sa, sb] = 0.0
-            pm = (fm.real**2 + fm.imag**2).ravel()
-            zero[a * nd + b] = pm[0]
-            pm *= wmult
-            pm[0] = 0.0
-            power[a * nd + b] = np.bincount(binidx, weights=pm, minlength=nbins)
+        sb = slice(max(0, -db), min(n, n - db))
+        sb2 = slice(max(0, db), min(n, n + db))
+        m = values[sa, sb] * values[sa2, sb2]
+        if not m.any():
+            continue
+        buf[sa, sb] = m
+        fm = np.fft.rfft2(buf) * hh
+        buf[sa, sb] = 0.0
+        pm = (fm.real**2 + fm.imag**2).ravel()
+        zero[k] = pm[0]
+        pm *= wmult
+        pm[0] = 0.0
+        power[k] = np.bincount(binidx, weights=pm, minlength=nbins)
     return OffsetTable(step, n, r2, offs, xi_bar, power, zero)
 
 
@@ -201,14 +210,21 @@ def ring_tents(tab: OffsetTable, lam: float, scales, angles: int,
     s = np.asarray(scales, dtype=np.float64)[:, None, None]
     th = 2.0 * np.pi * np.arange(angles) / angles
     ux = x[None, :] - lam * np.cos(th)[:, None]
-    uy = x[None, :] - lam * np.sin(th)[:, None]
-    gx = gauss_tent(ux, s, tab.step)
-    gy = gauss_tent(uy, s, tab.step)
+
+    def profiles(fn):
+        """Profiles at the cos and at the sin offsets; for 4 | angles,
+        sin theta_j = cos theta_(j - angles/4), so the second are the first
+        a quarter turn on."""
+        p = fn(ux, s, tab.step)
+        if angles % 4:
+            return p, fn(x[None, :] - lam * np.sin(th)[:, None], s, tab.step)
+        return p, np.roll(p, angles // 4, axis=1)
+
+    gx, gy = profiles(gauss_tent)
     if not deriv:
         c = np.matmul(gx.transpose(0, 2, 1), gy)
     else:
-        dgx = gauss_tent_da(ux, s, tab.step)
-        dgy = gauss_tent_da(uy, s, tab.step)
+        dgx, dgy = profiles(gauss_tent_da)
         c = np.matmul(dgx.transpose(0, 2, 1), gy) + np.matmul(gx.transpose(0, 2, 1), dgy)
     return (c / angles).reshape(len(s), -1).T
 
@@ -230,12 +246,17 @@ def assemble(tab: OffsetTable, tent_weights: np.ndarray, bin_weights: np.ndarray
     """sum_d C[d, t] [ sum_b P(d, b) W[b, t] + P0(d) w0[t] ] / R2^2 for each t.
 
     ``tent_weights`` C is (offsets^2, T), ``bin_weights`` W is (bins, T)
-    and ``zero_weights`` w0 has T entries.  One float32 product ``P @ W``
-    reads the table once for all T columns.
+    and ``zero_weights`` w0 has T entries.  The table stores each pair
+    P[d] = P[-d] once, so C[k] + C[nd^2 - 1 - k] multiplies stored row k,
+    and the middle row (d = 0) takes its own weight once.  One float32
+    product ``P @ W`` reads the table once for all T columns.
     """
+    half = len(tab.power)
+    folded = tent_weights[:half].copy()
+    folded[:-1] += tent_weights[:half - 1:-1]
     vals = tab.power @ bin_weights.astype(np.float32)
     vals = vals + tab.zero_mode[:, None] * zero_weights
-    return np.einsum("dt,dt->t", tent_weights, vals) / tab.torus_side**2
+    return np.einsum("dt,dt->t", folded, vals) / tab.torus_side**2
 
 
 def pair_spectrum(values: np.ndarray, step: float, pad: int | None = None):

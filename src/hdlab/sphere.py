@@ -16,6 +16,7 @@ from .gaussian import KernelSpec, eval_kernel
 from .grid import PERIODIC, PlanarGrid
 
 DEFAULT_NODES = 256
+_FOLD_ELEMENTS = 1 << 16  # radii x folded nodes per block of the folded sum
 
 
 @dataclass(frozen=True)
@@ -89,14 +90,32 @@ def sphere_fourier_radial(q: CircleQuadrature, u) -> np.ndarray:
 
     Valid as a radial object while ``2 pi lam u`` stays safely below the
     node count; chunked so large tables do not allocate M copies at once.
+
+    The node sum is folded when the phase is 0 and M is divisible by 4:
+    cos(z cos theta) is even in cos theta, and the M nodes take only the
+    M/4 + 1 distinct values |cos theta_j|, j = 0 .. M/4, with
+    multiplicities 2, 4, ..., 4, 2.  Any other M, and a nonzero phase,
+    take the plain sum over all M nodes.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
+    m = q.node_count
+    if q.phase == 0.0 and m % 4 == 0:
+        cosang = np.cos(q.angles()[:m // 4 + 1])
+        weights = np.full(len(cosang), 4.0)
+        weights[[0, -1]] = 2.0
+        flat = u.ravel()
+        out = np.empty_like(flat)
+        size = max(1, _FOLD_ELEMENTS // len(cosang))
+        for lo in range(0, len(flat), size):
+            out[lo:lo + size] = np.cos(2.0 * np.pi * q.dilation * flat[lo:lo + size, None]
+                                       * cosang) @ weights
+        return out.reshape(u.shape) / m
     cosang = np.cos(q.angles())
     out = np.zeros_like(u)
     for lo in range(0, len(cosang), 64):
         block = cosang[lo:lo + 64]
         out += np.cos(2.0 * np.pi * q.dilation * u[..., None] * block).sum(axis=-1)
-    return out / q.node_count
+    return out / m
 
 
 def decay_envelope(q: CircleQuadrature, radii) -> float:

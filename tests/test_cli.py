@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -70,6 +71,13 @@ def test_under_resolved_smoothing_exit_2(tmp_path, capsys):
     assert "under-resolved on this grid" in err
 
 
+@pytest.mark.parametrize("command", sorted(cli.SCHEMAS))
+def test_schemas_are_valid(command):
+    # run validates configs without checking the schema itself
+    schema = cli.SCHEMAS[command]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
 def test_command_mismatch_exit_2(tmp_path):
     cfg = write_config(tmp_path, {"command": "counting", "set": DISK_SET,
                                   "params": {"n": 1, "lambda": 1.0}, "form": "sharp"})
@@ -128,6 +136,40 @@ def test_embed_command(tmp_path):
     doc = json.loads((out / "embed.json").read_text())
     assert doc["report"]["status"] == "found"
     assert doc["report"]["verified"] is True
+
+
+def test_budgeted_embed_resumes_to_the_first_witness(tmp_path):
+    # a scan cut into budgeted CLI runs, each fed the resume_cursor of the
+    # one before, ends at the witness of one unbudgeted run
+    doc = {"command": "embed",
+           "set": {"R": 1.0, "h": 1 / 32,
+                   "shapes": [{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.3}]},
+           "lengths": [0.3], "search": {"x_step": 0.25, "angles": 8}}
+
+    def embed(search, name):
+        cfg = write_config(tmp_path, dict(doc, search=dict(doc["search"], **search)))
+        assert run_cli(["embed", "--config", cfg, "--out", tmp_path / name]) == 0
+        return json.loads((tmp_path / name / "embed.json").read_text())["report"]
+
+    whole = embed({}, "whole")
+    assert whole["status"] == "found" and whole["resume_cursor"] > 20
+    piece = embed({"budget": 7}, "piece0")
+    examined = piece["examined"]
+    for i in range(1, 100):
+        if piece["status"] != "budget_exceeded":
+            break
+        assert piece["examined"] == 7
+        piece = embed({"budget": 7, "resume_cursor": piece["resume_cursor"]}, f"piece{i}")
+        examined += piece["examined"]
+    assert piece == dict(whole, examined=piece["examined"])
+    assert examined == whole["examined"]
+
+
+def test_unknown_search_key_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"command": "embed", "set": DISK_SET, "lengths": [1.0],
+                                  "search": {"x_step": 0.25, "resume": 10}})
+    assert run_cli(["embed", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "resume" in capsys.readouterr().err
 
 
 def test_interval_command(tmp_path):

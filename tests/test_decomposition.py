@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from hdlab import (PERIODIC, ZERO, CountingParams, L_form, PlanarGrid, ScaleLadder,
-                   _kernels, check_error_bound, check_structured_bound,
+                   _kernels, counting, check_error_bound, check_structured_bound,
                    check_uniform_bound, counting_sharp, counting_smooth,
                    decompose, decomposition_report, make_indicator, measure,
                    spectral, structured_part, theta_form, uniform_part)
@@ -166,11 +167,137 @@ def ring_tents_ref(tab, lam, scale, angles, deriv):
     return ((np.einsum("am,bm->ab", dgx, gy) + np.einsum("am,bm->ab", gx, dgy)) / angles).ravel()
 
 
+def full_rows(tab):
+    """(power, zero mode) of every offset from the stored half: the offset
+    -d has the mirror index nd^2 - 1 - k of d and the same rows."""
+    return (np.concatenate([tab.power, tab.power[-2::-1]]),
+            np.concatenate([tab.zero_mode, tab.zero_mode[-2::-1]]))
+
+
 def assemble_ref(tab, c, w, zero_w):
-    """The assembled value and the same sum over absolute terms."""
-    vals = tab.power @ w.astype(np.float32) + tab.zero_mode * zero_w
-    mags = tab.power @ np.abs(w).astype(np.float32) + tab.zero_mode * abs(zero_w)
+    """The assembled value and the same sum over absolute terms, summed
+    over the rows of all offsets."""
+    power, zero_mode = full_rows(tab)
+    vals = power @ w.astype(np.float32) + zero_mode * zero_w
+    mags = power @ np.abs(w).astype(np.float32) + zero_mode * abs(zero_w)
     return np.array([c @ vals, np.abs(c) @ mags]) / tab.torus_side**2
+
+
+def offset_table_ref(values, step, pad, nbins=2048):
+    """(power, zero mode) rows of every lattice offset, -d as well as d,
+    one rfft2 each, binned as ``build_offset_table`` bins them."""
+    n = values.shape[0]
+    n2 = pad * n
+    xi, mult = spectral.frequency_lattice(n2, n2 * step)
+    binidx = np.minimum((xi / (float(xi.max()) * (1.0 + 1e-12)) * nbins).astype(np.int64),
+                        nbins - 1).ravel()
+    offs = np.arange(-(n - 1), n)
+    power = np.zeros((len(offs) ** 2, nbins), dtype=np.float32)
+    zero = np.zeros(len(offs) ** 2)
+    for k, (da, db) in enumerate((da, db) for da in offs for db in offs):
+        buf = np.zeros((n2, n2))
+        m = values[max(0, -da):min(n, n - da), max(0, -db):min(n, n - db)]
+        m = m * values[max(0, da):min(n, n + da), max(0, db):min(n, n + db)]
+        buf[max(0, -da):max(0, -da) + m.shape[0], max(0, -db):max(0, -db) + m.shape[1]] = m
+        fm = np.fft.rfft2(buf) * (step * step)
+        pm = (fm.real**2 + fm.imag**2).ravel()
+        zero[k] = pm[0]
+        pm *= mult.ravel()
+        pm[0] = 0.0
+        power[k] = np.bincount(binidx, weights=pm, minlength=nbins)
+    return power, zero
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(nodes=st.integers(2, 9), density=st.floats(0.05, 1.0), pad=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_half_offset_table_matches_full_table(nodes, density, pad, seed):
+    values = (seeded_rng(seed).random((nodes, nodes)) < density).astype(float)
+    step = 1.0 / nodes
+    tab = spectral.build_offset_table(values, step, pad)
+    power, zero = offset_table_ref(values, step, pad)
+    nd = 2 * nodes - 1
+    assert tab.power.shape == ((nd * nd + 1) // 2, 2048)
+    # the stored rows are the first half of the full table, bit for bit ...
+    assert np.array_equal(tab.power, power[:len(tab.power)])
+    assert np.array_equal(tab.zero_mode, zero[:len(tab.power)])
+    # ... and the rows of -d are those of d up to round-off, the transform
+    # of a translate differing from the transform only in phase
+    full_power, full_zero = full_rows(tab)
+    scale = max(float(power.max()), 1e-300)
+    assert np.abs(full_power - power).max() <= 1e-6 * scale
+    assert np.abs(full_zero - zero).max() <= 1e-12 * max(float(zero.max()), 1e-300)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(nodes=st.integers(2, 12), density=st.floats(0.05, 1.0), columns=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_assemble_matches_full_table(nodes, density, columns, seed):
+    # tent weights with no d -> -d symmetry, so every mirror pair is folded
+    # with two different weights
+    rng = seeded_rng(seed)
+    tab = spectral.build_offset_table((rng.random((nodes, nodes)) < density).astype(float),
+                                      1.0 / nodes)
+    nd = len(tab.offsets)
+    c = rng.normal(size=(nd * nd, columns))
+    w = rng.normal(size=(len(tab.xi_bar), columns))
+    w0 = rng.normal(size=columns)
+    got = spectral.assemble(tab, c, w, w0)
+    for t in range(columns):
+        want, magnitude = assemble_ref(tab, c[:, t], w[:, t], w0[t])
+        assert abs(got[t] - want) <= 1e-6 * magnitude
+
+
+def test_offset_table_memory_is_half_the_full_table():
+    # N = 32: the full table would take nd^2 x 2048 float32 = 32.5 MB
+    f = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.3}], 1.0, 1 / 32)
+    nd = 2 * f.node_count - 1
+    tracemalloc.start()
+    try:
+        spectral.build_offset_table(f.values, f.step)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * nd * nd * 2048 * 4, peak
+
+
+@pytest.mark.parametrize("angles", [4, 5, 8, 30, 64, 66])
+@pytest.mark.parametrize("deriv", [False, True])
+def test_ring_tents_match_per_scale_reference(angles, deriv):
+    # 4 | angles takes the profiles at the sin offsets from those at the cos
+    # offsets a quarter turn on; the others evaluate both
+    tab = _offset_table(random_mask(1.0, 12, 0.5, 3))
+    lam = 3.3 * tab.step
+    scales = np.geomspace(0.05, 3.0, 7) * tab.step
+    got = spectral.ring_tents(tab, lam, scales, angles, deriv)
+    for t, a in enumerate(scales):
+        want = ring_tents_ref(tab, lam, a, angles, deriv)
+        assert np.abs(got[:, t] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_sigma_table_is_memoised_on_the_grid():
+    # a second call on the same grid makes no sphere_fourier_radial call and
+    # gives the same bits; a new grid with the same samples computes afresh
+    f = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.3}], 1.0, 1 / 32)
+    params = CountingParams(n=1, lam=0.25, eps=0.5, quadrature_nodes=128)
+    real = counting.sphere_fourier_radial
+    with mock.patch.object(counting, "sphere_fourier_radial", side_effect=real) as spy:
+        first = counting_smooth(f, params).value
+        assert spy.call_count == 1
+        lattice = np.linspace(0.0, 5.0, 11)
+        table = _sigma_weight_table(f, params, 5.0, lattice, 2.0)
+        assert spy.call_count == 2
+        again = _sigma_weight_table(f, params, 5.0, lattice, 2.0)
+        second = counting_smooth(f, params).value
+        assert spy.call_count == 2
+        # another torus side has other zero-cell radii
+        _sigma_weight_table(f, params, 5.0, lattice, 3.0)
+        assert spy.call_count == 3
+        counting_smooth(PlanarGrid(f.side, f.step, f.values), params)
+        assert spy.call_count == 4
+    assert np.array_equal(first, second)
+    for a, b in zip(table, again):
+        assert np.array_equal(a, b)
 
 
 def pair_value_ref(power, xi, mult, r2, weight_fn, zero_w):
@@ -179,11 +306,12 @@ def pair_value_ref(power, xi, mult, r2, weight_fn, zero_w):
     return np.array([total, abs(total)]) / r2**2
 
 
-def sigma_hat(params, lattice, cells, smallest_scale):
-    """Sigma-hat on the lattice and at the zero-cell radii, from a table that
-    ends at the lattice or at 3.6 / (the smallest kernel scale)."""
+def sigma_hat(f, params, lattice, r2, smallest_scale):
+    """Sigma-hat on the lattice and at the zero-cell radii of a torus of
+    side r2, from a table that ends at the lattice or at 3.6 / (the
+    smallest kernel scale)."""
     cut = min(float(lattice.max()) * (1 + 1e-9), 3.6 / smallest_scale)
-    return _sigma_weight_table(params, cut, lattice, cells)
+    return _sigma_weight_table(f, params, cut, lattice, r2)
 
 
 def l_form_loop(f, lam, alpha, beta, m, n, params, tnodes):
@@ -192,7 +320,7 @@ def l_form_loop(f, lam, alpha, beta, m, n, params, tnodes):
     if n == 1:
         power, xi, mult, r2 = spectral.pair_spectrum(f.values, f.step, ring_pad(f, lam))
         cells = spectral.cell_radii(r2)
-        sig_xi, sig_cells = sigma_hat(params, xi, cells, alpha * lam)
+        sig_xi, sig_cells = sigma_hat(f, params, xi, r2, alpha * lam)
         for t, w in zip(ts, wq):
             zero_w = 0.0 if f.periodic else float((sig_cells * _neg_khat(t * lam, cells)).mean())
             total += w * pair_value_ref(power, xi, mult, r2,
@@ -200,7 +328,7 @@ def l_form_loop(f, lam, alpha, beta, m, n, params, tnodes):
         return total / (2.0 * math.pi)
     tab = _offset_table(f, ring_pad(f, lam))
     cells = spectral.cell_radii(tab.torus_side)
-    sig_bins, sig_cells = sigma_hat(params, tab.xi_bar, cells, alpha * lam)
+    sig_bins, sig_cells = sigma_hat(f, params, tab.xi_bar, tab.torus_side, alpha * lam)
     angles = _ring_angles(params, f.step)
     kernel = _neg_khat if m == 1 else _ghat
     for t, w in zip(ts, wq):
@@ -280,14 +408,14 @@ def smooth_ref(f, params):
     if params.n == 1:
         power, xi, mult, r2 = spectral.pair_spectrum(f.values, f.step, ring_pad(f, lam))
         cells = spectral.cell_radii(r2)
-        sig_xi, sig_cells = sigma_hat(params, xi, cells, a)
+        sig_xi, sig_cells = sigma_hat(f, params, xi, r2, a)
         # on the unpadded torus the zero cell is the frequency 0 alone, where
         # sigma-hat and g-hat are both 1
         zero_w = 1.0 if f.periodic else float((sig_cells * _ghat(a, cells)).mean())
         return pair_value_ref(power, xi, mult, r2, lambda u: sig_xi * _ghat(a, u), zero_w)
     tab = _offset_table(f, ring_pad(f, lam))
     cells = spectral.cell_radii(tab.torus_side)
-    sig_bins, sig_cells = sigma_hat(params, tab.xi_bar, cells, a)
+    sig_bins, sig_cells = sigma_hat(f, params, tab.xi_bar, tab.torus_side, a)
     zero_w = float((sig_cells * _ghat(a, cells)).mean())
     c = ring_tents_ref(tab, lam, a, _ring_angles(params, f.step), False)
     return assemble_ref(tab, c, sig_bins * _ghat(a, tab.xi_bar), zero_w)

@@ -35,6 +35,28 @@ def test_radial_transform_matches_jacobi_anger(half_nodes, lam, reach, seed):
     assert np.abs(got - want).max() <= 2e-13
 
 
+def plain_node_sum(q, u):
+    """(1/M) sum_j cos(2 pi lam u cos theta_j) over all M nodes, unfolded."""
+    arg = 2.0 * np.pi * q.dilation * np.asarray(u)[:, None] * np.cos(q.angles())
+    return np.cos(arg).mean(axis=1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(quarter=st.integers(1, 128), rest=st.sampled_from([0, 2]),
+       phase=st.sampled_from([0.0]) | st.floats(1e-3, 2.0 * math.pi),
+       lam=st.floats(0.01, 10.0), reach=st.floats(0.0, 3.0), radii=st.integers(1, 2000),
+       seed=st.integers(0, 2**32 - 1))
+def test_folded_node_sum_matches_plain_sum(quarter, rest, phase, lam, reach, radii, seed):
+    # M = 0 (mod 4) at phase 0 takes the folded sum over M/4 + 1 nodes, in
+    # blocks of radii; M = 2 (mod 4) and a nonzero phase take the plain sum
+    m = 4 * quarter + rest
+    q = CircleQuadrature(m, lam, phase)
+    u = seeded_rng(seed).uniform(0.0, reach * m, radii) / (2.0 * math.pi * lam)
+    got = sphere_fourier_radial(q, u)
+    assert np.abs(got - plain_node_sum(q, u)).max() <= 1e-13
+    assert np.array_equal(sphere_fourier_radial(q, u[:, None])[:, 0], got)
+
+
 def test_phase_independence_for_radial_integrands():
     # quadrature of a radial function must not depend on the node phase
     def radial_avg(q):
