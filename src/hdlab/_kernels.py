@@ -4,6 +4,8 @@ Each kernel is defined once.  Summation order is fixed, so results are
 bit-stable from run to run.
 """
 
+import itertools
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -48,10 +50,26 @@ def shift_grid(values, h, dy1, dy2, periodic):
     shifts wrap around the torus.
     """
     box = (0, values.shape[0], 0, values.shape[1])
-    return _shift_stack(values, h, dy1, dy2, periodic, box)[0]
+    windows = _window_view(values, periodic, box)
+    return _shift_stack(values, h, dy1, dy2, periodic, box, windows)[0]
 
 
-def _shift_stack(values, h, dy1, dy2, periodic, box):
+def _window_view(values, periodic, box):
+    """Window view of an extended copy of ``values``, for ``_shift_stack``.
+
+    The copy has a zero border of N + 1 cells (zero-extended) or one
+    periodic repeat; each window is (rows + 1, cols + 1) for the output box.
+    """
+    n1, n2 = values.shape
+    i0, i1, j0, j1 = box
+    if periodic:
+        ext = np.pad(values, ((0, n1), (0, n2)), mode="wrap")
+    else:
+        ext = np.pad(values, ((n1 + 1, n1 + 1), (n2 + 1, n2 + 1)))
+    return sliding_window_view(ext, (i1 - i0 + 1, j1 - j0 + 1))
+
+
+def _shift_stack(values, h, dy1, dy2, periodic, box, windows):
     """Bilinear shifts of ``values`` by K displacements, read on a box of nodes.
 
     ``dy1`` and ``dy2`` are scalars or length-K arrays; ``box = (i0, i1, j0,
@@ -59,13 +77,13 @@ def _shift_stack(values, h, dy1, dy2, periodic, box):
     (K, i1 - i0, j1 - j0) stack whose slice k is ``shift_grid(values, h,
     dy1[k], dy2[k], periodic)[i0:i1, j0:j1]``, bit for bit: each slice is
     formed with the same per-element arithmetic whatever K is.  One
-    (K, rows + 1, cols + 1) block is gathered from a window view of an
-    extended copy of ``values`` (a zero border of N + 1 cells, or one
-    periodic repeat), and the four bilinear corners are slices of it.  The
-    cell shift is clipped in floating point before the integer cast, so a
-    zero-extended shift of a whole window or more reads only the border.
-    ``sharp_sum`` and ``mc_values`` keep K * (rows + 1) * (cols + 1) within
-    ``STACK_ELEMENTS``.
+    (K, rows + 1, cols + 1) block is gathered from ``windows``, the
+    ``_window_view(values, periodic, box)`` that each kernel call makes once
+    and passes to all its stacks, and the four bilinear corners are slices
+    of it.  The cell shift is clipped in floating point before the integer
+    cast, so a zero-extended shift of a whole window or more reads only the
+    border.  ``sharp_sum`` and ``mc_values`` keep K * (rows + 1) * (cols + 1)
+    within ``STACK_ELEMENTS``.
     """
     n1, n2 = values.shape
     i0, i1, j0, j1 = box
@@ -76,14 +94,11 @@ def _shift_stack(values, h, dy1, dy2, periodic, box):
     f1 = (q1 - c1)[:, None, None]
     f2 = (q2 - c2)[:, None, None]
     if periodic:
-        ext = np.pad(values, ((0, n1), (0, n2)), mode="wrap")
         o1 = np.mod(c1, n1)
         o2 = np.mod(c2, n2)
     else:
-        ext = np.pad(values, ((n1 + 1, n1 + 1), (n2 + 1, n2 + 1)))
         o1 = np.clip(c1, -n1 - 1, n1) + (n1 + 1)
         o2 = np.clip(c2, -n2 - 1, n2) + (n2 + 1)
-    windows = sliding_window_view(ext, (i1 - i0 + 1, j1 - j0 + 1))
     block = windows[o1.astype(np.int64) + i0, o2.astype(np.int64) + j0]
     return (
         (1 - f1) * (1 - f2) * block[:, :-1, :-1]
@@ -142,42 +157,52 @@ def sharp_sum(values, h, lam, cos_t, sin_t, n, periodic):
     """(h^2 / M^n) * sum over angle tuples of sum_x F_n(x; lam e_a1, ..., lam e_an).
 
     Tuple t takes slot k's angle from digit k of t in base M, so slot 0 is
-    the fast digit.  Each Python step takes a stack of slot-0 angles at
-    once: ``values * S_a`` (S_a the shift by lam e_a) is formed once per
-    slot-0 angle, the loop runs over the M^(n-1) slow digits, vertices
-    whose sum includes slot 0 take one stacked shift per step and the
-    others one single shift.  Vertices are multiplied in the order
-    r = 1 .. 2^n - 1, so every product is the one a per-tuple loop forms.
+    the fast digit.  The vertices of F_n are the subset sums of its edges,
+    so its x-sum does not change when the slots are permuted.  Only the
+    C(M + n - 1, n) tuples with slot-0 angle >= slot-1 angle >= ... are
+    evaluated, and each x-sum is written into the place of every
+    permutation of its tuple.  Each Python step takes a stack of slot-0
+    angles at once: ``values * S_a`` (S_a the shift by lam e_a) is formed
+    once per slot-0 angle, the loop runs over the non-increasing tuples of
+    the slow slots, and each takes the slot-0 angles from its slot-1 angle
+    up.  Vertices whose sum includes slot 0 take one stacked shift per step
+    and the others one single shift.  Vertices are multiplied in the order
+    r = 1 .. 2^n - 1, so an evaluated tuple's product is the one a
+    per-tuple loop forms, and a permuted tuple's differs from it by
+    round-off only.
 
     Every vertex product has ``values(x)`` as a factor, so the x-sum runs
     over the bounding box of the support only, and an all-zero grid gives
-    0.0.  A stack holds at most ``STACK_ELEMENTS`` elements: the slot-0
-    angles are taken in blocks of that size, and the per-tuple sums (M^n
-    floats) are kept so they can be added in tuple order at the end.
+    0.0.  The window view of the shifts is made once per call.  A stack
+    holds at most ``STACK_ELEMENTS`` elements: the slot-0 angles are taken
+    in blocks of that size, and the per-tuple sums (M^n floats) are kept so
+    they can be added in tuple order at the end.
     """
     box = support_box(values)
     if box is None:
         return 0.0
     i0, i1, j0, j1 = box
     base = values[i0:i1, j0:j1]
+    windows = _window_view(values, periodic, box)
     m = cos_t.shape[0]
     e1 = lam * cos_t
     e2 = lam * sin_t
-    sums = np.zeros((m ** (n - 1), m))
+    sums = np.zeros(m**n)
+    perms = list(itertools.permutations(range(n)))
+    slows = [c[::-1] for c in itertools.combinations_with_replacement(range(m), n - 1)]
     last = (1 << n) - 1
     step = _stack_len(box)
     for lo in range(0, m, step):
-        fast = slice(lo, lo + step)
-        first = base * _shift_stack(values, h, e1[fast], e2[fast], periodic, box)
+        hi = min(lo + step, m)
+        first = base * _shift_stack(values, h, e1[lo:hi], e2[lo:hi], periodic, box, windows)
         if not first.any():
             continue
-        for s in range(m ** (n - 1)):
-            digit = [fast]
-            rem = s
-            for _ in range(1, n):
-                digit.append(rem % m)
-                rem //= m
-            prod = first
+        for slow in slows:
+            start = max(lo, slow[0]) if slow else lo
+            if start >= hi:
+                continue
+            digit = (slice(start, hi),) + slow
+            prod = first[start - lo:]
             for r in range(2, last + 1):
                 d1 = 0.0
                 d2 = 0.0
@@ -185,12 +210,15 @@ def sharp_sum(values, h, lam, cos_t, sin_t, n, periodic):
                     if (r >> k) & 1:
                         d1 = d1 + e1[digit[k]]
                         d2 = d2 + e2[digit[k]]
-                prod = prod * _shift_stack(values, h, d1, d2, periodic, box)
+                prod = prod * _shift_stack(values, h, d1, d2, periodic, box, windows)
                 if r < last and not prod.any():
                     break
-            sums[s, fast] = prod.reshape(prod.shape[0], -1).sum(axis=1)
+            sub = prod.reshape(prod.shape[0], -1).sum(axis=1)
+            angles = (np.arange(start, hi),) + slow
+            for perm in perms:
+                sums[sum(angles[p] * m**k for k, p in enumerate(perm))] = sub
     total = 0.0
-    for v in sums.ravel().tolist():
+    for v in sums.tolist():
         total += v
     return total * h * h / m**n
 
@@ -212,6 +240,7 @@ def mc_values(values, h, ys, periodic, out):
         return out
     i0, i1, j0, j1 = box
     base = values[i0:i1, j0:j1]
+    windows = _window_view(values, periodic, box)
     last = (1 << n) - 1
     step = _stack_len(box)
     for lo in range(0, ns, step):
@@ -224,7 +253,7 @@ def mc_values(values, h, ys, periodic, out):
                 if (r >> k) & 1:
                     d1 = d1 + ys[batch, k, 0]
                     d2 = d2 + ys[batch, k, 1]
-            prod = prod * _shift_stack(values, h, d1, d2, periodic, box)
+            prod = prod * _shift_stack(values, h, d1, d2, periodic, box, windows)
             if r < last and not prod.any():
                 break
         out[batch] = prod.reshape(prod.shape[0], -1).sum(axis=1) * h * h

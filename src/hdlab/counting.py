@@ -127,7 +127,9 @@ def _angles(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exact_cost(params: CountingParams, n_nodes: int) -> int:
-    return params.quadrature_nodes**params.n * n_nodes**2 * (1 << params.n)
+    # sharp_sum evaluates one angle tuple per multiset of slot angles
+    tuples = math.comb(params.quadrature_nodes + params.n - 1, params.n)
+    return tuples * n_nodes**2 * (1 << params.n)
 
 
 def _require_budget(cost: int, params: CountingParams, what: str):

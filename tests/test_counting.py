@@ -250,16 +250,46 @@ def test_sharp_n1_matches_splatted_autocorrelation(disk_r4):
 
 
 def test_sharp_sum_memory_is_bounded_by_stack_chunks():
-    # (256, 129, 129) float64 stacks would take 34 MB each
-    values = seeded_rng(8).random((128, 128)) + 0.5
-    th = 2.0 * np.pi * np.arange(256) / 256
-    tracemalloc.start()
-    try:
-        _kernels.sharp_sum(values, 1 / 128, 0.3, np.cos(th), np.sin(th), 1, False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64e6
+    # unchunked, n = 1 on 128 x 128 nodes with M = 256 peaks near 100 MB
+    # ((256, 129, 129) float64 stacks take 34 MB each), and n = 2 on
+    # 224 x 224 nodes with M = 40 near 84 MB; chunked, both stay under 25 MB
+    for nodes, m, n in ((128, 256, 1), (224, 40, 2)):
+        values = seeded_rng(8).random((nodes, nodes)) + 0.5
+        th = 2.0 * np.pi * np.arange(m) / m
+        tracemalloc.start()
+        try:
+            _kernels.sharp_sum(values, 1 / nodes, 0.3, np.cos(th), np.sin(th), n, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, (n, peak)
+
+
+@pytest.mark.parametrize("stack_elements", [1, 200])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sharp_sum_evaluates_each_angle_multiset_once(n, stack_elements):
+    # a positive periodic grid never ends a product early, so the stacked
+    # (slot-0) shifts are r = 1 once per angle and the 2^(n-1) - 1 other
+    # slot-0 vertices once per evaluated tuple: C(M + n - 1, n) of them,
+    # not the M^n ordered tuples
+    m, nodes = 7, 6
+    values = seeded_rng(9).random((nodes, nodes)) + 0.5
+    th = 2.0 * np.pi * np.arange(m) / m
+    stacked = []
+    shift_stack = _kernels._shift_stack
+
+    def counted(*args):
+        dy1 = args[2]
+        if np.ndim(dy1):
+            stacked.append(len(dy1))
+        return shift_stack(*args)
+
+    with mock.patch.object(_kernels, "STACK_ELEMENTS", stack_elements), \
+            mock.patch.object(_kernels, "_shift_stack", counted):
+        got = _kernels.sharp_sum(values, 1 / nodes, 0.3, np.cos(th), np.sin(th), n, True)
+    assert sum(stacked) == m + (2 ** (n - 1) - 1) * math.comb(m + n - 1, n)
+    ref = sharp_sum_loop(values, 1 / nodes, 0.3, np.cos(th), np.sin(th), n, True)
+    assert abs(got - ref) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("eps,value", [(0.5, "-1.715e-03"), (0.25, "-4.798e-03")])
@@ -279,6 +309,20 @@ def test_sharp_budget_rejection():
     params = CountingParams(n=3, lam=0.1, quadrature_nodes=256, budget=10**6)
     with pytest.raises(ValueError, match="budget"):
         counting_sharp(g, params)
+
+
+def test_sharp_budget_counts_unordered_tuples():
+    # n = 2, M = 16 on 8 x 8 nodes: the C(17, 2) = 136 evaluated tuples cost
+    # 136 * 64 * 4 = 34 816, under a budget that the 16^2 = 256 ordered
+    # tuples (65 536) would exceed
+    g = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.4}], 1.0, 1 / 8)
+    params = CountingParams(n=2, lam=0.25, quadrature_nodes=16, budget=50_000)
+    value = counting_sharp(g, params).value
+    th = 2.0 * np.pi * np.arange(16) / 16
+    ref = sharp_sum_loop(g.values, g.step, 0.25, np.cos(th), np.sin(th), 2, False)
+    assert value > 0 and abs(value - ref) <= 1e-12 * ref
+    with pytest.raises(ValueError, match="needs ~3.48e"):
+        counting_sharp(g, CountingParams(n=2, lam=0.25, quadrature_nodes=16, budget=34_815))
 
 
 def test_sharp_monotone_in_f(disk_r4):

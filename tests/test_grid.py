@@ -81,7 +81,9 @@ def test_shift_grid_matches_bilinear_read_at_any_shift(boundary):
     scale = np.abs(g.values).max()
     # the stacked helper takes every shift at once, each slice bit for bit
     d1s, d2s = np.array(shifts).T
-    stack = _kernels._shift_stack(g.values, h, d1s, d2s, g.periodic, (0, n, 0, n))
+    box = (0, n, 0, n)
+    windows = _kernels._window_view(g.values, g.periodic, box)
+    stack = _kernels._shift_stack(g.values, h, d1s, d2s, g.periodic, box, windows)
     for (d1, d2), sliced in zip(shifts, stack):
         whole = _kernels.shift_grid(g.values, h, d1, d2, g.periodic)
         pointwise = _kernels.read_bilinear(g.values, h, x1 + d1, x2 + d2, g.periodic)
