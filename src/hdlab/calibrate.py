@@ -3,7 +3,8 @@
 Each constant is the extremal value of a seeded deterministic sweep, padded
 by a safety factor, stored with the settings that produced it.  Re-running
 the sweeps with the same settings must stay on the safe side of the frozen
-values; that is what the regression suite asserts.
+values (``off_safe_side``).  The test suite asserts that for the six cheap
+sweeps; the CI workflow re-runs all eight through ``hdlab calibrate``.
 """
 
 from __future__ import annotations
@@ -167,15 +168,33 @@ def calibrate_depth_coefficient():
     }
 
 
+# each constant with its sweep and the side of the frozen value a re-run
+# must stay on: a lower bound (padded down) may only be observed at or
+# above its value, an upper bound (padded up) at or below it
+SWEEPS = {
+    "c_ball": (calibrate_ball_floor, "lower"),
+    "C_decay": (calibrate_decay, "upper"),
+    "C_domination": (calibrate_domination, "upper"),
+    "c_gcs": (calibrate_gcs, "lower"),
+    "c_str": (calibrate_structured, "lower"),
+    "C_err": (calibrate_error, "upper"),
+    "C_uni": (calibrate_uniform, "upper"),
+    "J_coeff": (calibrate_depth_coefficient, "upper"),
+}
+
+
 def run_calibration() -> ConstantsFile:
-    entries = {
-        "c_ball": calibrate_ball_floor(),
-        "C_decay": calibrate_decay(),
-        "C_domination": calibrate_domination(),
-        "c_gcs": calibrate_gcs(),
-        "c_str": calibrate_structured(),
-        "C_err": calibrate_error(),
-        "C_uni": calibrate_uniform(),
-        "J_coeff": calibrate_depth_coefficient(),
-    }
-    return ConstantsFile(VERSION, entries)
+    return ConstantsFile(VERSION, {name: sweep() for name, (sweep, _) in SWEEPS.items()})
+
+
+def off_safe_side(entries: dict, frozen: ConstantsFile) -> list[str]:
+    """One message per re-run entry whose observed value crosses the frozen
+    value of its constant; empty when all stay on the safe side."""
+    out = []
+    for name, entry in entries.items():
+        observed, value = float(entry["settings"]["observed"]), frozen.value(name)
+        side = SWEEPS[name][1]
+        if not (observed >= value if side == "lower" else observed <= value):
+            out.append(f"{name}: observed {observed!r} is not on the safe ({side} bound) "
+                       f"side of the frozen {value!r}")
+    return out

@@ -320,7 +320,8 @@ def counting_smooth(f: PlanarGrid, params: CountingParams) -> CountingReport:
         _require_budget(cost, params, "counting_smooth")
         value = _spectral_values(f, _ghat, a, params, ring_pad(f, params.lam))
     else:
-        nd = 2 * f.node_count - 1
+        # the offset table holds the offsets within the support extent
+        nd = 2 * max(spectral.support_extent(f.values), 1) - 1
         cost = nd * nd * (4 * f.node_count) ** 2 // 4
         _require_budget(cost, params, "counting_smooth")
         if f.periodic:

@@ -133,24 +133,26 @@ class OffsetTable:
     """Binned power spectra of the offset products of one grid.
 
     Offsets d = (offsets[a], offsets[b]) have the flat index k = a nd + b,
-    nd = len(offsets).  Since m_-d is m_d translated by -d, P[-d] = P[d],
-    and -d has the mirror index nd^2 - 1 - k.  Only the rows up to the
-    middle one (d = 0, k = (nd^2 - 1) / 2) are stored.
+    nd = len(offsets).  The offsets run over -(e-1) .. e-1 for a support
+    extent of e nodes: beyond, m_d = f . f(. + d) vanishes.  Since m_-d is
+    m_d translated by -d, P[-d] = P[d], and -d has the mirror index
+    nd^2 - 1 - k.  Only the rows up to the middle one (d = 0,
+    k = (nd^2 - 1) / 2) are stored.
     """
 
     step: float
-    node_count: int
     torus_side: float          # padded side R2
-    offsets: np.ndarray        # 1-d offsets in nodes, -(N-1) .. N-1
+    offsets: np.ndarray        # 1-d offsets in nodes, -(e-1) .. e-1
     xi_bar: np.ndarray         # per-bin centroid of |xi|
-    power: np.ndarray          # ((nd*nd + 1) / 2, nbins) float32, zero mode excluded
+    power: np.ndarray          # ((nd*nd + 1) / 2, nbins) float32, nd = 2e - 1, zero mode excluded
     zero_mode: np.ndarray      # ((nd*nd + 1) / 2,) |FFT(m_d)(0)|^2
 
 
 def build_offset_table(values: np.ndarray, step: float, pad: int | None = None,
                        nbins: int = 2048) -> OffsetTable:
-    """One rfft2 per stored lattice offset: (nd^2 + 1) / 2 transforms of the
-    padded grid, nd = 2N - 1 (the other half are mirror images).
+    """One rfft2 per stored non-empty lattice offset: at most (nd^2 + 1) / 2
+    transforms of the padded grid, nd = 2e - 1 for a support extent of e
+    nodes (the other half are mirror images).
 
     Padding keeps the frequency lattice fine enough to resolve the spectrum
     of the support (factor 4 for sets as large as the window itself).
@@ -167,7 +169,8 @@ def build_offset_table(values: np.ndarray, step: float, pad: int | None = None,
     cnt = np.bincount(binidx, weights=wmult, minlength=nbins)
     xi_bar = np.bincount(binidx, weights=(xi * mult).ravel(), minlength=nbins)
     xi_bar = np.where(cnt > 0, xi_bar / np.maximum(cnt, 1e-300), 0.0)
-    offs = np.arange(-(n - 1), n)
+    e = max(support_extent(values), 1)
+    offs = np.arange(-(e - 1), e)
     nd = len(offs)
     rows = (nd * nd + 1) // 2
     power = np.zeros((rows, nbins), dtype=np.float32)
@@ -191,7 +194,7 @@ def build_offset_table(values: np.ndarray, step: float, pad: int | None = None,
         pm *= wmult
         pm[0] = 0.0
         power[k] = np.bincount(binidx, weights=pm, minlength=nbins)
-    return OffsetTable(step, n, r2, offs, xi_bar, power, zero)
+    return OffsetTable(step, r2, offs, xi_bar, power, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +218,20 @@ def ring_tents(tab: OffsetTable, lam: float, scales, angles: int,
         """Profiles at the cos and at the sin offsets; for 4 | angles,
         sin theta_j = cos theta_(j - angles/4), so the second are the first
         a quarter turn on."""
-        p = fn(ux, s, tab.step)
+        p = half_turn(fn, ux)
         if angles % 4:
-            return p, fn(x[None, :] - lam * np.sin(th)[:, None], s, tab.step)
+            return p, half_turn(fn, x[None, :] - lam * np.sin(th)[:, None])
         return p, np.roll(p, angles // 4, axis=1)
+
+    def half_turn(fn, u):
+        """fn on the rows of u; for even angles, theta_(j + angles/2) is
+        theta_j + pi, which flips the sign of the ring shift.  The offsets
+        are symmetric and fn is even, so those rows are the first half
+        reversed along the offset axis."""
+        if angles % 2:
+            return fn(u, s, tab.step)
+        p = fn(u[:angles // 2], s, tab.step)
+        return np.concatenate([p, p[..., ::-1]], axis=1)
 
     gx, gy = profiles(gauss_tent)
     if not deriv:

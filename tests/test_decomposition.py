@@ -208,17 +208,39 @@ def offset_table_ref(values, step, pad, nbins=2048):
     return power, zero
 
 
+def sub_box_mask(rng, nodes, density, box, corner):
+    """A random 0/1 mask whose support lies in a box of side ``box`` (at
+    most the window), placed at ``corner`` modulo the free room."""
+    box = min(box, nodes)
+    i0, j0 = (c % (nodes - box + 1) for c in corner)
+    values = np.zeros((nodes, nodes))
+    values[i0:i0 + box, j0:j0 + box] = rng.random((box, box)) < density
+    return values
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(nodes=st.integers(2, 9), density=st.floats(0.05, 1.0), pad=st.integers(1, 3),
+       box=st.integers(1, 9), corner=st.tuples(st.integers(0, 8), st.integers(0, 8)),
        seed=st.integers(0, 2**32 - 1))
-def test_half_offset_table_matches_full_table(nodes, density, pad, seed):
-    values = (seeded_rng(seed).random((nodes, nodes)) < density).astype(float)
+def test_half_offset_table_matches_full_table(nodes, density, pad, box, corner, seed):
+    # a box below the window side puts the support in a sub-box, so the
+    # crop to the support extent drops offsets
+    values = sub_box_mask(seeded_rng(seed), nodes, density, box, corner)
     step = 1.0 / nodes
     tab = spectral.build_offset_table(values, step, pad)
     power, zero = offset_table_ref(values, step, pad)
-    nd = 2 * nodes - 1
+    e = max(spectral.support_extent(values), 1)
+    nd = 2 * e - 1
+    assert np.array_equal(tab.offsets, np.arange(-(e - 1), e))
     assert tab.power.shape == ((nd * nd + 1) // 2, 2048)
-    # the stored rows are the first half of the full table, bit for bit ...
+    # every window offset beyond the support extent has an empty product ...
+    window = np.arange(-(nodes - 1), nodes)
+    inside = np.abs(window) < e
+    kept = (inside[:, None] & inside[None, :]).ravel()
+    assert not power[~kept].any() and not zero[~kept].any()
+    # ... the stored rows are the first half of the cropped rows of the
+    # full table, bit for bit ...
+    power, zero = power[kept], zero[kept]
     assert np.array_equal(tab.power, power[:len(tab.power)])
     assert np.array_equal(tab.zero_mode, zero[:len(tab.power)])
     # ... and the rows of -d are those of d up to round-off, the transform
@@ -443,6 +465,72 @@ def test_counting_smooth_matches_single_node_reference(n, boundary, nodes, densi
     # clamped reference
     tol = 1e-12 * abs(want) if n == 1 else 1e-6 * magnitude
     assert abs(got - max(want, 0.0)) <= tol, (got, want)
+
+
+def full_window_table(f, pad):
+    """The offset table over every window offset -(N-1) .. N-1, packed from
+    ``offset_table_ref`` with the lattice of ``build_offset_table``."""
+    tab = spectral.build_offset_table(f.values, f.step, pad)
+    power, zero = offset_table_ref(f.values, f.step, pad)
+    half = (len(power) + 1) // 2
+    return spectral.OffsetTable(tab.step, tab.torus_side, np.arange(-(f.node_count - 1), f.node_count),
+                                tab.xi_bar, power[:half], zero[:half])
+
+
+@pytest.mark.parametrize("form,m", [("smooth", 0), ("L", 1), ("L", 2), ("theta", 1), ("theta", 2)])
+def test_cropped_table_matches_full_window_table(form, m):
+    # a compact set inside a larger window: the forms on the table cropped
+    # to the support extent against the same forms on the full-window table
+    values = sub_box_mask(seeded_rng(11), 24, 0.6, 7, (5, 12))
+    cropped = PlanarGrid(1.0, 1.0 / 24, values)
+    full = PlanarGrid(1.0, 1.0 / 24, values)
+    lam = 3.5 * full.step
+    params = CountingParams(n=2, lam=lam, eps=0.5, quadrature_nodes=16)
+    pad = spectral.auto_pad(values) if form == "theta" else ring_pad(full, lam)
+    counting._grid_memo(full, "_offset_tables")[pad] = full_window_table(full, pad)
+    assert len(_offset_table(cropped, pad).offsets) < len(_offset_table(full, pad).offsets)
+    if form == "smooth":
+        got, want = (counting_smooth(g, params).value for g in (cropped, full))
+        magnitude = smooth_ref(full, params)[1]
+    elif form == "L":
+        got, want = (L_form(g, lam, 0.25, 1.0, m, 2, tnodes=6, quadrature_nodes=16).value
+                     for g in (cropped, full))
+        magnitude = l_form_loop(full, lam, 0.25, 1.0, m, 2, params, 12)[1]
+    else:
+        gammas = (1.0, math.sqrt(2.0))
+        got, want = (theta_form(g, gammas, m, nodes=8).value for g in (cropped, full))
+        magnitude = theta_loop(full, gammas, m, 1e-3 * full.step, 1e3 * full.side, 16)[1]
+    # the tolerance of test_batched_forms_match_node_loops' normalisation:
+    # only the rows of empty products are gone from the float32 product
+    assert abs(got - want) <= 1e-9 * magnitude, (got, want, magnitude)
+
+
+def test_empty_support_gives_zero_two_slot_forms():
+    # an all-zero grid has support extent 0; its table keeps the one offset 0
+    f = PlanarGrid(1.0, 1.0 / 16, np.zeros((16, 16)))
+    assert np.array_equal(_offset_table(f).offsets, [0])
+    params = CountingParams(n=2, lam=0.25, eps=0.5, quadrature_nodes=16)
+    assert counting_smooth(f, params).value == 0.0
+    for m in (1, 2):
+        assert L_form(f, 0.25, 0.25, 1.0, m, 2, tnodes=4, quadrature_nodes=16).value == 0.0
+        assert theta_form(f, (1.0, math.sqrt(2.0)), m, nodes=8).value == 0.0
+
+
+def test_two_slot_budget_counts_the_cropped_offsets():
+    # a compact set in a large window: the estimate over the support's
+    # offsets, nd = 2e - 1, fits a budget that 2N - 1 window offsets did not
+    f = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 6 / 32}], 4.0, 1 / 32)
+    nodes, e = f.node_count, spectral.support_extent(f.values)
+    window_cost = (2 * nodes - 1) ** 2 * (4 * nodes) ** 2 // 4
+    support_cost = (2 * e - 1) ** 2 * (4 * nodes) ** 2 // 4
+    budget = int(math.sqrt(window_cost * support_cost))
+    assert support_cost < budget < window_cost
+    params = CountingParams(n=2, lam=0.1, eps=0.5, quadrature_nodes=16, budget=budget)
+    assert counting_smooth(f, params).value > 0
+    # the same budget still rejects a set that fills the window
+    full = make_indicator([{"type": "rect", "x0": 0, "y0": 0, "x1": 4, "y1": 4}], 4.0, 1 / 32)
+    with pytest.raises(ValueError, match="budget"):
+        counting_smooth(full, params)
 
 
 def test_ball_tents_are_the_radius_zero_ring():
