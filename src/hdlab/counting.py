@@ -8,9 +8,10 @@ spectral engine (smooth); the Monte Carlo estimator samples the smoothing
 measure per slot while keeping the x-sum exact, with a counter-based
 generator so results are a pure function of the seed.
 
-The smoothed form is the T = 1 call of ``_spectral_values``, the one
+The smoothed form is the T = 1, slot-0 call of ``_form_values``, the one
 pairing of a spectrum with sigma-hat times a kernel, which also gives the
-derivative and box forms of ``decomposition`` at T outer scales.
+derivative and box forms of ``decomposition`` at T outer scales with the
+Laplacian in slot 1 or 2.
 """
 
 from __future__ import annotations
@@ -210,6 +211,8 @@ def ring_pad(f: PlanarGrid, lam: float) -> int:
 
     The torus must resolve the support spectrum (four extents) and hold
     the smoothed ring plus the correlation support without wrap-around.
+    The box forms smooth with plain Gaussians, the ring of radius 0, so
+    ``lam = 0`` gives their torus.
     """
     if f.periodic:
         return 1
@@ -228,32 +231,43 @@ def _ghat(a, u: np.ndarray) -> np.ndarray:
     return np.exp(-np.pi * au * au)
 
 
-def _spectral_values(f: PlanarGrid, kernel, scales, params: CountingParams | None = None,
-                     pad: int | None = None, tab: spectral.OffsetTable | None = None,
-                     tents=None, angles: int = 0) -> np.ndarray:
-    """A spectrum paired with sigma-hat times ``kernel(a, |xi|)`` at T scales a.
+def _form_values(f: PlanarGrid, tab: spectral.OffsetTable | None, m: int, lam: float, scales,
+                 tent_scales=None, params: CountingParams | None = None) -> np.ndarray:
+    """A spectrum paired with sigma-hat times a kernel at T scales, Laplacian in slot m.
 
-    Sigma-hat (the circle transform of ``params``, 1 when None) is tabulated
-    once, up to where g-hat at the smallest scale falls below 1e-17, and the
-    kernel multiplies it after the lookup.  Without ``tab`` the pairing is
-    with |F|^2 on the lattice of ``f`` padded by ``pad``; with an offset
-    table it is with the table and ``tents(sl)``, the (offsets^2, T) tent
-    weights of the scale nodes in the slice sl on rings of ``angles`` nodes.
-    Nodes go in chunks whose blocks of ``column`` elements per node stay
-    within ``_kernels.STACK_ELEMENTS``.
+    m = 0 pairs g-hat, m = 1 pairs -k-hat and m = 2 pairs g-hat with the
+    tent weights -2 pi s dc/ds at ``tent_scales`` s (default ``scales``).
+    Without ``tab`` the pairing is with |F|^2 on the torus of
+    ``ring_pad(f, lam)``; with an offset table it is with the table and
+    the tent weights.  ``params`` gives the circle of radius ``lam``
+    (sigma-hat, tents on rings of ``_ring_angles`` nodes); None means plain
+    Gaussians: sigma-hat 1 and the one-node rings of ``ball_tents``.
+    Sigma-hat is tabulated once, up to where g-hat at the smallest scale
+    falls below 1e-17.  Nodes go in chunks whose blocks of ``column``
+    elements per node stay within ``_kernels.STACK_ELEMENTS``.
     """
+    scales = np.asarray(scales, dtype=np.float64)
+    tent_scales = scales if tent_scales is None else tent_scales
+    kernel = _neg_khat if m == 1 else _ghat
     if tab is None:
-        power, lattice, mult, r2 = spectral.pair_spectrum(f.values, f.step, pad)
+        power, lattice, mult, r2 = spectral.pair_spectrum(f.values, f.step, ring_pad(f, lam))
         column = lattice.size
     else:
         lattice, r2 = tab.xi_bar, tab.torus_side
         nd = len(tab.offsets)
+        angles = 1 if params is None else _ring_angles(params, f.step)
         column = max(lattice.size, nd * nd, (nd + 2) * angles)
     cells = spectral.cell_radii(r2)
     sig_lattice = sig_cells = 1.0
     if params is not None:
         u_cut = min(float(lattice.max()) * (1 + 1e-9), 3.6 / float(scales.min()))
         sig_lattice, sig_cells = _sigma_weight_table(f, params, u_cut, lattice, r2)
+
+    def tents(sl):
+        s, deriv = tent_scales[sl], m == 2
+        c = (spectral.ball_tents(tab, s, deriv) if params is None
+             else spectral.ring_tents(tab, lam, s, angles, deriv))
+        return -2.0 * math.pi * s * c if deriv else c
 
     def values(sl):
         weights = sig_lattice * kernel(scales[sl].reshape((-1,) + (1,) * lattice.ndim), lattice)
@@ -268,9 +282,9 @@ def _spectral_values(f: PlanarGrid, kernel, scales, params: CountingParams | Non
     return np.concatenate([values(slice(i, i + size)) for i in range(0, len(scales), size)])
 
 
-def _offset_table(f: PlanarGrid, pad: int | None = None) -> spectral.OffsetTable:
-    if pad is None:
-        pad = spectral.auto_pad(f.values)
+def _offset_table(f: PlanarGrid, pad: int) -> spectral.OffsetTable:
+    if f.periodic:
+        raise ValueError("the exact two-slot path needs a zero-extended grid")
     cache = _grid_memo(f, "_offset_tables")
     if pad not in cache:
         cache[pad] = spectral.build_offset_table(f.values, f.step, pad)
@@ -314,23 +328,15 @@ def counting_smooth(f: PlanarGrid, params: CountingParams) -> CountingReport:
         raise ValueError(
             "counting_smooth: the exact path supports n <= 2; use the monte_carlo estimator for n = 3"
         )
-    a = np.array([params.eps * params.lam])
     if params.n == 1:
         cost = f.node_count**2 * 8
-        _require_budget(cost, params, "counting_smooth")
-        value = _spectral_values(f, _ghat, a, params, ring_pad(f, params.lam))
     else:
         # the offset table holds the offsets within the support extent
         nd = 2 * max(spectral.support_extent(f.values), 1) - 1
         cost = nd * nd * (4 * f.node_count) ** 2 // 4
-        _require_budget(cost, params, "counting_smooth")
-        if f.periodic:
-            raise ValueError("the exact two-slot path needs a zero-extended grid")
-        tab = _offset_table(f, ring_pad(f, params.lam))
-        angles = _ring_angles(params, f.step)
-        value = _spectral_values(
-            f, _ghat, a, params, tab=tab, angles=angles,
-            tents=lambda sl: spectral.ring_tents(tab, params.lam, a[sl], angles))
+    _require_budget(cost, params, "counting_smooth")
+    tab = _offset_table(f, ring_pad(f, params.lam)) if params.n == 2 else None
+    value = _form_values(f, tab, 0, params.lam, [params.eps * params.lam], params=params)
     return CountingReport(_clamped(float(value[0]), f, params), 0.0, params)
 
 

@@ -12,8 +12,10 @@ the calibration sweeps that freeze the empirical constants.
 Derivative forms come in matched pairs per slot (see ``spectral``): summed
 over slots they telescope the smoothed form exactly up to the outer scale
 quadrature, which is log-spaced and accepted only when one refinement
-moves the result by less than a set fraction.  The integrands come from
-the spectral evaluator in ``counting``; this module picks their slots.
+moves the result by less than a set fraction.  Each integrand is one call
+of ``counting._form_values`` with the Laplacian slot m: the derivative
+forms on the circle of radius lam, the box forms on plain Gaussians (the
+ring of radius 0).
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spectral
-from .counting import (CountingParams, _ghat, _neg_khat, _offset_table,
-                       _ring_angles, _spectral_values, counting_sharp,
+from .counting import (CountingParams, _form_values, _offset_table, counting_sharp,
                        counting_smooth, ring_pad)
 from .grid import PlanarGrid, measure
 
@@ -136,17 +136,6 @@ def _outer_sums(integrand, lo, hi, nodes) -> tuple[float, float]:
     return float(wc @ v[:nodes]), float(wf @ v[nodes:])
 
 
-def _laplacian_slot(m: int, tents, scales):
-    """Spectral kernel and slice -> tent weights, Laplacian in slot m.
-
-    m = 1 pairs -khat with the plain tents ``tents(s, False)``; m = 2 pairs
-    g-hat with the Laplacian-side weights -2 pi s dc/ds.
-    """
-    if m == 1:
-        return _neg_khat, lambda sl: tents(scales[sl], False)
-    return _ghat, lambda sl: -2.0 * math.pi * scales[sl] * tents(scales[sl], True)
-
-
 def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
            tnodes: int = 64, quadrature_nodes: int = 256,
            flag_tolerance: float = 0.01) -> QuadratureValue:
@@ -165,19 +154,10 @@ def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
     if n > 2:
         raise ValueError("the exact derivative form supports n <= 2")
     params = CountingParams(n=n, lam=lam, eps=1.0, quadrature_nodes=quadrature_nodes)
-    pad = ring_pad(f, lam)
-    angles = _ring_angles(params, f.step)
-    tab = _offset_table(f, pad) if n == 2 else None
-
-    def integrand(ts):
-        a = ts * lam
-        if n == 1:
-            return _spectral_values(f, _neg_khat, a, params, pad)
-        kernel, tents = _laplacian_slot(
-            m, lambda s, deriv: spectral.ring_tents(tab, lam, s, angles, deriv), a)
-        return _spectral_values(f, kernel, a, params, tab=tab, tents=tents, angles=angles)
-
-    coarse, fine = (v / (2.0 * math.pi) for v in _outer_sums(integrand, alpha, beta, tnodes))
+    tab = _offset_table(f, ring_pad(f, lam)) if n == 2 else None
+    sums = _outer_sums(lambda ts: _form_values(f, tab, m, lam, ts * lam, params=params),
+                       alpha, beta, tnodes)
+    coarse, fine = (v / (2.0 * math.pi) for v in sums)
     scale = max(abs(fine), 1e-300)
     return QuadratureValue(fine, coarse, abs(fine - coarse) <= flag_tolerance * scale)
 
@@ -213,17 +193,9 @@ def theta_form(f: PlanarGrid, gammas, m: int, s_window=None, nodes: int = 128,
     if smin > 1e-2 * f.step or smax < 1e2 * f.side:
         raise ValueError("s-window must cover [1e-2 step, 1e2 side]")
 
-    tab = _offset_table(f) if n == 2 else None
-
-    def integrand(ss):
-        a1 = ss * gammas[0]
-        if n == 1:
-            return _spectral_values(f, _neg_khat, a1)
-        kernel, tents = _laplacian_slot(
-            m, lambda s, deriv: spectral.ball_tents(tab, s, deriv), ss * gammas[1])
-        return _spectral_values(f, kernel, a1, tab=tab, tents=tents)
-
-    coarse, fine = _outer_sums(integrand, smin, smax, nodes)
+    tab = _offset_table(f, ring_pad(f, 0.0)) if n == 2 else None
+    coarse, fine = _outer_sums(
+        lambda ss: _form_values(f, tab, m, 0.0, ss * gammas[0], ss * gammas[-1]), smin, smax, nodes)
     scale = 2.0 * math.pi * lp_pow_sum(f, 2.0**n)
     if fine < -1e-6 * scale:
         raise ArithmeticError(

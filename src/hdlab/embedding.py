@@ -34,14 +34,12 @@ from .grid import PlanarGrid, measure as grid_measure
 
 @dataclass(frozen=True)
 class PlanarSet:
-    """A search domain: a shape union, a bitmap, or 1-d intervals."""
+    """A search domain: a shape union or a bitmap."""
 
-    kind: str                      # "shapes" | "bitmap" | "intervals"
+    kind: str                      # "shapes" | "bitmap"
     side: float
     shapes: tuple = ()
     bitmap: PlanarGrid | None = None
-    intervals: tuple = ()
-    dimension: int = 2
 
     @classmethod
     def from_shapes(cls, shapes, side: float) -> "PlanarSet":
@@ -50,11 +48,6 @@ class PlanarSet:
     @classmethod
     def from_bitmap(cls, grid: PlanarGrid) -> "PlanarSet":
         return cls("bitmap", grid.side, bitmap=grid)
-
-    @classmethod
-    def from_intervals(cls, intervals, length: float) -> "PlanarSet":
-        ivs = tuple((Fraction(a), Fraction(b)) for a, b in intervals)
-        return cls("intervals", float(length), intervals=ivs, dimension=1)
 
     def membership(self, p1, p2) -> np.ndarray:
         """Vectorised membership test at points (p1, p2)."""
@@ -83,7 +76,7 @@ class PlanarSet:
                 else:
                     raise ValueError(f"unknown shape type {t!r}")
             return inside & hit
-        raise ValueError("membership scan is only defined for planar sets")
+        raise ValueError(f"unknown set kind {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +183,6 @@ def find_copy(A: PlanarSet, lengths, search: SearchSpec) -> ScanOutcome:
     covered, all counted as logical cursors, not membership tests, so a
     budgeted scan resumed piece by piece ends where one call does.
     """
-    if A.dimension != 2:
-        raise ValueError("the scan needs a planar set")
     lengths = tuple(float(a) for a in lengths)
     if not lengths:
         raise ValueError("lengths must name at least one edge length")

@@ -7,7 +7,7 @@ first index along the x1 axis.  Grids are immutable after construction.
 The discrete convolution of two grids is the plain scaled double sum
 ``c[m] = h^2 sum_k a[k] b[m - k]``; sample ``m`` of the result therefore
 approximates the continuous convolution at position ``(m + 1) h`` per axis,
-half a cell past the node centre.  ``conv_coords`` returns those positions.
+half a cell past the node centre.
 """
 
 from __future__ import annotations
@@ -219,11 +219,6 @@ def convolve(a: PlanarGrid, b: PlanarGrid) -> PlanarGrid:
         fb = np.fft.rfft2(b.values, s=(m, m))
         conv = np.fft.irfft2(fa * fb, s=(m, m))[:n, :n]
     return a.with_values(conv * a.step * a.step)
-
-
-def conv_coords(g: PlanarGrid) -> np.ndarray:
-    """Positions represented by convolution output samples along one axis."""
-    return (np.arange(g.node_count) + 1.0) * g.step
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ carrying the Laplacian kernel is either the spectral slot (weight
 the scale derivative of one functional, so telescoping sums built from a
 matched pair are exact up to the outer quadrature.
 
-``counting._spectral_values`` pairs these ingredients.  Every
+``counting._form_values`` pairs these ingredients.  Every
 function here takes a batch of T outer scale nodes on its last (tent and
 bin weights) or first (lattice weights) axis and returns T values: one
 matrix product ``P @ W`` reads the offset table once per batch instead of
@@ -99,19 +99,6 @@ def support_extent(values: np.ndarray) -> int:
     return max(i1 - i0, j1 - j0)
 
 
-def auto_pad(values: np.ndarray, max_pad: int = 4) -> int:
-    """Padding factor adapted to the support extent.
-
-    The padded torus must be at least four support extents wide: twice to
-    keep correlations wrap-free, twice more so the frequency lattice
-    resolves the spectrum of the support.
-    """
-    extent = support_extent(values)
-    if extent == 0:
-        return 1
-    return int(min(max_pad, max(1, math.ceil(4.0 * extent / values.shape[0]))))
-
-
 def frequency_lattice(n2: int, r2: float) -> tuple[np.ndarray, np.ndarray]:
     """|xi| on the rfft2 half-lattice of an n2-node torus of side r2.
 
@@ -148,18 +135,17 @@ class OffsetTable:
     zero_mode: np.ndarray      # ((nd*nd + 1) / 2,) |FFT(m_d)(0)|^2
 
 
-def build_offset_table(values: np.ndarray, step: float, pad: int | None = None,
+def build_offset_table(values: np.ndarray, step: float, pad: int,
                        nbins: int = 2048) -> OffsetTable:
     """One rfft2 per stored non-empty lattice offset: at most (nd^2 + 1) / 2
     transforms of the padded grid, nd = 2e - 1 for a support extent of e
     nodes (the other half are mirror images).
 
-    Padding keeps the frequency lattice fine enough to resolve the spectrum
-    of the support (factor 4 for sets as large as the window itself).
+    The grid is zero-extended to ``pad`` times its side; ``counting.ring_pad``
+    picks the factor that resolves the spectrum of the support and keeps
+    the smoothed correlations free of wrap-around.
     """
     n = values.shape[0]
-    if pad is None:
-        pad = auto_pad(values)
     n2 = pad * n
     r2 = n2 * step
     xi, mult = frequency_lattice(n2, r2)
@@ -272,14 +258,12 @@ def assemble(tab: OffsetTable, tent_weights: np.ndarray, bin_weights: np.ndarray
     return np.einsum("dt,dt->t", folded, vals) / tab.torus_side**2
 
 
-def pair_spectrum(values: np.ndarray, step: float, pad: int | None = None):
+def pair_spectrum(values: np.ndarray, step: float, pad: int):
     """|FFT(f)|^2 on the padded torus with the padded |xi| lattice.
 
     Used by single-slot forms, which need no offset table.
     """
     n = values.shape[0]
-    if pad is None:
-        pad = auto_pad(values)
     n2 = pad * n
     r2 = n2 * step
     buf = np.zeros((n2, n2))
@@ -301,8 +285,8 @@ def pair_value(power, mult, r2, weights, zero_weights) -> np.ndarray:
     return total / r2**2
 
 
-def cell_radii(r2: float, sub: int = _CELL_SUB) -> np.ndarray:
+def cell_radii(r2: float) -> np.ndarray:
     """Sub-sampled radii of the zero-frequency cell of a torus of side r2."""
-    q = ((np.arange(sub) + 0.5) / sub - 0.5) / r2
+    q = ((np.arange(_CELL_SUB) + 0.5) / _CELL_SUB - 0.5) / r2
     qx, qy = np.meshgrid(q, q, indexing="ij")
     return np.sqrt(qx * qx + qy * qy).ravel()

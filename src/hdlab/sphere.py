@@ -153,14 +153,15 @@ def lower_bound_constant(node_count: int = DEFAULT_NODES, radial_steps: int = 80
 # s tied to the scale band [theta t lam, e theta t lam], theta = 1/(10 e)
 
 THETA = 0.1 / math.e
+_GAMMA_MAX = 2e5  # upper end of the gamma integral
 
 
-def domination_integral(x, s: float, gamma_max: float = 2e5, nodes: int = 385) -> np.ndarray:
+def domination_integral(x, s: float, nodes: int = 385) -> np.ndarray:
     """Log-spaced Simpson quadrature of the dominating scale integral."""
     x = np.asarray(x, dtype=np.float64)
     if nodes % 2 == 0:
         nodes += 1
-    u = np.linspace(0.0, math.log(gamma_max), nodes)
+    u = np.linspace(0.0, math.log(_GAMMA_MAX), nodes)
     du = u[1] - u[0]
     w = np.full(nodes, 2.0)
     w[1::2] = 4.0

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hdlab import load_constants, make_indicator
 from hdlab.calibrate import random_mask
+
+# one profile for every property test: examples drawn from the test's source
+# (repeatable across runs and machines), no example database, no deadline;
+# a test sets only its example count
+settings.register_profile("hdlab", deadline=None, derandomize=True, database=None)
+settings.load_profile("hdlab")
 
 
 def seeded_rng(seed: int) -> np.random.Generator:

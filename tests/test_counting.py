@@ -47,7 +47,7 @@ def test_eval_F_recurrence_agrees_with_direct():
     assert worst <= 1e-12
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(n=st.integers(1, 3), nodes=st.integers(4, 16), seed=st.integers(0, 2**32 - 1),
        periodic=st.booleans(), reach=st.floats(0.0, 3.0))
 def test_eval_F_routes_agree(n, nodes, seed, periodic, reach):
@@ -196,7 +196,7 @@ def one_row(nodes):
     return v
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(n=st.integers(1, 3), m=st.integers(3, 8), nodes=st.integers(4, 16),
        density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
        periodic=st.booleans(), lam_cells=st.floats(0.01, 48.0),

@@ -218,7 +218,7 @@ def sub_box_mask(rng, nodes, density, box, corner):
     return values
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(nodes=st.integers(2, 9), density=st.floats(0.05, 1.0), pad=st.integers(1, 3),
        box=st.integers(1, 9), corner=st.tuples(st.integers(0, 8), st.integers(0, 8)),
        seed=st.integers(0, 2**32 - 1))
@@ -251,15 +251,15 @@ def test_half_offset_table_matches_full_table(nodes, density, pad, box, corner, 
     assert np.abs(full_zero - zero).max() <= 1e-12 * max(float(zero.max()), 1e-300)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(nodes=st.integers(2, 12), density=st.floats(0.05, 1.0), columns=st.integers(1, 5),
        seed=st.integers(0, 2**32 - 1))
 def test_assemble_matches_full_table(nodes, density, columns, seed):
     # tent weights with no d -> -d symmetry, so every mirror pair is folded
     # with two different weights
     rng = seeded_rng(seed)
-    tab = spectral.build_offset_table((rng.random((nodes, nodes)) < density).astype(float),
-                                      1.0 / nodes)
+    f = PlanarGrid(1.0, 1.0 / nodes, (rng.random((nodes, nodes)) < density).astype(float))
+    tab = spectral.build_offset_table(f.values, f.step, ring_pad(f, 0.0))
     nd = len(tab.offsets)
     c = rng.normal(size=(nd * nd, columns))
     w = rng.normal(size=(len(tab.xi_bar), columns))
@@ -276,7 +276,7 @@ def test_offset_table_memory_is_half_the_full_table():
     nd = 2 * f.node_count - 1
     tracemalloc.start()
     try:
-        spectral.build_offset_table(f.values, f.step)
+        spectral.build_offset_table(f.values, f.step, ring_pad(f, 0.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -288,7 +288,8 @@ def test_offset_table_memory_is_half_the_full_table():
 def test_ring_tents_match_per_scale_reference(angles, deriv):
     # 4 | angles takes the profiles at the sin offsets from those at the cos
     # offsets a quarter turn on; the others evaluate both
-    tab = _offset_table(random_mask(1.0, 12, 0.5, 3))
+    f = random_mask(1.0, 12, 0.5, 3)
+    tab = _offset_table(f, ring_pad(f, 0.0))
     lam = 3.3 * tab.step
     scales = np.geomspace(0.05, 3.0, 7) * tab.step
     got = spectral.ring_tents(tab, lam, scales, angles, deriv)
@@ -369,14 +370,14 @@ def theta_loop(f, gammas, m, smin, smax, nodes):
     ss, wq = _log_nodes(smin, smax, nodes)
     total = np.zeros(2)
     if len(gammas) == 1:
-        power, xi, mult, r2 = spectral.pair_spectrum(f.values, f.step)
+        power, xi, mult, r2 = spectral.pair_spectrum(f.values, f.step, ring_pad(f, 0.0))
         cells = spectral.cell_radii(r2)
         for s, w in zip(ss, wq):
             a = s * gammas[0]
             zero_w = float(_neg_khat(a, cells).mean())
             total += w * pair_value_ref(power, xi, mult, r2, lambda u: _neg_khat(a, u), zero_w)
         return total
-    tab = _offset_table(f)
+    tab = _offset_table(f, ring_pad(f, 0.0))
     cells = spectral.cell_radii(tab.torus_side)
     kernel = _neg_khat if m == 1 else _ghat
     for s, w in zip(ss, wq):
@@ -393,7 +394,7 @@ def theta_loop(f, gammas, m, smin, smax, nodes):
 
 @pytest.mark.parametrize("form,n,m", [("L", 1, 1), ("L", 2, 1), ("L", 2, 2),
                                       ("theta", 1, 1), ("theta", 2, 1), ("theta", 2, 2)])
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(nodes=st.integers(8, 20), density=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1),
        lam_cells=st.floats(1.0, 12.0), outer_nodes=st.integers(3, 24),
        stack_elements=st.sampled_from([1, 3000, 40000, _kernels.STACK_ELEMENTS]))
@@ -444,7 +445,7 @@ def smooth_ref(f, params):
 
 
 @pytest.mark.parametrize("n,boundary", [(1, ZERO), (1, PERIODIC), (2, ZERO)])
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(nodes=st.integers(8, 20), density=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1),
        lam_cells=st.floats(1.0, 12.0), eps=st.floats(0.05, 1.0))
 def test_counting_smooth_matches_single_node_reference(n, boundary, nodes, density, seed,
@@ -486,7 +487,7 @@ def test_cropped_table_matches_full_window_table(form, m):
     full = PlanarGrid(1.0, 1.0 / 24, values)
     lam = 3.5 * full.step
     params = CountingParams(n=2, lam=lam, eps=0.5, quadrature_nodes=16)
-    pad = spectral.auto_pad(values) if form == "theta" else ring_pad(full, lam)
+    pad = ring_pad(full, 0.0 if form == "theta" else lam)
     counting._grid_memo(full, "_offset_tables")[pad] = full_window_table(full, pad)
     assert len(_offset_table(cropped, pad).offsets) < len(_offset_table(full, pad).offsets)
     if form == "smooth":
@@ -508,12 +509,25 @@ def test_cropped_table_matches_full_window_table(form, m):
 def test_empty_support_gives_zero_two_slot_forms():
     # an all-zero grid has support extent 0; its table keeps the one offset 0
     f = PlanarGrid(1.0, 1.0 / 16, np.zeros((16, 16)))
-    assert np.array_equal(_offset_table(f).offsets, [0])
+    assert np.array_equal(_offset_table(f, ring_pad(f, 0.0)).offsets, [0])
     params = CountingParams(n=2, lam=0.25, eps=0.5, quadrature_nodes=16)
     assert counting_smooth(f, params).value == 0.0
     for m in (1, 2):
         assert L_form(f, 0.25, 0.25, 1.0, m, 2, tnodes=4, quadrature_nodes=16).value == 0.0
         assert theta_form(f, (1.0, math.sqrt(2.0)), m, nodes=8).value == 0.0
+
+
+def test_two_slot_forms_reject_periodic_grids():
+    # the exact two-slot path reads offset products of a zero-extended grid;
+    # on a torus the products would wrap, so every way into the table refuses
+    f = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.25}], 1.0, 1 / 16)
+    g = PlanarGrid(f.side, f.step, f.values, PERIODIC)
+    params = CountingParams(n=2, lam=0.25, eps=0.5, quadrature_nodes=16)
+    with pytest.raises(ValueError, match="zero-extended"):
+        counting_smooth(g, params)
+    for m in (1, 2):
+        with pytest.raises(ValueError, match="zero-extended"):
+            L_form(g, 0.25, 0.25, 1.0, m, 2, tnodes=4, quadrature_nodes=16)
 
 
 def test_two_slot_budget_counts_the_cropped_offsets():
@@ -536,7 +550,8 @@ def test_two_slot_budget_counts_the_cropped_offsets():
 def test_ball_tents_are_the_radius_zero_ring():
     # the radius-0 ring of one node reproduces the outer product of the
     # 1-d profiles bit for bit, tents and scale derivatives alike
-    tab = _offset_table(random_mask(1.0, 16, 0.5, 5))
+    f = random_mask(1.0, 16, 0.5, 5)
+    tab = _offset_table(f, ring_pad(f, 0.0))
     x = tab.offsets * tab.step
     s = np.geomspace(1e-4, 1e3, 57)[:, None]
     g = spectral.gauss_tent(x, s, tab.step)

@@ -123,7 +123,7 @@ def first_copy_by_loop(A, lengths, search):
     return "not_found", total, total
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(n=st.integers(1, 3), nodes=st.integers(4, 12), density=st.floats(0.3, 1.0),
        seed=st.integers(0, 2**32 - 1), data=st.data(),
        angles=st.integers(3, 6), x_step=st.sampled_from([1 / 4, 1 / 5, 1 / 6]),
@@ -208,7 +208,7 @@ def random_union(data, side=1.0):
           "y1": y0 + data.draw(st.floats(0.1, 0.8))}], side)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(n=st.integers(1, 3), kind=st.sampled_from(["bitmap", "shapes"]),
        nodes=st.integers(4, 16), density=st.floats(0.02, 0.3),
        seed=st.integers(0, 2**32 - 1), data=st.data(), angles=st.integers(3, 6),
@@ -239,7 +239,7 @@ def test_pruned_scan_matches_cursor_loop_on_sparse_sets(n, kind, nodes, density,
         out.status, out.resume_cursor, out.examined, out.copy)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(n=st.integers(1, 3), density=st.floats(0.02, 0.3) | st.floats(0.7, 1.0),
        seed=st.integers(0, 2**32 - 1),
        data=st.data(), angles=st.integers(1, 9), chunk=st.sampled_from([1, 2, 7, 64, 1 << 16]),
@@ -265,7 +265,7 @@ class CountedSet:
     """A planar set that counts the points its membership test is asked about."""
 
     def __init__(self, A):
-        self.A, self.side, self.dimension = A, A.side, A.dimension
+        self.A, self.side = A, A.side
         self.tested = 0
 
     def membership(self, p1, p2):

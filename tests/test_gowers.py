@@ -31,7 +31,7 @@ def test_u2_three_routes_agree():
         assert spread <= 1e-6 * max(r1, r2, r3)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(nodes=st.integers(4, 16), density=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1),
        periodic=st.booleans())
 def test_u2_routes_agree_on_random_grids(nodes, density, seed, periodic):

@@ -19,7 +19,7 @@ def test_weights_sum_to_one():
     assert sphere_fourier(q, np.zeros(2)) == pytest.approx(1.0, abs=1e-15)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(half_nodes=st.integers(2, 256), lam=st.floats(0.01, 10.0),
        reach=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
 def test_radial_transform_matches_jacobi_anger(half_nodes, lam, reach, seed):
@@ -41,7 +41,7 @@ def plain_node_sum(q, u):
     return np.cos(arg).mean(axis=1)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(quarter=st.integers(1, 128), rest=st.sampled_from([0, 2]),
        phase=st.sampled_from([0.0]) | st.floats(1e-3, 2.0 * math.pi),
        lam=st.floats(0.01, 10.0), reach=st.floats(0.0, 3.0), radii=st.integers(1, 2000),
