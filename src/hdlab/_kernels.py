@@ -5,6 +5,7 @@ bit-stable from run to run.
 """
 
 import itertools
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -149,6 +150,28 @@ def vertex_product(values, h, x1, x2, ys, periodic):
     return prod
 
 
+def _vertex_sums(values, h, periodic, box, windows, prod, r0, ex, ey):
+    """x-sums over ``box`` of ``prod`` times the vertices r0 .. 2^n - 1.
+
+    Slot k's edge ``(ex[k], ey[k])`` is a scalar or one value per stack
+    element.  Vertex r is shifted by the edges of the slots whose bits are
+    set in r, added in slot order; the loop stops once the product is all
+    zero.  Shared by ``sharp_sum`` and ``mc_values``.
+    """
+    last = (1 << len(ex)) - 1
+    for r in range(r0, last + 1):
+        d1 = 0.0
+        d2 = 0.0
+        for k in range(len(ex)):
+            if (r >> k) & 1:
+                d1 = d1 + ex[k]
+                d2 = d2 + ey[k]
+        prod = prod * _shift_stack(values, h, d1, d2, periodic, box, windows)
+        if r < last and not prod.any():
+            break
+    return prod.reshape(prod.shape[0], -1).sum(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # sharp counting quadrature: (1/M^n) sum over angle tuples of h^2 sum_x F_n
 
@@ -156,27 +179,23 @@ def vertex_product(values, h, x1, x2, ys, periodic):
 def sharp_sum(values, h, lam, cos_t, sin_t, n, periodic):
     """(h^2 / M^n) * sum over angle tuples of sum_x F_n(x; lam e_a1, ..., lam e_an).
 
-    Tuple t takes slot k's angle from digit k of t in base M, so slot 0 is
-    the fast digit.  The vertices of F_n are the subset sums of its edges,
-    so its x-sum does not change when the slots are permuted.  Only the
-    C(M + n - 1, n) tuples with slot-0 angle >= slot-1 angle >= ... are
-    evaluated, and each x-sum is written into the place of every
-    permutation of its tuple.  Each Python step takes a stack of slot-0
-    angles at once: ``values * S_a`` (S_a the shift by lam e_a) is formed
-    once per slot-0 angle, the loop runs over the non-increasing tuples of
-    the slow slots, and each takes the slot-0 angles from its slot-1 angle
-    up.  Vertices whose sum includes slot 0 take one stacked shift per step
-    and the others one single shift.  Vertices are multiplied in the order
-    r = 1 .. 2^n - 1, so an evaluated tuple's product is the one a
-    per-tuple loop forms, and a permuted tuple's differs from it by
-    round-off only.
+    The vertices of F_n are the subset sums of its edges, so its x-sum does
+    not change when the slots are permuted.  Only the C(M + n - 1, n) tuples
+    with slot-0 angle >= slot-1 angle >= ... are evaluated, and each x-sum
+    is weighted by its number of orderings, n! / prod c_v! with c_v the
+    repeat counts.  Each Python step takes a stack of slot-0 angles at once:
+    ``values * S_a`` (S_a the shift by lam e_a) is formed once per slot-0
+    angle, the loop runs over the non-increasing tuples of the slow slots,
+    and each takes the slot-0 angles from its slot-1 angle up.  Vertices
+    whose sum includes slot 0 take one stacked shift per step and the
+    others one single shift.  The weighted sums are added in that order,
+    so n = 1 adds the angles in turn.
 
     Every vertex product has ``values(x)`` as a factor, so the x-sum runs
     over the bounding box of the support only, and an all-zero grid gives
     0.0.  The window view of the shifts is made once per call.  A stack
     holds at most ``STACK_ELEMENTS`` elements: the slot-0 angles are taken
-    in blocks of that size, and the per-tuple sums (M^n floats) are kept so
-    they can be added in tuple order at the end.
+    in blocks of that size, and nothing else grows with M.
     """
     box = support_box(values)
     if box is None:
@@ -187,39 +206,30 @@ def sharp_sum(values, h, lam, cos_t, sin_t, n, periodic):
     m = cos_t.shape[0]
     e1 = lam * cos_t
     e2 = lam * sin_t
-    sums = np.zeros(m**n)
-    perms = list(itertools.permutations(range(n)))
-    slows = [c[::-1] for c in itertools.combinations_with_replacement(range(m), n - 1)]
-    last = (1 << n) - 1
+    slows = [
+        (c[::-1], math.factorial(n) // math.prod(math.factorial(c.count(v)) for v in set(c)))
+        for c in itertools.combinations_with_replacement(range(m), n - 1)
+    ]
+    total = 0.0
     step = _stack_len(box)
     for lo in range(0, m, step):
         hi = min(lo + step, m)
         first = base * _shift_stack(values, h, e1[lo:hi], e2[lo:hi], periodic, box, windows)
         if not first.any():
             continue
-        for slow in slows:
+        for slow, w in slows:
             start = max(lo, slow[0]) if slow else lo
             if start >= hi:
                 continue
             digit = (slice(start, hi),) + slow
-            prod = first[start - lo:]
-            for r in range(2, last + 1):
-                d1 = 0.0
-                d2 = 0.0
-                for k in range(n):
-                    if (r >> k) & 1:
-                        d1 = d1 + e1[digit[k]]
-                        d2 = d2 + e2[digit[k]]
-                prod = prod * _shift_stack(values, h, d1, d2, periodic, box, windows)
-                if r < last and not prod.any():
-                    break
-            sub = prod.reshape(prod.shape[0], -1).sum(axis=1)
-            angles = (np.arange(start, hi),) + slow
-            for perm in perms:
-                sums[sum(angles[p] * m**k for k, p in enumerate(perm))] = sub
-    total = 0.0
-    for v in sums.tolist():
-        total += v
+            sub = _vertex_sums(values, h, periodic, box, windows, first[start - lo:], 2,
+                               [e1[d] for d in digit], [e2[d] for d in digit])
+            weights = np.full(sub.shape, float(w))
+            if slow and start == slow[0]:
+                # slot-0 angle a = slow[0] repeats slow[0] once more
+                weights[0] = w // (slow.count(slow[0]) + 1)
+            for v in (weights * sub).tolist():
+                total += v
     return total * h * h / m**n
 
 
@@ -230,10 +240,8 @@ def sharp_sum(values, h, lam, cos_t, sin_t, n, periodic):
 def mc_values(values, h, ys, periodic, out):
     """out[s] = h^2 sum_x F_n(x; ys[s]), over stacks of samples.
 
-    Same vertex order, support crop and stack size as ``sharp_sum``.
+    Same vertex loop, support crop and stack size as ``sharp_sum``.
     """
-    ns = ys.shape[0]
-    n = ys.shape[1]
     box = support_box(values)
     if box is None:
         out[:] = 0.0
@@ -241,22 +249,11 @@ def mc_values(values, h, ys, periodic, out):
     i0, i1, j0, j1 = box
     base = values[i0:i1, j0:j1]
     windows = _window_view(values, periodic, box)
-    last = (1 << n) - 1
     step = _stack_len(box)
-    for lo in range(0, ns, step):
-        batch = slice(lo, lo + step)
-        prod = base
-        for r in range(1, last + 1):
-            d1 = 0.0
-            d2 = 0.0
-            for k in range(n):
-                if (r >> k) & 1:
-                    d1 = d1 + ys[batch, k, 0]
-                    d2 = d2 + ys[batch, k, 1]
-            prod = prod * _shift_stack(values, h, d1, d2, periodic, box, windows)
-            if r < last and not prod.any():
-                break
-        out[batch] = prod.reshape(prod.shape[0], -1).sum(axis=1) * h * h
+    for lo in range(0, ys.shape[0], step):
+        y = ys[lo:lo + step]
+        out[lo:lo + step] = _vertex_sums(values, h, periodic, box, windows, base, 1,
+                                         y[:, :, 0].T, y[:, :, 1].T) * h * h
     return out
 
 

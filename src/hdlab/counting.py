@@ -362,23 +362,19 @@ def _u2_fourth_spectral(values: np.ndarray, h: float) -> float:
 
 
 def _u2_fourth_autocorr(values: np.ndarray, h: float) -> float:
-    n = values.shape[0]
-    total = 0.0
-    for d1 in range(n):
-        rolled1 = np.roll(values, -d1, axis=0)
-        for d2 in range(n):
-            a = (values * np.roll(rolled1, -d2, axis=1)).sum() * h * h
-            total += a * a
-    return total * h * h
+    # pair correlation c(d) = h^2 sum_x f(x) f(x + d) by Wiener-Khinchin
+    c = np.fft.irfft2(np.abs(np.fft.rfft2(values)) ** 2, s=values.shape) * h * h
+    return float((c * c).sum() * h * h)
 
 
 def gowers_norm(f: PlanarGrid, n: int, route: str = "recursion") -> float:
     """Box norm of order n on the plane (nonnegative f).
 
     Routes for n = 2: 'recursion' (direct shifted sums), 'autocorrelation'
-    (square of the pair correlation integrated over shifts) and 'spectral'
-    (fourth power of the transform).  They are algebraically identical on
-    the torus and serve as mutual oracles.
+    (square of the pair correlation integrated over shifts, the correlation
+    taken by Wiener-Khinchin from |rfft2|^2) and 'spectral' (fourth power
+    of the transform).  They are algebraically identical on the torus and
+    serve as mutual oracles.
     """
     if not 1 <= n <= MAX_DIMENSION:
         raise ValueError(f"box norm order must be 1..{MAX_DIMENSION}")

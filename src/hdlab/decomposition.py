@@ -29,6 +29,9 @@ from .counting import (CountingParams, _form_values, _offset_table, counting_sha
                        counting_smooth, ring_pad)
 from .grid import PlanarGrid, measure
 
+# the outer quadrature converges when one refinement moves it by less than this
+_FLAG_TOLERANCE = 0.01
+
 # ---------------------------------------------------------------------------
 
 
@@ -137,8 +140,7 @@ def _outer_sums(integrand, lo, hi, nodes) -> tuple[float, float]:
 
 
 def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
-           tnodes: int = 64, quadrature_nodes: int = 256,
-           flag_tolerance: float = 0.01) -> QuadratureValue:
+           tnodes: int = 64, quadrature_nodes: int = 256) -> QuadratureValue:
     """Scale-derivative form for slot m over the band [alpha, beta].
 
     Summed over m = 1..n this telescopes smooth_alpha - smooth_beta.  The
@@ -159,7 +161,7 @@ def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
                        alpha, beta, tnodes)
     coarse, fine = (v / (2.0 * math.pi) for v in sums)
     scale = max(abs(fine), 1e-300)
-    return QuadratureValue(fine, coarse, abs(fine - coarse) <= flag_tolerance * scale)
+    return QuadratureValue(fine, coarse, abs(fine - coarse) <= _FLAG_TOLERANCE * scale)
 
 
 def lp_pow_sum(f: PlanarGrid, p: float) -> float:
@@ -167,8 +169,8 @@ def lp_pow_sum(f: PlanarGrid, p: float) -> float:
     return float((f.values**p).sum() * f.step * f.step)
 
 
-def theta_form(f: PlanarGrid, gammas, m: int, s_window=None, nodes: int = 128,
-               flag_tolerance: float = 0.01) -> QuadratureValue:
+def theta_form(f: PlanarGrid, gammas, m: int, s_window=None,
+               nodes: int = 128) -> QuadratureValue:
     """Scale-integrated box form with the Laplacian in slot m, truncated.
 
     The s-window defaults to [1e-3 h, 1e3 R].  The value is nonnegative up
@@ -201,7 +203,7 @@ def theta_form(f: PlanarGrid, gammas, m: int, s_window=None, nodes: int = 128,
         raise ArithmeticError(
             f"box form came out negative ({fine:.3e} vs scale {scale:.3e})"
         )
-    return QuadratureValue(fine, coarse, abs(fine - coarse) <= flag_tolerance * max(scale, 1e-300))
+    return QuadratureValue(fine, coarse, abs(fine - coarse) <= _FLAG_TOLERANCE * max(scale, 1e-300))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ from . import _kernels
 from .decomposition import decompose
 from .grid import PlanarGrid, measure as grid_measure
 
+_SAMPLES_PER_INTERVAL = 5  # scales searched inside the chosen interval
+
 # ---------------------------------------------------------------------------
 # sets
 
@@ -342,13 +344,12 @@ class IntervalResult:
 
 def pigeonhole_interval(A: PlanarSet, delta: float, n: int, eps: float, depth: int,
                         search: SearchSpec | None = None, quadrature_nodes: int = 256,
-                        depth_coefficient: float | None = None,
-                        samples_per_interval: int = 5) -> IntervalResult:
+                        depth_coefficient: float | None = None) -> IntervalResult:
     """Pick the dyadic scale interval with the smallest error part.
 
     For each j the decomposition triple is evaluated at the midpoint of
     I_j = [4^-j, 2 * 4^-j); the j minimising |error part| wins, and copies
-    are searched at ``samples_per_interval`` scales inside I_j.  A result
+    are searched at ``_SAMPLES_PER_INTERVAL`` scales inside I_j.  A result
     without any witness carries ``witness_found=False``: the scan is
     resolution-limited, absence is not a refutation.
     """
@@ -366,8 +367,8 @@ def pigeonhole_interval(A: PlanarSet, delta: float, n: int, eps: float, depth: i
         errors.append(abs(cell.error_part))
     best_j = 1 + int(np.argmin(errors))
     lo, hi = 4.0**-best_j, 2.0 * 4.0**-best_j
-    scales = tuple(lo * (1.0 + (2 * k + 1) / (2.0 * samples_per_interval))
-                   for k in range(samples_per_interval))
+    scales = tuple(lo * (1.0 + (2 * k + 1) / (2.0 * _SAMPLES_PER_INTERVAL))
+                   for k in range(_SAMPLES_PER_INTERVAL))
     if search is None:
         search = SearchSpec(x_step=max(4 * g.step, lo / 8))
     witnesses = []

@@ -25,6 +25,7 @@ from .grid import PERIODIC, PlanarGrid, convolve
 
 FAMILIES = ("g", "h1", "h2", "k")
 _RING = 2  # sample_wrapped sums the 5 x 5 images that _check_probe's tail test assumes
+_INTEGRAL_NODES = 512  # per axis, of kernel_integral's midpoint rule
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def fourier_kernel(spec: KernelSpec, xi) -> np.ndarray:
     return (-4.0 * np.pi**2 * r2 * e).astype(np.complex128)
 
 
-def kernel_integral(spec: KernelSpec, node_count: int = 512) -> float:
+def kernel_integral(spec: KernelSpec) -> float:
     """Plane integral by midpoint quadrature on an auto-sized window.
 
     The window is sized so the kernel magnitude at its boundary is
@@ -83,8 +84,8 @@ def kernel_integral(spec: KernelSpec, node_count: int = 512) -> float:
     """
     t = spec.scale
     side = 24.0 * t
-    h = side / node_count
-    x = (np.arange(node_count) + 0.5) * h - side / 2
+    h = side / _INTEGRAL_NODES
+    x = (np.arange(_INTEGRAL_NODES) + 0.5) * h - side / 2
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     pts = np.stack([X1, X2], axis=-1)
     return float(eval_kernel(spec, pts).sum() * h * h)

@@ -46,6 +46,7 @@ from ._kernels import support_box
 
 _SQPI = math.sqrt(math.pi)
 _CELL_SUB = 12
+_NBINS = 2048  # |xi| bins of the offset table's power spectra
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +132,11 @@ class OffsetTable:
     torus_side: float          # padded side R2
     offsets: np.ndarray        # 1-d offsets in nodes, -(e-1) .. e-1
     xi_bar: np.ndarray         # per-bin centroid of |xi|
-    power: np.ndarray          # ((nd*nd + 1) / 2, nbins) float32, nd = 2e - 1, zero mode excluded
+    power: np.ndarray          # ((nd*nd + 1) / 2, _NBINS) float32, nd = 2e - 1, zero mode excluded
     zero_mode: np.ndarray      # ((nd*nd + 1) / 2,) |FFT(m_d)(0)|^2
 
 
-def build_offset_table(values: np.ndarray, step: float, pad: int,
-                       nbins: int = 2048) -> OffsetTable:
+def build_offset_table(values: np.ndarray, step: float, pad: int) -> OffsetTable:
     """One rfft2 per stored non-empty lattice offset: at most (nd^2 + 1) / 2
     transforms of the padded grid, nd = 2e - 1 for a support extent of e
     nodes (the other half are mirror images).
@@ -150,16 +150,16 @@ def build_offset_table(values: np.ndarray, step: float, pad: int,
     r2 = n2 * step
     xi, mult = frequency_lattice(n2, r2)
     ximax = float(xi.max()) * (1.0 + 1e-12)
-    binidx = np.minimum((xi / ximax * nbins).astype(np.int64), nbins - 1).ravel()
+    binidx = np.minimum((xi / ximax * _NBINS).astype(np.int64), _NBINS - 1).ravel()
     wmult = mult.ravel()
-    cnt = np.bincount(binidx, weights=wmult, minlength=nbins)
-    xi_bar = np.bincount(binidx, weights=(xi * mult).ravel(), minlength=nbins)
+    cnt = np.bincount(binidx, weights=wmult, minlength=_NBINS)
+    xi_bar = np.bincount(binidx, weights=(xi * mult).ravel(), minlength=_NBINS)
     xi_bar = np.where(cnt > 0, xi_bar / np.maximum(cnt, 1e-300), 0.0)
     e = max(support_extent(values), 1)
     offs = np.arange(-(e - 1), e)
     nd = len(offs)
     rows = (nd * nd + 1) // 2
-    power = np.zeros((rows, nbins), dtype=np.float32)
+    power = np.zeros((rows, _NBINS), dtype=np.float32)
     zero = np.zeros(rows)
     buf = np.zeros((n2, n2))
     hh = step * step
@@ -179,7 +179,7 @@ def build_offset_table(values: np.ndarray, step: float, pad: int,
         zero[k] = pm[0]
         pm *= wmult
         pm[0] = 0.0
-        power[k] = np.bincount(binidx, weights=pm, minlength=nbins)
+        power[k] = np.bincount(binidx, weights=pm, minlength=_NBINS)
     return OffsetTable(step, r2, offs, xi_bar, power, zero)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import KernelSpec, eval_kernel
-from .grid import PERIODIC, PlanarGrid
+from .grid import ZERO, PlanarGrid
 
 DEFAULT_NODES = 256
 _FOLD_ELEMENTS = 1 << 16  # radii x folded nodes per block of the folded sum
@@ -55,26 +55,19 @@ def smooth_sphere_value(q: CircleQuadrature, kernel: KernelSpec, x) -> np.ndarra
 
 
 def smooth_sphere(q: CircleQuadrature, kernel: KernelSpec, side: float,
-                  step: float, centred: bool = True) -> SmoothedSphere:
-    """Sample (sigma_lam * kernel) on a grid.
+                  step: float) -> SmoothedSphere:
+    """Sample (sigma_lam * kernel) on a zero-extended grid, centred in the window.
 
-    With ``centred`` the function sits at the window centre of a
-    zero-extended grid; otherwise it is wrapped around the origin of a
-    periodic grid (the layout convolution kernels use).  The result is
-    flagged under-resolved when the node spacing on the circle exceeds
-    four kernel widths.
+    The result is flagged under-resolved when the node spacing on the
+    circle exceeds four kernel widths.
     """
     n = int(round(side / step))
     under = kernel.scale < 2.0 * math.pi * q.dilation / (4.0 * q.node_count)
-    if centred:
-        x = (np.arange(n) + 0.5) * step - side / 2
-    else:
-        x = ((np.arange(n) + 0.5) * step + side / 2) % side - side / 2
+    x = (np.arange(n) + 0.5) * step - side / 2
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     pts = np.stack([X1, X2], axis=-1)
     vals = smooth_sphere_value(q, kernel, pts)
-    boundary = PERIODIC if not centred else "zero_extended"
-    return SmoothedSphere(PlanarGrid(side, step, vals, boundary), under)
+    return SmoothedSphere(PlanarGrid(side, step, vals, ZERO), under)
 
 
 def sphere_fourier(q: CircleQuadrature, xi) -> np.ndarray:

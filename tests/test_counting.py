@@ -78,7 +78,9 @@ def test_eval_F_symmetric_in_slots():
 def test_sharp_constant_periodic_is_window_area():
     side = 2.0
     g = PlanarGrid(side, side / 32, np.ones((32, 32)), PERIODIC)
-    for n in (1, 2):
+    # at n = 3 the weights of the C(M + 2, 3) evaluated multisets must add
+    # up to M^3 for the window area to come out
+    for n in (1, 2, 3):
         rep = counting_sharp(g, CountingParams(n=n, lam=0.7, quadrature_nodes=8))
         assert rep.value == pytest.approx(side**2, rel=1e-12)
         assert rep.estimator_stderr == 0.0
@@ -252,8 +254,10 @@ def test_sharp_n1_matches_splatted_autocorrelation(disk_r4):
 def test_sharp_sum_memory_is_bounded_by_stack_chunks():
     # unchunked, n = 1 on 128 x 128 nodes with M = 256 peaks near 100 MB
     # ((256, 129, 129) float64 stacks take 34 MB each), and n = 2 on
-    # 224 x 224 nodes with M = 40 near 84 MB; chunked, both stay under 25 MB
-    for nodes, m, n in ((128, 256, 1), (224, 40, 2)):
+    # 224 x 224 nodes with M = 40 near 84 MB; chunked, both stay under 25 MB.
+    # n = 3 with M = 32 on 4 x 4 nodes peaks near 0.1 MB: nothing of M^3
+    # floats (a 32^3 table of per-tuple sums took 1.3 MB)
+    for nodes, m, n, bound in ((128, 256, 1, 64e6), (224, 40, 2, 64e6), (4, 32, 3, 0.5e6)):
         values = seeded_rng(8).random((nodes, nodes)) + 0.5
         th = 2.0 * np.pi * np.arange(m) / m
         tracemalloc.start()
@@ -262,7 +266,7 @@ def test_sharp_sum_memory_is_bounded_by_stack_chunks():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64e6, (n, peak)
+        assert peak < bound, (n, peak)
 
 
 @pytest.mark.parametrize("stack_elements", [1, 200])
