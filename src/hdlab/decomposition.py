@@ -220,7 +220,11 @@ class BoundCheck:
 
 def check_structured_bound(sets, lam_values, n: int, frozen: float | None = None,
                            **kw) -> BoundCheck:
-    """Minimum of smooth_1 / ((|B|/R^2)^(2^n) R^2) over sets and scales."""
+    """Minimum of smooth_1 / ((|B|/R^2)^(2^n) R^2) over sets and scales.
+
+    A set's memoised offset tables are dropped once its scales are done,
+    so a list of sets holds at most one set's tables at a time.
+    """
     ratios = []
     for f in sets:
         dens = measure(f) / f.side**2
@@ -228,6 +232,7 @@ def check_structured_bound(sets, lam_values, n: int, frozen: float | None = None
         for lam in lam_values:
             val = structured_part(f, lam, n, **kw)
             ratios.append(val / denom)
+        vars(f).pop("_offset_tables", None)
     worst = min(ratios)
     bound = frozen if frozen is not None else 0.0
     return BoundCheck(worst, bound, worst >= bound, {"ratios": ratios})

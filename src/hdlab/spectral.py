@@ -10,7 +10,9 @@ Smoothed counting-type integrals are assembled from two ingredients:
   (``OffsetTable``), combined with closed-form tent weights
   ``c_d = integral of slot_kernel(y) tent_d(y) dy`` (erf expressions).
   The slot kernel is a Gaussian on a ring of circle nodes; the plain
-  Gaussian of the box form is the ring of radius 0 with one node.
+  Gaussian of the box form is the ring of radius 0 with one node.  erf is
+  a NumPy port of the Cephes rational forms (``_erf``), so the package
+  needs no SciPy.
 
 For 0/1 pixel grids the slice profile in the quadrature slot is exactly
 piecewise bilinear with lattice knots, so the tent reconstruction is exact
@@ -40,13 +42,73 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from ._kernels import support_box
 
 _SQPI = math.sqrt(math.pi)
 _CELL_SUB = 12
 _NBINS = 2048  # |xi| bins of the offset table's power spectra
+
+
+# ---------------------------------------------------------------------------
+# erf: the rational approximations of Cephes ndtr.c (S. L. Moshier, "Methods
+# and Programs for Mathematical Functions", 1989), which scipy.special.erf
+# also evaluates.  Coefficients highest degree first; the leading 1 of U and
+# Q is implicit.
+
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _horner(x, coef, monic):
+    """Cephes polevl (``monic`` False) or p1evl (True) at x: one new array,
+    then Horner steps in place."""
+    acc = x + coef[0] if monic else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erf(x):
+    """erf(x) elementwise, as Cephes evaluates it.
+
+    |x| <= 1: x T(x^2) / U(x^2).  1 < |x| < 6: 1 - exp(-x^2) P(|x|) / Q(|x|)
+    with the sign of x.  |x| >= 6: +-1, since erfc(6) = 2.2e-17 is below half
+    an ulp of 1.  Each branch sees only its own elements, so huge, infinite
+    and NaN inputs raise no floating-point warning; NaN maps to NaN and
+    the sign of zero is kept.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.ravel()
+    out = np.copysign(np.ones_like(flat), flat)
+    ax = np.abs(flat)
+    small = ax <= 1.0
+    xs = flat[small]
+    z = xs * xs
+    y = _horner(z, _ERF_T, False)
+    y *= xs
+    y /= _horner(z, _ERF_U, True)
+    out[small] = y
+    mid = ~(small | (ax >= 6.0))  # NaN goes here and stays NaN
+    a = ax[mid]
+    z = a * a
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    y = _horner(a, _ERFC_P, False)
+    y *= z
+    y /= _horner(a, _ERFC_Q, True)
+    np.subtract(1.0, y, out=y)
+    out[mid] = np.copysign(y, flat[mid], out=y)
+    return out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +133,15 @@ def _lattice_second_difference(fn, x, h):
 def gauss_tent(x, a, h):
     """(g1_a * tent_h)(x) with tent(u) = max(0, 1 - |u|/h).
 
-    ``x`` steps by h along its last axis; ``a`` broadcasts against it.
+    The second difference of an antiderivative of the cdf of g1_a, which
+    takes ``_erf``.  ``x`` steps by h along its last axis; ``a`` broadcasts
+    against it.
     """
     k = _SQPI / a
 
     def anti(u):  # antiderivative of the cdf of g1_a
         ku = k * u
-        return 0.5 * u + 0.5 * (u * erf(ku) + np.exp(-np.minimum(ku * ku, 700.0)) / (k * _SQPI))
+        return 0.5 * u + 0.5 * (u * _erf(ku) + np.exp(-np.minimum(ku * ku, 700.0)) / (k * _SQPI))
 
     return _lattice_second_difference(anti, x, h) / h
 
@@ -137,9 +201,11 @@ class OffsetTable:
 
 
 def build_offset_table(values: np.ndarray, step: float, pad: int) -> OffsetTable:
-    """One rfft2 per stored non-empty lattice offset: at most (nd^2 + 1) / 2
-    transforms of the padded grid, nd = 2e - 1 for a support extent of e
-    nodes (the other half are mirror images).
+    """One 2-d transform of the padded grid per stored non-empty lattice
+    offset: at most (nd^2 + 1) / 2, nd = 2e - 1 for a support extent of e
+    nodes (the other half are mirror images).  Each is the rfft2 sequence,
+    a row rfft then a column fft, with the row pass run on the live rows of
+    the offset product only; the result is rfft2's bit for bit.
 
     The grid is zero-extended to ``pad`` times its side; ``counting.ring_pad``
     picks the factor that resolves the spectrum of the support and keeps
@@ -161,7 +227,8 @@ def build_offset_table(values: np.ndarray, step: float, pad: int) -> OffsetTable
     rows = (nd * nd + 1) // 2
     power = np.zeros((rows, _NBINS), dtype=np.float32)
     zero = np.zeros(rows)
-    buf = np.zeros((n2, n2))
+    buf = np.zeros((n, n2))
+    col = np.zeros((n2, n2 // 2 + 1), dtype=np.complex128)
     hh = step * step
     for k in range(rows):
         da, db = offs[k // nd], offs[k % nd]
@@ -170,11 +237,17 @@ def build_offset_table(values: np.ndarray, step: float, pad: int) -> OffsetTable
         sb = slice(max(0, -db), min(n, n - db))
         sb2 = slice(max(0, db), min(n, n + db))
         m = values[sa, sb] * values[sa2, sb2]
-        if not m.any():
+        live = np.flatnonzero(m.any(axis=1))
+        if not len(live):
             continue
+        # rfft2 is a row rfft then a column fft; rows of zeros transform
+        # to zeros, so the row pass runs on the live rows only
+        r0, r1 = sa.start + live[0], sa.start + live[-1] + 1
         buf[sa, sb] = m
-        fm = np.fft.rfft2(buf) * hh
+        col[r0:r1] = np.fft.rfft(buf[r0:r1], axis=1)
         buf[sa, sb] = 0.0
+        fm = np.fft.fft(col, axis=0) * hh
+        col[r0:r1] = 0.0
         pm = (fm.real**2 + fm.imag**2).ravel()
         zero[k] = pm[0]
         pm *= wmult

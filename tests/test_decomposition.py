@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -69,6 +70,29 @@ def test_structured_bound_sub_square_sweep():
                        1.0, 1 / 64)
     chk = check_structured_bound([g], [0.125, 0.25, 0.5, 1.0], 2, quadrature_nodes=64)
     assert chk.observed > 0
+
+
+def test_structured_bound_holds_one_set_of_tables_at_a_time():
+    # each set's memoised offset tables go once its scales are done: the
+    # peak over three sets is that of one, and the ratios are unchanged
+    masks = [random_mask(1.0, 24, 0.5, 40 + i) for i in range(3)]
+    lams = (0.125, 0.25)
+
+    def traced(sets):
+        tracemalloc.start()
+        try:
+            chk = check_structured_bound(sets, lams, 2, quadrature_nodes=16)
+            return chk, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = [traced([random_mask(1.0, 24, 0.5, 40 + i)]) for i in range(3)]
+    chk, peak = traced(masks)
+    assert chk.detail["ratios"] == [r for c, _ in alone for r in c.detail["ratios"]]
+    assert not any(hasattr(f, "_offset_tables") for f in masks)
+    # a 24-node mask's table is (47^2 + 1) / 2 rows of 2048 float32, 9 MB;
+    # holding all three tables would add 18 MB to the single-set peak
+    assert peak <= 1.25 * max(p for _, p in alone), (peak, [p for _, p in alone])
 
 
 def test_structured_bound_random_sweep(constants):
@@ -577,6 +601,48 @@ def test_gauss_tent_profiles_match_three_point_formula():
         want = np.stack([ref(u, s, h) for s in scales[:, 0, 0]])
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def ulps(a, b):
+    """Distance in units in the last place, through the ordered integer
+    image of the doubles (-0 and +0 coincide)."""
+    def ordered(v):
+        i = np.asarray(v, dtype=np.float64).view(np.int64)
+        return np.where(i < 0, -(i & 0x7FFFFFFFFFFFFFFF), i)
+    return np.abs(ordered(a) - ordered(b))
+
+
+@settings(max_examples=300)
+@given(xs=st.lists(st.one_of(st.floats(-7.0, 7.0), st.floats(allow_nan=False)),
+                   min_size=1, max_size=40))
+def test_erf_port_matches_cephes(xs):
+    # the Cephes rational forms in the same Horner order as scipy.special.erf:
+    # bit for bit where no exp enters (|x| <= 1) or the result rounds to +-1
+    # (|x| >= 6); NumPy's exp may differ from libm's by an ulp in between
+    x = np.array(xs)
+    got, want = spectral._erf(x), erf(x)
+    exact = (np.abs(x) <= 1.0) | (np.abs(x) >= 6.0)
+    assert np.array_equal(got[exact].view(np.int64), want[exact].view(np.int64))
+    assert ulps(got, want).max() <= 1
+    assert max(ulps(g, math.erf(v)) for g, v in zip(got, xs)) <= 3
+
+
+def test_erf_port_special_inputs():
+    tiny = np.array([5e-324, -5e-324, 2.2250738585072014e-308, -1e-310])
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        signed = spectral._erf(np.array([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308]))
+        nan = spectral._erf(np.array([np.nan]))
+        sub = spectral._erf(tiny)
+        scalar, zero_d = spectral._erf(0.5), spectral._erf(np.array(-2.5))
+        empty, empty_2d = spectral._erf(np.array([])), spectral._erf(np.empty((0, 3)))
+    assert np.array_equal(signed, [0.0, 0.0, 1.0, -1.0, 1.0, -1.0])
+    assert list(np.signbit(signed)) == [False, True, False, True, False, True]
+    assert np.isnan(nan).all()
+    assert np.array_equal(sub.view(np.int64), erf(tiny).view(np.int64))
+    assert scalar.shape == () and scalar == erf(0.5)
+    assert zero_d.shape == () and ulps(zero_d, erf(-2.5)) <= 1
+    assert empty.shape == (0,) and empty_2d.shape == (0, 3)
 
 
 # --- the scale-integrated box form ---------------------------------------------

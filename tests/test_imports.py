@@ -1,6 +1,10 @@
-"""Every name a module of the package or a test file imports is used in it."""
+"""Every name a module of the package or a test file imports is used in it,
+and the CLI starts without SciPy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,14 @@ def test_module_has_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "import math\nimport os\nfrom numpy import pi, e\nprint(math.tau, pi)\n"
     assert unused_imports(source) == ["e (line 3)", "os (line 2)"]
+
+
+def test_cli_import_loads_no_scipy():
+    # SciPy is a test-only reference; a fresh interpreter importing the CLI
+    # must not load any of it
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = ("import sys, hdlab.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
