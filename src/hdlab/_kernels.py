@@ -70,21 +70,19 @@ def _window_view(values, periodic, box):
     return sliding_window_view(ext, (i1 - i0 + 1, j1 - j0 + 1))
 
 
-def _shift_stack(values, h, dy1, dy2, periodic, box, windows):
-    """Bilinear shifts of ``values`` by K displacements, read on a box of nodes.
+def _shift_corners(values, h, dy1, dy2, periodic, box, windows):
+    """The gathered block and bilinear fractions of K shifts of ``values``.
 
     ``dy1`` and ``dy2`` are scalars or length-K arrays; ``box = (i0, i1, j0,
     j1)`` selects the output nodes [i0, i1) x [j0, j1).  Returns the
-    (K, i1 - i0, j1 - j0) stack whose slice k is ``shift_grid(values, h,
-    dy1[k], dy2[k], periodic)[i0:i1, j0:j1]``, bit for bit: each slice is
-    formed with the same per-element arithmetic whatever K is.  One
-    (K, rows + 1, cols + 1) block is gathered from ``windows``, the
+    (K, rows + 1, cols + 1) block gathered from ``windows``, the
     ``_window_view(values, periodic, box)`` that each kernel call makes once
-    and passes to all its stacks, and the four bilinear corners are slices
-    of it.  The cell shift is clipped in floating point before the integer
-    cast, so a zero-extended shift of a whole window or more reads only the
-    border.  ``sharp_sum`` and ``mc_values`` keep K * (rows + 1) * (cols + 1)
-    within ``STACK_ELEMENTS``.
+    and passes to all its shifts, and the length-K fractions f1, f2.  The
+    four bilinear corners of shift k are the slices ``block[k, :-1, :-1]``,
+    ``[k, 1:, :-1]``, ``[k, :-1, 1:]`` and ``[k, 1:, 1:]``, weighted
+    (1 - f1)(1 - f2), f1 (1 - f2), (1 - f1) f2 and f1 f2.  The cell shift
+    is clipped in floating point before the integer cast, so a
+    zero-extended shift of a whole window or more reads only the border.
     """
     n1, n2 = values.shape
     i0, i1, j0, j1 = box
@@ -92,8 +90,6 @@ def _shift_stack(values, h, dy1, dy2, periodic, box, windows):
     q2 = np.asarray(dy2, dtype=np.float64).reshape(-1) / h
     c1 = np.floor(q1)
     c2 = np.floor(q2)
-    f1 = (q1 - c1)[:, None, None]
-    f2 = (q2 - c2)[:, None, None]
     if periodic:
         o1 = np.mod(c1, n1)
         o2 = np.mod(c2, n2)
@@ -101,6 +97,21 @@ def _shift_stack(values, h, dy1, dy2, periodic, box, windows):
         o1 = np.clip(c1, -n1 - 1, n1) + (n1 + 1)
         o2 = np.clip(c2, -n2 - 1, n2) + (n2 + 1)
     block = windows[o1.astype(np.int64) + i0, o2.astype(np.int64) + j0]
+    return block, q1 - c1, q2 - c2
+
+
+def _shift_stack(values, h, dy1, dy2, periodic, box, windows):
+    """Bilinear shifts of ``values`` by K displacements, read on a box of nodes.
+
+    Returns the (K, i1 - i0, j1 - j0) stack whose slice k is
+    ``shift_grid(values, h, dy1[k], dy2[k], periodic)[i0:i1, j0:j1]``, bit
+    for bit: each slice blends the four corners of ``_shift_corners`` with
+    the same per-element arithmetic whatever K is.  ``sharp_sum`` and
+    ``mc_values`` keep K * (rows + 1) * (cols + 1) within their stack caps.
+    """
+    block, f1, f2 = _shift_corners(values, h, dy1, dy2, periodic, box, windows)
+    f1 = f1[:, None, None]
+    f2 = f2[:, None, None]
     return (
         (1 - f1) * (1 - f2) * block[:, :-1, :-1]
         + f1 * (1 - f2) * block[:, 1:, :-1]
@@ -109,11 +120,30 @@ def _shift_stack(values, h, dy1, dy2, periodic, box, windows):
     )
 
 
-# elements of one (K, rows + 1, cols + 1) shift stack; sharp_sum and
-# mc_values cut their stacks to this size, so a stack does not grow with
-# the number of angles or samples.  The spectral forms cut their batches
-# of outer scale nodes to it the same way.
+def _shift_dots(prod, values, h, dy1, dy2, periodic, box, windows):
+    """Sum over the box of ``prod * _shift_stack(...)``, per shift, without the stack.
+
+    ``prod`` is one (rows, cols) grid or a stack of one per shift.  The sum
+    is d_c[k] = sum_x prod[k] * corner c of shift k, one dot product per
+    corner, weighted as ``_shift_stack`` weights the corners; it agrees
+    with the sum over the blended stack to round-off.
+    """
+    block, f1, f2 = _shift_corners(values, h, dy1, dy2, periodic, box, windows)
+    k, rows, cols = block.shape[0], block.shape[1] - 1, block.shape[2] - 1
+    prod = np.broadcast_to(prod, (k, rows, cols))
+    dot = [np.einsum("kij,kij->k", prod, block[:, a:a + rows, b:b + cols])
+           for a, b in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    return ((1 - f1) * (1 - f2) * dot[0] + f1 * (1 - f2) * dot[1]
+            + (1 - f1) * f2 * dot[2] + f1 * f2 * dot[3])
+
+
+# elements of one (K, rows + 1, cols + 1) shift stack; sharp_sum cuts its
+# stacks to this size, so a stack does not grow with the number of angles.
+# The spectral forms cut their batches of outer scale nodes to it the same
+# way.  mc_values cuts its stacks of samples to MC_STACK_ELEMENTS: each
+# sample takes 2^n - 1 shifts, and smaller stacks stay in cache.
 STACK_ELEMENTS = 1 << 19
+MC_STACK_ELEMENTS = 1 << 17
 
 
 def support_box(values):
@@ -125,9 +155,9 @@ def support_box(values):
     return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
-def _stack_len(box):
+def _stack_len(box, elements):
     i0, i1, j0, j1 = box
-    return max(1, STACK_ELEMENTS // ((i1 - i0 + 1) * (j1 - j0 + 1)))
+    return max(1, elements // ((i1 - i0 + 1) * (j1 - j0 + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +185,11 @@ def _vertex_sums(values, h, periodic, box, windows, prod, r0, ex, ey):
 
     Slot k's edge ``(ex[k], ey[k])`` is a scalar or one value per stack
     element.  Vertex r is shifted by the edges of the slots whose bits are
-    set in r, added in slot order; the loop stops once the product is all
-    zero.  Shared by ``sharp_sum`` and ``mc_values``.
+    set in r, added in slot order.  The inner vertices multiply into the
+    product stack, and the loop stops once it is all zero.  The last
+    vertex, 2^n - 1, is only summed over x, so it is never formed: its
+    x-sum is four corner dot products (``_shift_dots``).  Shared by
+    ``sharp_sum`` and ``mc_values``.
     """
     last = (1 << len(ex)) - 1
     for r in range(r0, last + 1):
@@ -166,8 +199,10 @@ def _vertex_sums(values, h, periodic, box, windows, prod, r0, ex, ey):
             if (r >> k) & 1:
                 d1 = d1 + ex[k]
                 d2 = d2 + ey[k]
+        if r == last:
+            return _shift_dots(prod, values, h, d1, d2, periodic, box, windows)
         prod = prod * _shift_stack(values, h, d1, d2, periodic, box, windows)
-        if r < last and not prod.any():
+        if not prod.any():
             break
     return prod.reshape(prod.shape[0], -1).sum(axis=1)
 
@@ -188,8 +223,10 @@ def sharp_sum(values, h, lam, cos_t, sin_t, n, periodic):
     angle, the loop runs over the non-increasing tuples of the slow slots,
     and each takes the slot-0 angles from its slot-1 angle up.  Vertices
     whose sum includes slot 0 take one stacked shift per step and the
-    others one single shift.  The weighted sums are added in that order,
-    so n = 1 adds the angles in turn.
+    others one single shift; the last vertex, which includes every slot,
+    takes the stacked corner dots of ``_vertex_sums`` instead.  The
+    weighted sums are added in that order, so n = 1 adds the angles in
+    turn (it has no vertex after ``values * S_a`` and sums that).
 
     Every vertex product has ``values(x)`` as a factor, so the x-sum runs
     over the bounding box of the support only, and an all-zero grid gives
@@ -211,7 +248,7 @@ def sharp_sum(values, h, lam, cos_t, sin_t, n, periodic):
         for c in itertools.combinations_with_replacement(range(m), n - 1)
     ]
     total = 0.0
-    step = _stack_len(box)
+    step = _stack_len(box, STACK_ELEMENTS)
     for lo in range(0, m, step):
         hi = min(lo + step, m)
         first = base * _shift_stack(values, h, e1[lo:hi], e2[lo:hi], periodic, box, windows)
@@ -240,7 +277,11 @@ def sharp_sum(values, h, lam, cos_t, sin_t, n, periodic):
 def mc_values(values, h, ys, periodic, out):
     """out[s] = h^2 sum_x F_n(x; ys[s]), over stacks of samples.
 
-    Same vertex loop, support crop and stack size as ``sharp_sum``.
+    Same vertex loop and support crop as ``sharp_sum``; vertex 1 .. 2^n - 2
+    are stacked shifts and vertex 2^n - 1 the corner dots, so n = 1 takes
+    the dots alone.  A stack holds at most ``MC_STACK_ELEMENTS`` elements.
+    Each sample's value is formed by the same arithmetic whatever the
+    stack size, so the cap moves no bit of ``out``.
     """
     box = support_box(values)
     if box is None:
@@ -249,7 +290,7 @@ def mc_values(values, h, ys, periodic, out):
     i0, i1, j0, j1 = box
     base = values[i0:i1, j0:j1]
     windows = _window_view(values, periodic, box)
-    step = _stack_len(box)
+    step = _stack_len(box, MC_STACK_ELEMENTS)
     for lo in range(0, ys.shape[0], step):
         y = ys[lo:lo + step]
         out[lo:lo + step] = _vertex_sums(values, h, periodic, box, windows, base, 1,

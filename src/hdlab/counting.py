@@ -11,7 +11,10 @@ generator so results are a pure function of the seed.
 The smoothed form is the T = 1, slot-0 call of ``_form_values``, the one
 pairing of a spectrum with sigma-hat times a kernel, which also gives the
 derivative and box forms of ``decomposition`` at T outer scales with the
-Laplacian in slot 1 or 2.
+Laplacian in slot 1 or 2.  Sigma-hat is computed only where the pairing
+reads it: at the distinct radii of the frequency lattice (a table's bin
+centroids or the one-slot rfft2 half-lattice) and of the zero cell,
+memoised on the grid.
 """
 
 from __future__ import annotations
@@ -177,27 +180,36 @@ def _grid_memo(f: PlanarGrid, name: str) -> dict:
 
 def _sigma_weight_table(f: PlanarGrid, params: CountingParams, u_cut: float, lattice,
                         r2: float):
-    """Sigma-hat on ``lattice`` from a radial table on [0, u_cut], zero
-    beyond, and exactly at the zero-cell radii of a torus of side ``r2``.
+    """Sigma-hat at each point of ``lattice`` up to ``u_cut``, zero beyond,
+    and at the zero-cell radii of a torus of side ``r2``.
 
-    The circle-quadrature size is floored at 8 nodes per unit of
-    lam * |xi| so the transform stays faithful over the whole table.  The
-    table and the cell values are kept on ``f`` per (node count, lam,
-    u_cut, r2), so the coarse and fine outer quadratures, the slots of
-    ``L_form`` and the smoothed forms at a shared cut reuse one table.
+    One ``sphere_fourier_radial`` call evaluates the distinct lattice
+    radii at most ``u_cut`` and the cell radii; each lattice point reads
+    the value at its own radius.  The lattices are a table's 2 048 bin
+    centroids or the rfft2 half-lattice of the one-slot route, so this is
+    a few thousand radii at most.  The circle-quadrature size is floored
+    at 8 nodes per unit of lam * |xi| so the transform stays faithful up
+    to ``u_cut``.  The values are kept on ``f`` per (node count, lam,
+    u_cut, r2, lattice), so the coarse and fine outer quadratures, the
+    slots of ``L_form`` and the smoothed forms at a shared cut reuse them.
     """
     m_eff = max(params.quadrature_nodes,
                 int(math.ceil(8.0 * params.lam * u_cut / 2.0)) * 2, 64)
     memo = _grid_memo(f, "_sigma_tables")
-    key = (m_eff, params.lam, u_cut, r2)
+    key = (m_eff, params.lam, u_cut, r2, lattice.shape, lattice.tobytes())
     if key not in memo:
-        u = np.linspace(0.0, u_cut, 1 << 15)
-        radii = np.concatenate([u, spectral.cell_radii(r2)])
-        values = sphere_fourier_radial(CircleQuadrature(m_eff, params.lam), radii)
-        values.setflags(write=False)
-        memo[key] = u, values[:len(u)], values[len(u):]
-    u, table, cells = memo[key]
-    return np.interp(lattice, u, table, right=0.0), cells
+        radii, where = np.unique(lattice, return_inverse=True)
+        read = int(np.searchsorted(radii, u_cut, side="right"))
+        values = sphere_fourier_radial(CircleQuadrature(m_eff, params.lam),
+                                       np.concatenate([radii[:read], spectral.cell_radii(r2)]))
+        at_radii = np.zeros(len(radii))
+        at_radii[:read] = values[:read]
+        table = at_radii[where].reshape(lattice.shape)
+        cell_values = values[read:]
+        table.setflags(write=False)
+        cell_values.setflags(write=False)
+        memo[key] = table, cell_values
+    return memo[key]
 
 
 def _ring_angles(params: CountingParams, step: float) -> int:
@@ -242,8 +254,9 @@ def _form_values(f: PlanarGrid, tab: spectral.OffsetTable | None, m: int, lam: f
     the tent weights.  ``params`` gives the circle of radius ``lam``
     (sigma-hat, tents on rings of ``_ring_angles`` nodes); None means plain
     Gaussians: sigma-hat 1 and the one-node rings of ``ball_tents``.
-    Sigma-hat is tabulated once, up to where g-hat at the smallest scale
-    falls below 1e-17.  Nodes go in chunks whose blocks of ``column``
+    Sigma-hat is evaluated once per lattice, at its distinct radii up to
+    where g-hat at the smallest scale falls below 1e-17
+    (``_sigma_weight_table``).  Nodes go in chunks whose blocks of ``column``
     elements per node stay within ``_kernels.STACK_ELEMENTS``.
     """
     scales = np.asarray(scales, dtype=np.float64)
@@ -328,14 +341,16 @@ def counting_smooth(f: PlanarGrid, params: CountingParams) -> CountingReport:
         raise ValueError(
             "counting_smooth: the exact path supports n <= 2; use the monte_carlo estimator for n = 3"
         )
+    pad = ring_pad(f, params.lam)
     if params.n == 1:
         cost = f.node_count**2 * 8
     else:
-        # the offset table holds the offsets within the support extent
+        # the offset table holds the offsets within the support extent, one
+        # transform of the padded torus each
         nd = 2 * max(spectral.support_extent(f.values), 1) - 1
-        cost = nd * nd * (4 * f.node_count) ** 2 // 4
+        cost = nd * nd * (pad * f.node_count) ** 2 // 4
     _require_budget(cost, params, "counting_smooth")
-    tab = _offset_table(f, ring_pad(f, params.lam)) if params.n == 2 else None
+    tab = _offset_table(f, pad) if params.n == 2 else None
     value = _form_values(f, tab, 0, params.lam, [params.eps * params.lam], params=params)
     return CountingReport(_clamped(float(value[0]), f, params), 0.0, params)
 

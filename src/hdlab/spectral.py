@@ -4,7 +4,8 @@ Smoothed counting-type integrals are assembled from two ingredients:
 
 * a radial weight acting on the frequency lattice of a zero-padded torus
   (the transform of the slot kernel, optionally times the circle-measure
-  transform), applied to binned power spectra;
+  transform, which ``counting`` evaluates at the lattice's distinct radii),
+  applied to binned power spectra;
 * for two-slot forms, offset spectra ``P[d] = |FFT(f . f(.+dh))|^2`` over
   the lattice offsets d, stored for half of them because P[-d] = P[d]
   (``OffsetTable``), combined with closed-form tent weights

@@ -176,7 +176,8 @@ def assert_matches_loops(values, lam, m, n, periodic, ys, stack_elements):
     h = 1.0 / values.shape[0]
     th = 2.0 * np.pi * np.arange(m) / m
     cos_t, sin_t = np.cos(th), np.sin(th)
-    with mock.patch.object(_kernels, "STACK_ELEMENTS", stack_elements):
+    with mock.patch.object(_kernels, "STACK_ELEMENTS", stack_elements), \
+            mock.patch.object(_kernels, "MC_STACK_ELEMENTS", stack_elements):
         got = [_kernels.sharp_sum(values, h, lam, cos_t, sin_t, n, periodic)]
         got += list(_kernels.mc_values(values, h, ys, periodic, np.empty(len(ys))))
     ref = [sharp_sum_loop(values, h, lam, cos_t, sin_t, n, periodic)]
@@ -222,6 +223,50 @@ def test_kernels_match_loops_on_edge_supports(values, periodic):
     for n in (1, 2, 3):
         for lam in (0.01 / len(values), 0.3, 1.0, 2.9):
             assert_matches_loops(values, lam, 5, n, periodic, ys[:, :n], 200)
+
+
+@settings(max_examples=100)
+@given(nodes=st.integers(2, 12), box=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+       k=st.integers(1, 6), reach=st.floats(0.0, 2.5), periodic=st.booleans(),
+       stacked_prod=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_corner_dots_match_the_summed_shift_stack(nodes, box, k, reach, periodic,
+                                                  stacked_prod, seed):
+    # shifts up to 2.5 window sides, K = 1 included, on any box of nodes, with
+    # one product grid or one per shift; the dot path regroups the x-sum, so
+    # the two agree within round-off of the absolute sum
+    rng = seeded_rng(seed)
+    values = rng.random((nodes, nodes))
+    h = 1.0 / nodes
+    i0, i1 = sorted(int(b * nodes) for b in box[:2])
+    j0, j1 = sorted(int(b * nodes) for b in box[2:])
+    box = (i0, max(i1, i0 + 1), j0, max(j1, j0 + 1))
+    rows, cols = box[1] - box[0], box[3] - box[2]
+    prod = rng.random((k, rows, cols) if stacked_prod else (rows, cols))
+    dy1, dy2 = rng.uniform(-reach, reach, (2, k))
+    windows = _kernels._window_view(values, periodic, box)
+    stack = _kernels._shift_stack(values, h, dy1, dy2, periodic, box, windows)
+    want = (prod * stack).reshape(k, -1).sum(axis=1)
+    scale = np.abs(prod * stack).reshape(k, -1).sum(axis=1)
+    got = _kernels._shift_dots(prod, values, h, dy1, dy2, periodic, box, windows)
+    assert got.shape == (k,)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale), (got, want)
+
+
+@settings(max_examples=25)
+@given(n=st.integers(1, 3), nodes=st.integers(4, 40), density=st.floats(0.0, 1.0),
+       periodic=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_mc_values_do_not_depend_on_the_stack_cap(n, nodes, density, periodic, seed):
+    # each sample's x-sum is formed by the same arithmetic whatever the
+    # stack holds, so the cap moves no bit
+    rng = seeded_rng(seed)
+    values = rng.random((nodes, nodes)) * (rng.random((nodes, nodes)) < density)
+    ys = rng.uniform(-0.7, 0.7, (60, n, 2))
+    outs = []
+    for cap in (1, 2000, _kernels.MC_STACK_ELEMENTS, _kernels.STACK_ELEMENTS):
+        with mock.patch.object(_kernels, "MC_STACK_ELEMENTS", cap):
+            outs.append(_kernels.mc_values(values, 1 / nodes, ys, periodic, np.empty(len(ys))))
+    for out in outs[1:]:
+        assert np.array_equal(out, outs[0])
 
 
 def test_sharp_n1_matches_splatted_autocorrelation(disk_r4):
@@ -275,21 +320,23 @@ def test_sharp_sum_evaluates_each_angle_multiset_once(n, stack_elements):
     # a positive periodic grid never ends a product early, so the stacked
     # (slot-0) shifts are r = 1 once per angle and the 2^(n-1) - 1 other
     # slot-0 vertices once per evaluated tuple: C(M + n - 1, n) of them,
-    # not the M^n ordered tuples
+    # not the M^n ordered tuples.  The last vertex is a stacked corner-dot
+    # call rather than a stacked shift; both are counted
     m, nodes = 7, 6
     values = seeded_rng(9).random((nodes, nodes)) + 0.5
     th = 2.0 * np.pi * np.arange(m) / m
     stacked = []
-    shift_stack = _kernels._shift_stack
 
-    def counted(*args):
-        dy1 = args[2]
-        if np.ndim(dy1):
-            stacked.append(len(dy1))
-        return shift_stack(*args)
+    def counting_stacks(real, dy1_at):
+        def counted(*args):
+            if np.ndim(args[dy1_at]):
+                stacked.append(len(args[dy1_at]))
+            return real(*args)
+        return counted
 
     with mock.patch.object(_kernels, "STACK_ELEMENTS", stack_elements), \
-            mock.patch.object(_kernels, "_shift_stack", counted):
+            mock.patch.object(_kernels, "_shift_stack", counting_stacks(_kernels._shift_stack, 2)), \
+            mock.patch.object(_kernels, "_shift_dots", counting_stacks(_kernels._shift_dots, 3)):
         got = _kernels.sharp_sum(values, 1 / nodes, 0.3, np.cos(th), np.sin(th), n, True)
     assert sum(stacked) == m + (2 ** (n - 1) - 1) * math.comb(m + n - 1, n)
     ref = sharp_sum_loop(values, 1 / nodes, 0.3, np.cos(th), np.sin(th), n, True)

@@ -18,6 +18,7 @@ from hdlab.calibrate import random_mask
 from hdlab.counting import (_ghat, _neg_khat, _offset_table, _ring_angles,
                             _sigma_weight_table, ring_pad)
 from hdlab.decomposition import _log_nodes, lp_pow_sum
+from hdlab.sphere import sphere_fourier_radial
 
 from conftest import seeded_rng
 
@@ -347,6 +348,39 @@ def test_sigma_table_is_memoised_on_the_grid():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("route", ["table", "one_slot"])
+def test_sigma_table_is_sigma_hat_at_the_read_radii(route):
+    # every lattice point below the cut holds sigma-hat at its own radius, as
+    # one sphere_fourier_radial call over the distinct radii gives it; points
+    # above the cut hold 0; and the 2^15-point interpolated table this
+    # replaced is within its interpolation error
+    f = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.3}], 1.0, 1 / 32)
+    params = CountingParams(n=2, lam=0.25, eps=0.25, quadrature_nodes=128)
+    pad = ring_pad(f, params.lam)
+    if route == "table":
+        tab = _offset_table(f, pad)
+        lattice, r2 = tab.xi_bar, tab.torus_side
+    else:
+        _, lattice, _, r2 = spectral.pair_spectrum(f.values, f.step, pad)
+    u_cut = 0.6 * float(lattice.max())
+    real = counting.sphere_fourier_radial
+    with mock.patch.object(counting, "sphere_fourier_radial", side_effect=real) as spy:
+        table, cells = _sigma_weight_table(f, params, u_cut, lattice, r2)
+    q = spy.call_args.args[0]
+    radii = np.unique(lattice)
+    read = radii[radii <= u_cut]
+    ref = sphere_fourier_radial(q, np.concatenate([read, spectral.cell_radii(r2)]))
+    assert table.shape == lattice.shape
+    for r, want in zip(read, ref):
+        assert np.all(table[lattice == r] == want)
+    assert np.array_equal(cells, ref[len(read):])
+    assert np.all(table[lattice > u_cut] == 0.0)
+    assert (lattice > u_cut).any() and (lattice <= u_cut).sum() > 100
+    u = np.linspace(0.0, u_cut, 1 << 15)
+    old = np.interp(lattice, u, sphere_fourier_radial(q, u), right=0.0)
+    assert np.abs(table - old).max() <= 1e-6
+
+
 def pair_value_ref(power, xi, mult, r2, weight_fn, zero_w):
     w = weight_fn(xi)
     total = float((power * w * mult).sum()) - power[0, 0] * w[0, 0] + power[0, 0] * zero_w
@@ -569,6 +603,29 @@ def test_two_slot_budget_counts_the_cropped_offsets():
     full = make_indicator([{"type": "rect", "x0": 0, "y0": 0, "x1": 4, "y1": 4}], 4.0, 1 / 32)
     with pytest.raises(ValueError, match="budget"):
         counting_smooth(full, params)
+
+
+def test_two_slot_budget_counts_the_padded_torus():
+    # the table is built on ring_pad(f, lam) * N nodes per side, so the
+    # estimate nd^2 (pad N)^2 / 4 grows with the pad: a disk of radius 1/4 in
+    # a unit window gets pad 6 at lam = 1 and pad 2 at lam = 1/8.  A budget
+    # between a 4N torus and the true one rejects the first and admits the
+    # second
+    f = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.25}], 1.0, 1 / 32)
+    nodes, nd = f.node_count, 2 * spectral.support_extent(f.values) - 1
+    assert (ring_pad(f, 1.0), ring_pad(f, 0.125)) == (6, 2)
+
+    def cost(pad):
+        return nd * nd * (pad * nodes) ** 2 // 4
+
+    budget = int(math.sqrt(cost(4) * cost(6)))
+    assert cost(4) < budget < cost(6)
+    with pytest.raises(ValueError, match="budget"):
+        counting_smooth(f, CountingParams(n=2, lam=1.0, eps=0.5, quadrature_nodes=16, budget=budget))
+    budget = int(math.sqrt(cost(2) * cost(4)))
+    assert cost(2) < budget < cost(4)
+    params = CountingParams(n=2, lam=0.125, eps=0.5, quadrature_nodes=16, budget=budget)
+    assert counting_smooth(f, params).value > 0
 
 
 def test_ball_tents_are_the_radius_zero_ring():
