@@ -8,13 +8,12 @@ spectral engine (smooth); the Monte Carlo estimator samples the smoothing
 measure per slot while keeping the x-sum exact, with a counter-based
 generator so results are a pure function of the seed.
 
-The smoothed form is the T = 1, slot-0 call of ``_form_values``, the one
-pairing of a spectrum with sigma-hat times a kernel, which also gives the
-derivative and box forms of ``decomposition`` at T outer scales with the
-Laplacian in slot 1 or 2.  Sigma-hat is computed only where the pairing
-reads it: at the distinct radii of the frequency lattice (a table's bin
-centroids or the one-slot rfft2 half-lattice) and of the zero cell,
-memoised on the grid.
+The smoothed form is the T = 1, slot-0 call of ``_form_values``, which also
+gives the derivative and box forms of ``decomposition`` at T outer scales.
+For n = 1 it is the pair correlation of f times tent weights; for n = 2 an
+offset table paired with sigma-hat times a kernel and with tent weights.
+The correlation and sigma-hat (at the radii the table reads) are memoised
+on the grid.
 """
 
 from __future__ import annotations
@@ -178,25 +177,23 @@ def _grid_memo(f: PlanarGrid, name: str) -> dict:
     return memo
 
 
-def _sigma_weight_table(f: PlanarGrid, params: CountingParams, u_cut: float, lattice,
-                        r2: float):
-    """Sigma-hat at each point of ``lattice`` up to ``u_cut``, zero beyond,
-    and at the zero-cell radii of a torus of side ``r2``.
+def _sigma_weight_table(f: PlanarGrid, params: CountingParams, u_cut: float,
+                        tab: spectral.OffsetTable):
+    """Sigma-hat at each bin centroid of ``tab`` up to ``u_cut``, zero beyond,
+    and at the zero-cell radii of its torus.
 
-    One ``sphere_fourier_radial`` call evaluates the distinct lattice
-    radii at most ``u_cut`` and the cell radii; each lattice point reads
-    the value at its own radius.  The lattices are a table's 2 048 bin
-    centroids or the rfft2 half-lattice of the one-slot route, so this is
-    a few thousand radii at most.  The circle-quadrature size is floored
-    at 8 nodes per unit of lam * |xi| so the transform stays faithful up
-    to ``u_cut``.  The values are kept on ``f`` per (node count, lam,
-    u_cut, r2, lattice), so the coarse and fine outer quadratures, the
-    slots of ``L_form`` and the smoothed forms at a shared cut reuse them.
+    One ``sphere_fourier_radial`` call evaluates the distinct centroid radii
+    at most ``u_cut`` and the cell radii.  The circle-quadrature size is
+    floored at 8 nodes per unit of lam * |xi| so the transform stays
+    faithful up to ``u_cut``.  The values are kept on ``f`` per (node count,
+    lam, u_cut, table lattice), so the coarse and fine outer quadratures,
+    the slots of ``L_form`` and the smoothed forms at a shared cut reuse them.
     """
+    lattice, r2 = tab.xi_bar, tab.torus_side
     m_eff = max(params.quadrature_nodes,
                 int(math.ceil(8.0 * params.lam * u_cut / 2.0)) * 2, 64)
     memo = _grid_memo(f, "_sigma_tables")
-    key = (m_eff, params.lam, u_cut, r2, lattice.shape, lattice.tobytes())
+    key = (m_eff, params.lam, u_cut, r2, lattice.tobytes())
     if key not in memo:
         radii, where = np.unique(lattice, return_inverse=True)
         read = int(np.searchsorted(radii, u_cut, side="right"))
@@ -204,7 +201,7 @@ def _sigma_weight_table(f: PlanarGrid, params: CountingParams, u_cut: float, lat
                                        np.concatenate([radii[:read], spectral.cell_radii(r2)]))
         at_radii = np.zeros(len(radii))
         at_radii[:read] = values[:read]
-        table = at_radii[where].reshape(lattice.shape)
+        table = at_radii[where]
         cell_values = values[read:]
         table.setflags(write=False)
         cell_values.setflags(write=False)
@@ -219,15 +216,13 @@ def _ring_angles(params: CountingParams, step: float) -> int:
 
 
 def ring_pad(f: PlanarGrid, lam: float) -> int:
-    """Padding factor for circle-smoothed forms at scale ``lam``.
+    """Padding factor of the offset table for circle-smoothed forms at ``lam``.
 
     The torus must resolve the support spectrum (four extents) and hold
     the smoothed ring plus the correlation support without wrap-around.
     The box forms smooth with plain Gaussians, the ring of radius 0, so
     ``lam = 0`` gives their torus.
     """
-    if f.periodic:
-        return 1
     ext = spectral.support_extent(f.values) * f.step
     need = max(4.0 * ext, 5.0 * lam + 1.2 * ext + 6.0 * f.step)
     return max(1, int(math.ceil(need / f.side - 1e-9)))
@@ -243,52 +238,69 @@ def _ghat(a, u: np.ndarray) -> np.ndarray:
     return np.exp(-np.pi * au * au)
 
 
+def _pair_correlation(f: PlanarGrid, lam: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, a): the 1-d offsets that ``_correlation_offsets`` gives and the
+    pair correlation at the 2-d offsets they span, in the layout of ``ring_tents``.
+
+    The torus of ``spectral.pair_spectrum`` is memoised on the grid.
+    """
+    memo = _grid_memo(f, "_pair_correlation")
+    if "torus" not in memo:
+        memo["torus"] = spectral.pair_spectrum(f.values, f.step, f.periodic)
+    offsets = _correlation_offsets(f, lam, scale)
+    at = offsets % len(memo["torus"])
+    return offsets, memo["torus"][np.ix_(at, at)].ravel()
+
+
+def _correlation_offsets(f: PlanarGrid, lam: float, scale: float) -> np.ndarray:
+    # periodic: every offset within a tent of the ring of radius lam smoothed
+    # at scale (g_s(y) / g_s(0) < 1e-17 at |y| = 3.6 s), read at d mod N;
+    # zero-extended: those of the support extent e, beyond which a vanishes
+    k = (math.ceil((lam + 3.6 * scale) / f.step) + 1 if f.periodic
+         else max(spectral.support_extent(f.values), 1) - 1)
+    return np.arange(-k, k + 1)
+
+
 def _form_values(f: PlanarGrid, tab: spectral.OffsetTable | None, m: int, lam: float, scales,
                  tent_scales=None, params: CountingParams | None = None) -> np.ndarray:
-    """A spectrum paired with sigma-hat times a kernel at T scales, Laplacian in slot m.
+    """A form at T scales with the Laplacian in slot m, smoothed on the circle
+    of radius ``lam`` (``params``) or, with ``params`` None, by plain Gaussians.
 
-    m = 0 pairs g-hat, m = 1 pairs -k-hat and m = 2 pairs g-hat with the
-    tent weights -2 pi s dc/ds at ``tent_scales`` s (default ``scales``).
-    Without ``tab`` the pairing is with |F|^2 on the torus of
-    ``ring_pad(f, lam)``; with an offset table it is with the table and
-    the tent weights.  ``params`` gives the circle of radius ``lam``
-    (sigma-hat, tents on rings of ``_ring_angles`` nodes); None means plain
-    Gaussians: sigma-hat 1 and the one-node rings of ``ball_tents``.
-    Sigma-hat is evaluated once per lattice, at its distinct radii up to
-    where g-hat at the smallest scale falls below 1e-17
-    (``_sigma_weight_table``).  Nodes go in chunks whose blocks of ``column``
-    elements per node stay within ``_kernels.STACK_ELEMENTS``.
+    n = 1 (no ``tab``): the pair correlation times the tent weights c at
+    ``scales``, or times -2 pi s dc/ds for m = 1.  n = 2: the table's
+    spectral slot takes sigma-hat times g-hat (m = 0, 2) or -k-hat (m = 1)
+    at ``scales``, its tent slot c (m = 0, 1) or -2 pi s dc/ds (m = 2) at
+    ``tent_scales`` (default ``scales``).  Nodes go in chunks whose blocks
+    of ``column`` elements per node stay within ``_kernels.STACK_ELEMENTS``.
     """
     scales = np.asarray(scales, dtype=np.float64)
-    tent_scales = scales if tent_scales is None else tent_scales
-    kernel = _neg_khat if m == 1 else _ghat
+    angles = 1 if params is None else _ring_angles(params, f.step)
     if tab is None:
-        power, lattice, mult, r2 = spectral.pair_spectrum(f.values, f.step, ring_pad(f, lam))
-        column = lattice.size
+        offsets, corr = _pair_correlation(f, lam, float(scales.max()))
+        tent_scales, deriv, lattice = scales, m >= 1, ()
     else:
-        lattice, r2 = tab.xi_bar, tab.torus_side
-        nd = len(tab.offsets)
-        angles = 1 if params is None else _ring_angles(params, f.step)
-        column = max(lattice.size, nd * nd, (nd + 2) * angles)
-    cells = spectral.cell_radii(r2)
-    sig_lattice = sig_cells = 1.0
-    if params is not None:
-        u_cut = min(float(lattice.max()) * (1 + 1e-9), 3.6 / float(scales.min()))
-        sig_lattice, sig_cells = _sigma_weight_table(f, params, u_cut, lattice, r2)
+        offsets, deriv, lattice = tab.offsets, m == 2, tab.xi_bar
+        tent_scales = scales if tent_scales is None else tent_scales
+        kernel = _neg_khat if m == 1 else _ghat
+        cells = spectral.cell_radii(tab.torus_side)
+        sig_lattice = sig_cells = 1.0
+        if params is not None:
+            u_cut = min(float(lattice.max()) * (1 + 1e-9), 3.6 / float(scales.min()))
+            sig_lattice, sig_cells = _sigma_weight_table(f, params, u_cut, tab)
+    nd = len(offsets)
+    column = max(len(lattice), nd * nd, (nd + 2) * angles)
 
     def tents(sl):
-        s, deriv = tent_scales[sl], m == 2
-        c = (spectral.ball_tents(tab, s, deriv) if params is None
-             else spectral.ring_tents(tab, lam, s, angles, deriv))
+        s = tent_scales[sl]
+        c = (spectral.ball_tents(offsets, f.step, s, deriv) if params is None
+             else spectral.ring_tents(offsets, f.step, lam, s, angles, deriv))
         return -2.0 * math.pi * s * c if deriv else c
 
     def values(sl):
-        weights = sig_lattice * kernel(scales[sl].reshape((-1,) + (1,) * lattice.ndim), lattice)
-        zero_w = (sig_cells * kernel(scales[sl, None], cells)).mean(axis=1)
-        if tab is None and f.periodic:  # unpadded torus: the zero cell is the frequency 0 alone
-            zero_w = weights[:, 0, 0]
         if tab is None:
-            return spectral.pair_value(power, mult, r2, weights, zero_w)
+            return corr @ tents(sl)
+        weights = sig_lattice * kernel(scales[sl, None], lattice)
+        zero_w = (sig_cells * kernel(scales[sl, None], cells)).mean(axis=1)
         return spectral.assemble(tab, tents(sl), weights.T, zero_w)
 
     size = max(1, _kernels.STACK_ELEMENTS // column)
@@ -321,8 +333,9 @@ def counting_sharp(f: PlanarGrid, params: CountingParams) -> CountingReport:
 
 
 def _clamped(value: float, f: PlanarGrid, params: CountingParams) -> float:
-    # the spectral assembly carries a noise floor from midpoint-sampled
-    # oscillatory weights; a value within it is zero at this precision
+    # the spectral slot of the n = 2 table route samples oscillatory weights
+    # at bin centroids, which leaves a noise floor; a value within it is
+    # zero at this precision
     floor = 1e-3 * max(float(f.values.sum()) * f.step**2, f.step**2)
     if value < -floor:
         raise ArithmeticError(
@@ -341,18 +354,22 @@ def counting_smooth(f: PlanarGrid, params: CountingParams) -> CountingReport:
         raise ValueError(
             "counting_smooth: the exact path supports n <= 2; use the monte_carlo estimator for n = 3"
         )
-    pad = ring_pad(f, params.lam)
+    scale = params.eps * params.lam
     if params.n == 1:
-        cost = f.node_count**2 * 8
+        # the correlation torus's transform, then offsets^2 x angles tents
+        torus = f.node_count if f.periodic else 2 * max(spectral.support_extent(f.values), 1)
+        nd = len(_correlation_offsets(f, params.lam, scale))
+        cost = torus * torus * 8 + nd * nd * _ring_angles(params, f.step)
     else:
         # the offset table holds the offsets within the support extent, one
         # transform of the padded torus each
+        pad = ring_pad(f, params.lam)
         nd = 2 * max(spectral.support_extent(f.values), 1) - 1
         cost = nd * nd * (pad * f.node_count) ** 2 // 4
     _require_budget(cost, params, "counting_smooth")
     tab = _offset_table(f, pad) if params.n == 2 else None
-    value = _form_values(f, tab, 0, params.lam, [params.eps * params.lam], params=params)
-    return CountingReport(_clamped(float(value[0]), f, params), 0.0, params)
+    value = float(_form_values(f, tab, 0, params.lam, [scale], params=params)[0])
+    return CountingReport(value if tab is None else _clamped(value, f, params), 0.0, params)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +393,9 @@ def _u2_fourth_spectral(values: np.ndarray, h: float) -> float:
     return float((np.abs(coef) ** 4).sum() / side**2)
 
 
-def _u2_fourth_autocorr(values: np.ndarray, h: float) -> float:
-    # pair correlation c(d) = h^2 sum_x f(x) f(x + d) by Wiener-Khinchin
-    c = np.fft.irfft2(np.abs(np.fft.rfft2(values)) ** 2, s=values.shape) * h * h
-    return float((c * c).sum() * h * h)
+def _u2_fourth_autocorr(f: PlanarGrid) -> float:
+    c = spectral.pair_spectrum(f.values, f.step, f.periodic)  # pair correlation
+    return float((c * c).sum() * f.step * f.step)
 
 
 def gowers_norm(f: PlanarGrid, n: int, route: str = "recursion") -> float:
@@ -402,7 +418,7 @@ def gowers_norm(f: PlanarGrid, n: int, route: str = "recursion") -> float:
         if route == "recursion":
             fourth = _kernels.u2_fourth_direct(vals, h)
         elif route == "autocorrelation":
-            fourth = _u2_fourth_autocorr(vals, h)
+            fourth = _u2_fourth_autocorr(f)
         elif route == "spectral":
             fourth = _u2_fourth_spectral(vals, h)
         else:

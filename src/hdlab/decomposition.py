@@ -144,8 +144,8 @@ def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
     """Scale-derivative form for slot m over the band [alpha, beta].
 
     Summed over m = 1..n this telescopes smooth_alpha - smooth_beta.  The
-    slot carrying the Laplacian smoothing is slot 1 in the spectral sense;
-    slot 2 is realised through the scale derivative of its tent weights.
+    Laplacian slot is the spectral slot of the n = 2 table for m = 1, else
+    the scale derivative of the tent weights (``counting._form_values``).
     The coarse (``tnodes``) and fine (``2 tnodes``) outer quadratures come
     from one batched evaluation over both node sets.
     """

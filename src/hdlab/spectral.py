@@ -1,40 +1,31 @@
 """Spectral evaluation engine for the smoothed pair and box forms.
 
-Smoothed counting-type integrals are assembled from two ingredients:
+The sharp and Monte Carlo kernels read f bilinearly, so on the lattice a
+smoothed form sums over offsets d with closed-form tent weights
+``c_d = integral of slot_kernel(y) tent_d(y) dy`` (erf expressions; ``_erf``
+is a NumPy port of Cephes, so the package needs no SciPy).  The slot kernel
+is a Gaussian on a ring of circle nodes (``ring_tents``); the box form's
+plain Gaussian is the ring of radius 0 with one node (``ball_tents``).
 
-* a radial weight acting on the frequency lattice of a zero-padded torus
-  (the transform of the slot kernel, optionally times the circle-measure
-  transform, which ``counting`` evaluates at the lattice's distinct radii),
-  applied to binned power spectra;
-* for two-slot forms, offset spectra ``P[d] = |FFT(f . f(.+dh))|^2`` over
-  the lattice offsets d, stored for half of them because P[-d] = P[d]
-  (``OffsetTable``), combined with closed-form tent weights
-  ``c_d = integral of slot_kernel(y) tent_d(y) dy`` (erf expressions).
-  The slot kernel is a Gaussian on a ring of circle nodes; the plain
-  Gaussian of the box form is the ring of radius 0 with one node.  erf is
-  a NumPy port of the Cephes rational forms (``_erf``), so the package
-  needs no SciPy.
+One-slot forms are the pair correlation a(d) = h^2 sum_x f(x) f(x + dh)
+(``pair_spectrum``) times the tent weights, exact for 0/1 pixel grids up to
+round-off.  Two-slot forms read offset spectra ``P[d] = |FFT(f . f(.+dh))|^2``,
+stored for half the offsets as P[-d] = P[d] (``OffsetTable``), paired with
+the tent weights in one slot and with a radial weight (the kernel transform
+times sigma-hat) in the other.  That spectral slot is a midpoint rule: it
+leaves out the tent's transfer factor prod_i sinc^2(xi_i h), the leading
+error at small lambda / h.  The binning, the zero-frequency cell (its weight
+averaged over a sub-sampled cell, so vanishing Laplacian weights keep its
+mass) and the outer scale quadrature add smaller ones.
 
-For 0/1 pixel grids the slice profile in the quadrature slot is exactly
-piecewise bilinear with lattice knots, so the tent reconstruction is exact
-and only the frequency binning, the zero-frequency cell and the outer scale
-quadrature carry discretisation error.  The zero-frequency cell is handled
-by averaging the weight over a sub-sampled cell: vanishing weights (the
-Laplacian family) would otherwise lose the mass their cell carries.
-
-Forms indexed by a smoothing slot come in derivative pairs: the slot
-carrying the Laplacian kernel is either the spectral slot (weight
-``-khat``) or the tent slot (weights ``-2 pi s dc_d/ds``).  Both express
-the scale derivative of one functional, so telescoping sums built from a
-matched pair are exact up to the outer quadrature.
-
-``counting._form_values`` pairs these ingredients.  Every
-function here takes a batch of T outer scale nodes on its last (tent and
-bin weights) or first (lattice weights) axis and returns T values: one
-matrix product ``P @ W`` reads the offset table once per batch instead of
-once per node.  A single smoothed value is the T = 1 case.  Callers cut T
-so that each (offsets^2 x T), (offsets x angles x T), (bins x T) or
-(lattice x T) block stays within ``_kernels.STACK_ELEMENTS`` elements.
+Forms come in derivative pairs: the Laplacian slot is the spectral slot
+(weight ``-khat``) or a tent slot (weights ``-2 pi s dc_d/ds``), both the
+scale derivative of one functional, so telescoping sums over a matched pair
+are exact up to the outer quadrature.  Weights carry T outer scale nodes on
+their last axis and one product ``P @ W`` reads the table once per batch;
+``counting._form_values`` cuts T so that each (offsets^2 x T),
+(offsets x angles x T) or (bins x T) block stays within
+``_kernels.STACK_ELEMENTS`` elements.
 """
 
 from __future__ import annotations
@@ -261,15 +252,16 @@ def build_offset_table(values: np.ndarray, step: float, pad: int) -> OffsetTable
 # tent weights for the quadrature slot, T scales at a time
 
 
-def ring_tents(tab: OffsetTable, lam: float, scales, angles: int,
+def ring_tents(offsets: np.ndarray, step: float, lam: float, scales, angles: int,
                deriv: bool = False) -> np.ndarray:
-    """Tent weights of sigma_lam * g_s (equal-weight circle nodes).
+    """Tent weights of sigma_lam * g_s (equal-weight circle nodes) at the
+    offsets d = (offsets[a], offsets[b]) * step, flat index a nd + b.
 
     Returns an (offsets^2, T) array for the T scales s, or with ``deriv``
-    their derivatives d/ds.  The Gaussian-tent profiles form
-    (T, angles, offsets + 2) blocks.
+    their derivatives d/ds.  The offsets are symmetric about 0.  The
+    Gaussian-tent profiles form (T, angles, offsets + 2) blocks.
     """
-    x = tab.offsets * tab.step
+    x = offsets * step
     s = np.asarray(scales, dtype=np.float64)[:, None, None]
     th = 2.0 * np.pi * np.arange(angles) / angles
     ux = x[None, :] - lam * np.cos(th)[:, None]
@@ -289,8 +281,8 @@ def ring_tents(tab: OffsetTable, lam: float, scales, angles: int,
         are symmetric and fn is even, so those rows are the first half
         reversed along the offset axis."""
         if angles % 2:
-            return fn(u, s, tab.step)
-        p = fn(u[:angles // 2], s, tab.step)
+            return fn(u, s, step)
+        p = fn(u[:angles // 2], s, step)
         return np.concatenate([p, p[..., ::-1]], axis=1)
 
     gx, gy = profiles(gauss_tent)
@@ -302,12 +294,12 @@ def ring_tents(tab: OffsetTable, lam: float, scales, angles: int,
     return (c / angles).reshape(len(s), -1).T
 
 
-def ball_tents(tab: OffsetTable, scales, deriv: bool = False) -> np.ndarray:
+def ball_tents(offsets: np.ndarray, step: float, scales, deriv: bool = False) -> np.ndarray:
     """Tent weights of the plain Gaussians g_s centred at the origin.
 
     The ring of radius 0 with one node; same layout as ``ring_tents``.
     """
-    return ring_tents(tab, 0.0, scales, 1, deriv)
+    return ring_tents(offsets, step, 0.0, scales, 1, deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -332,31 +324,22 @@ def assemble(tab: OffsetTable, tent_weights: np.ndarray, bin_weights: np.ndarray
     return np.einsum("dt,dt->t", folded, vals) / tab.torus_side**2
 
 
-def pair_spectrum(values: np.ndarray, step: float, pad: int):
-    """|FFT(f)|^2 on the padded torus with the padded |xi| lattice.
+def pair_spectrum(values: np.ndarray, step: float, periodic: bool) -> np.ndarray:
+    """Pair correlation a(d) = h^2 sum_x f(x) f(x + dh) at index d mod M of an
+    M x M torus, by Wiener-Khinchin (irfft2 of |rfft2|^2); the name dates
+    from when this returned |FFT f|^2.
 
-    Used by single-slot forms, which need no offset table.
+    A periodic grid is its own torus.  A zero-extended grid's support box
+    goes on a 2e-node torus, e its extent: no wrap at offsets |d_i| < e.
     """
-    n = values.shape[0]
-    n2 = pad * n
-    r2 = n2 * step
-    buf = np.zeros((n2, n2))
-    buf[:n, :n] = values
-    fm = np.fft.rfft2(buf) * (step * step)
-    power = fm.real**2 + fm.imag**2
-    xi, mult = frequency_lattice(n2, r2)
-    return power, xi, mult, r2
-
-
-def pair_value(power, mult, r2, weights, zero_weights) -> np.ndarray:
-    """sum over the padded lattice of |F|^2 W_t(|xi|), zero cell averaged.
-
-    ``weights`` stacks T lattice weights (T, *power.shape); ``zero_weights``
-    holds the T zero-cell averages that replace W_t(0).
-    """
-    total = (power * weights * mult).sum(axis=(1, 2)) - power[0, 0] * weights[:, 0, 0]
-    total += power[0, 0] * zero_weights
-    return total / r2**2
+    buf = values
+    if not periodic:
+        i0, i1, j0, j1 = support_box(values) or (0, 0, 0, 0)
+        e = max(i1 - i0, j1 - j0, 1)
+        buf = np.zeros((2 * e, 2 * e))
+        buf[:i1 - i0, :j1 - j0] = values[i0:i1, j0:j1]
+    fm = np.fft.rfft2(buf)
+    return np.fft.irfft2(fm.real**2 + fm.imag**2, s=buf.shape) * (step * step)
 
 
 def cell_radii(r2: float) -> np.ndarray:

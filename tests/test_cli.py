@@ -56,14 +56,15 @@ def test_schema_violation_exit_2(tmp_path, capsys):
 
 
 def test_under_resolved_smoothing_exit_2(tmp_path, capsys):
-    # an 8 x 8 mask at lambda = 1.5 h, eps = 0.5: eps * lambda is under a cell
+    # an 8 x 8 mask at lambda = 1.5 h, eps = 0.5: eps * lambda is under a
+    # cell, and the spectral slot of the n = 2 value falls under its noise floor
     vals = random_mask(1.0, 8, 0.125, 0).values >= 0.5
     raster = np.where(vals, 255, 0).astype(np.uint8).T[::-1, :]
     pgm = tmp_path / "mask.pgm"
     pgm.write_bytes(b"P5\n8 8\n255\n" + raster.tobytes())
     cfg = write_config(tmp_path, {
         "command": "counting", "set": {"pgm": str(pgm), "side": 1.0},
-        "params": {"n": 1, "lambda": 1.5 / 8, "eps": 0.5}, "form": "smooth",
+        "params": {"n": 2, "lambda": 1.5 / 8, "eps": 0.5}, "form": "smooth",
     })
     assert run_cli(["counting", "--config", cfg, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err

@@ -343,16 +343,26 @@ def test_sharp_sum_evaluates_each_angle_multiset_once(n, stack_elements):
     assert abs(got - ref) <= 1e-12 * ref
 
 
-@pytest.mark.parametrize("eps,value", [(0.5, "-1.715e-03"), (0.25, "-4.798e-03")])
+@pytest.mark.parametrize("eps,value", [(0.5, "-2.377e-04"), (0.25, "-3.519e-04")])
 def test_negative_smoothed_value_names_the_under_resolved_width(eps, value):
-    # eps * lambda below a cell: the spectral value falls under the noise floor
+    # eps * lambda below a cell: the spectral slot of the n = 2 value falls
+    # under the noise floor.  The n = 1 value, correlation times tents, is a
+    # sum of nonnegative terms
     f = random_mask(1.0, 8, 0.125, 0)
+    assert counting_smooth(f, CountingParams(n=1, lam=1.5 * f.step, eps=eps)).value > 0
     with pytest.raises(ArithmeticError) as err:
-        counting_smooth(f, CountingParams(n=1, lam=1.5 * f.step, eps=eps))
+        counting_smooth(f, CountingParams(n=2, lam=1.5 * f.step, eps=eps))
     msg = str(err.value)
     assert f"negative: {value}" in msg
     assert "lambda/h = 1.5," in msg and f"eps*lambda/h = {1.5 * eps:g};" in msg
     assert "under-resolved on this grid" in msg
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_smooth_budget_rejection(n):
+    f = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.25}], 1.0, 1 / 16)
+    with pytest.raises(ValueError, match="budget"):
+        counting_smooth(f, CountingParams(n=n, lam=0.25, eps=0.5, quadrature_nodes=16, budget=1))
 
 
 def test_sharp_budget_rejection():
@@ -417,6 +427,21 @@ def test_smooth_converges_to_sharp(disk_r4):
         gaps.append(abs(v - sharp))
     assert all(b <= a * 1.05 + 1e-9 for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] <= 0.01 * sharp
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.5])
+def test_smooth_one_slot_matches_monte_carlo_at_two_cells(eps):
+    # a disk of radius 1/4 centred in a 0.75 window, lambda = 2h: for n = 1
+    # the bilinear integrand of the Monte Carlo route is what the pair
+    # correlation times tent weights sums exactly, so the two agree within
+    # the sampling error.  The midpoint-rule spectral route this replaced
+    # was 35.5 (eps = 1) and 56.8 (eps = 0.5) standard errors high here
+    h = 1 / 16
+    f = make_indicator([{"type": "disk", "cx": 0.375, "cy": 0.375, "r": 0.25}], 0.75, h)
+    exact = counting_smooth(f, CountingParams(n=1, lam=2 * h, eps=eps)).value
+    mc = counting_smooth(f, CountingParams(n=1, lam=2 * h, eps=eps, estimator="monte_carlo",
+                                           mc_samples=400_000, seed=2024))
+    assert abs(exact - mc.value) <= 3.0 * mc.estimator_stderr, (exact, mc)
 
 
 def test_smooth_mc_vs_exact_two_slots():
