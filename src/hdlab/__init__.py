@@ -13,8 +13,8 @@ from .counting import (CountingParams, CountingReport, counting_sharp,
 from .decomposition import (DecompositionCell, DecompositionReport, L_form,
                             ScaleLadder, check_error_bound,
                             check_structured_bound, check_uniform_bound,
-                            decompose, decomposition_report, structured_part,
-                            theta_form, uniform_part)
+                            decompose, decomposition_report, error_part,
+                            structured_part, theta_form, uniform_part)
 from .embedding import (HypercubeCopy, IntervalResult, PlanarSet, ScanOutcome,
                         SearchSpec, avoided_distance_demo,
                         estimate_banach_density, find_copy,

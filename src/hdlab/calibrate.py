@@ -65,7 +65,7 @@ def calibrate_domination(lam: float = 1.0):
     worst = 0.0
     for t, eps in pairs:
         lhs = smooth_sphere_value(q, KernelSpec("g", t * lam), pts)
-        rhs = eps**-3 * domination_integral(pts, THETA * t * lam)
+        rhs = eps**-3 * domination_integral(pts, THETA * t * lam)[0]
         worst = max(worst, float(np.max(lhs / np.maximum(rhs, 1e-300))))
     return {
         "value": worst * 1.2,

@@ -41,6 +41,19 @@ from .grid import from_shape_json
 # ---------------------------------------------------------------------------
 # config schemas
 
+# the fields each shape type requires (see grid.make_indicator)
+_SHAPE_FIELDS = {"rect": ["x0", "y0", "x1", "y1"], "disk": ["cx", "cy", "r"],
+                 "stripes1d": ["intervals"]}
+_NUMBER = {"type": "number"}
+_NUMBER_PAIR = {"type": "array", "minItems": 2, "maxItems": 2, "items": _NUMBER}
+_SHAPE_ITEM = {
+    "type": "object",
+    "properties": {**dict.fromkeys(_SHAPE_FIELDS["rect"] + _SHAPE_FIELDS["disk"], _NUMBER),
+                   "intervals": {"type": "array", "items": _NUMBER_PAIR}, "axis": {"enum": [0, 1]}},
+    "allOf": [{"if": {"properties": {"type": {"const": kind}}}, "then": {"required": fields}}
+              for kind, fields in _SHAPE_FIELDS.items()],
+}
+
 _SHAPE = {
     "type": "object",
     "oneOf": [
@@ -50,11 +63,11 @@ _SHAPE = {
                 "R": {"type": "number", "exclusiveMinimum": 0},
                 "h": {"type": "number", "exclusiveMinimum": 0},
                 "boundary": {"enum": ["zero", "periodic"]},
-                "shapes": {"type": "array"},
+                "shapes": {"type": "array", "items": _SHAPE_ITEM},
             },
         },
         {"required": ["pgm"], "properties": {"pgm": {"type": "string"},
-                                             "side": {"type": "number"}}},
+                                             "side": {"type": "number", "exclusiveMinimum": 0}}},
     ],
 }
 
@@ -85,97 +98,64 @@ _SEARCH = {
     "additionalProperties": False,
 }
 
+
+def _command_schema(command: str, required: list, properties: dict) -> dict:
+    """The config of one command: ``command`` plus the given fields, no others."""
+    return {"type": "object", "required": ["command", *required],
+            "properties": {"command": {"const": command}, **properties},
+            "additionalProperties": False}
+
+
 SCHEMAS = {
-    "identities": {
-        "type": "object",
-        "required": ["command"],
-        "properties": {
-            "command": {"const": "identities"},
-            "pairs": {"type": "array",
-                      "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                                "items": {"type": "number", "exclusiveMinimum": 0}}},
-            "seed": {"type": "integer", "minimum": 0},
-            "side": {"type": "number", "exclusiveMinimum": 0},
-            "step": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "additionalProperties": False,
-    },
-    "counting": {
-        "type": "object",
-        "required": ["command", "set", "params", "form"],
-        "properties": {
-            "command": {"const": "counting"},
-            "set": _SHAPE,
-            "params": _COUNTING_PARAMS,
-            "form": {"enum": ["sharp", "smooth"]},
-        },
-        "additionalProperties": False,
-    },
-    "decompose": {
-        "type": "object",
-        "required": ["command", "set", "n", "eps", "ladder"],
-        "properties": {
-            "command": {"const": "decompose"},
-            "set": _SHAPE,
-            "n": {"type": "integer", "minimum": 1, "maximum": 2},
-            "eps": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-            "M": {"type": "integer", "minimum": 4},
-            "ladder": {
-                "type": "object",
-                "required": ["smallest", "count"],
-                "properties": {
-                    "smallest": {"type": "number", "exclusiveMinimum": 0},
-                    "count": {"type": "integer", "minimum": 1},
-                    "ratio": {"type": "number", "minimum": 2},
-                },
+    "identities": _command_schema("identities", [], {
+        "pairs": {"type": "array",
+                  "items": {"type": "array", "minItems": 2, "maxItems": 2,
+                            "items": {"type": "number", "exclusiveMinimum": 0}}},
+        "seed": {"type": "integer", "minimum": 0},
+        "side": {"type": "number", "exclusiveMinimum": 0},
+        "step": {"type": "number", "exclusiveMinimum": 0},
+    }),
+    "counting": _command_schema("counting", ["set", "params", "form"], {
+        "set": _SHAPE,
+        "params": _COUNTING_PARAMS,
+        "form": {"enum": ["sharp", "smooth"]},
+    }),
+    "decompose": _command_schema("decompose", ["set", "n", "eps", "ladder"], {
+        "set": _SHAPE,
+        "n": {"type": "integer", "minimum": 1, "maximum": 2},
+        "eps": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+        "M": {"type": "integer", "minimum": 4},
+        "ladder": {
+            "type": "object",
+            "required": ["smallest", "count"],
+            "properties": {
+                "smallest": {"type": "number", "exclusiveMinimum": 0},
+                "count": {"type": "integer", "minimum": 1},
+                "ratio": {"type": "number", "minimum": 2},
             },
         },
-        "additionalProperties": False,
-    },
-    "embed": {
-        "type": "object",
-        "required": ["command", "set", "lengths"],
-        "properties": {
-            "command": {"const": "embed"},
-            "set": _SHAPE,
-            "lengths": {"type": "array", "minItems": 1, "maxItems": 3,
-                        "items": {"type": "number", "exclusiveMinimum": 0}},
-            "search": _SEARCH,
-        },
-        "additionalProperties": False,
-    },
-    "interval": {
-        "type": "object",
-        "required": ["command", "set", "delta", "n", "eps", "J"],
-        "properties": {
-            "command": {"const": "interval"},
-            "set": _SHAPE,
-            "delta": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.5},
-            "n": {"type": "integer", "minimum": 1, "maximum": 2},
-            "eps": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-            "J": {"type": "integer", "minimum": 1},
-            "M": {"type": "integer", "minimum": 4},
-            "search": _SEARCH,
-        },
-        "additionalProperties": False,
-    },
-    "counterexample": {
-        "type": "object",
-        "required": ["command", "kind", "lambda"],
-        "properties": {
-            "command": {"const": "counterexample"},
-            "kind": {"enum": ["banach_Z", "stripes"]},
-            "lambda": {"type": ["number", "string"]},
-            "eps": {"type": ["number", "string"]},
-        },
-        "additionalProperties": False,
-    },
-    "calibrate": {
-        "type": "object",
-        "required": ["command"],
-        "properties": {"command": {"const": "calibrate"}},
-        "additionalProperties": False,
-    },
+    }),
+    "embed": _command_schema("embed", ["set", "lengths"], {
+        "set": _SHAPE,
+        "lengths": {"type": "array", "minItems": 1, "maxItems": 3,
+                    "items": {"type": "number", "exclusiveMinimum": 0}},
+        "search": _SEARCH,
+    }),
+    "interval": _command_schema("interval", ["set", "delta", "n", "eps", "J"], {
+        "set": _SHAPE,
+        "delta": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.5},
+        "n": {"type": "integer", "minimum": 1, "maximum": 2},
+        "eps": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+        "J": {"type": "integer", "minimum": 1},
+        "M": {"type": "integer", "minimum": 4},
+        "search": _SEARCH,
+    }),
+    "counterexample": _command_schema("counterexample", ["kind", "lambda"], {
+        "kind": {"enum": ["banach_Z", "stripes"]},
+        "lambda": {"type": ["number", "string"]},
+        "eps": {"type": ["number", "string"]},
+    }),
+    "calibrate": _command_schema("calibrate", [], {}),
 }
 
 
@@ -285,8 +265,9 @@ def _run_embed(cfg, consts) -> dict:
     grid, pset = _load_set(cfg["set"])
     lengths = cfg["lengths"]
     search = _search_spec(cfg.get("search"), default_step=max(grid.step * 4, grid.side / 64))
+    search = search.resolved(lengths)  # the scan's tolerances verify its witness
     out = find_copy(pset, lengths, search)
-    verified = bool(out.copy and verify_copy(pset, out.copy, eta_len=search.resolved(lengths).eta_len))
+    verified = bool(out.copy and verify_copy(pset, out.copy, search.eta_len, search.eta_gap))
     return {"embed.json": {"status": out.status, "witness": _copy_dict(out.copy),
                            "verified": verified, "resume_cursor": out.resume_cursor,
                            "examined": out.examined}}
@@ -496,7 +477,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=Path, help="JSON config path (defaults to {'command': ...})")
     parser.add_argument("--out", type=Path, default=Path("hdlab-out"))
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface compatibility; runs are single-threaded")
+                        help="ignored; accepted for interface compatibility (BLAS picks "
+                             "its own thread count)")
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--constants", type=Path, default=None)
     args = parser.parse_args(argv)

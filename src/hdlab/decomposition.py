@@ -11,11 +11,11 @@ the calibration sweeps that freeze the empirical constants.
 
 Derivative forms come in matched pairs per slot (see ``spectral``): summed
 over slots they telescope the smoothed form exactly up to the outer scale
-quadrature, which is log-spaced and accepted only when one refinement
-moves the result by less than a set fraction.  Each integrand is one call
-of ``counting._form_values`` with the Laplacian slot m: the derivative
-forms on the circle of radius lam, the box forms on plain Gaussians (the
-ring of radius 0).
+quadrature, a log-trapezoid rule accepted only when its coarse and fine
+sums differ by less than a set fraction.  The coarse rule reads every
+other fine node, so each integrand is one call of ``counting._form_values``
+with the Laplacian slot m, on the fine nodes: the derivative forms on the
+circle of radius lam, the box forms on plain Gaussians (the ring of radius 0).
 """
 
 from __future__ import annotations
@@ -71,6 +71,12 @@ def structured_part(f: PlanarGrid, lam: float, n: int, **kw) -> float:
     """Fully smoothed counting form (smoothing width 1)."""
     params = CountingParams(n=n, lam=lam, eps=1.0, **kw)
     return counting_smooth(f, params).value
+
+
+def error_part(f: PlanarGrid, lam: float, eps: float, n: int, **kw) -> float:
+    """smooth_eps - smooth_1 at one scale, without the sharp form."""
+    smooth = counting_smooth(f, CountingParams(n=n, lam=lam, eps=eps, **kw)).value
+    return smooth - structured_part(f, lam, n, **kw)
 
 
 def uniform_part(f: PlanarGrid, lam: float, eps: float, n: int, **kw) -> float:
@@ -129,14 +135,15 @@ def _log_nodes(lo: float, hi: float, count: int):
 
 
 def _outer_sums(integrand, lo, hi, nodes) -> tuple[float, float]:
-    """Log-trapezoid sums with ``nodes`` and ``2 nodes`` nodes on [lo, hi].
+    """Log-trapezoid sums with ``nodes`` and ``2 nodes - 1`` nodes on [lo, hi].
 
-    The integrand is evaluated once, on both node sets together.
+    The integrand is evaluated once, on the fine nodes; the coarse rule
+    reads every other one of them.
     """
-    sc, wc = _log_nodes(lo, hi, nodes)
-    sf, wf = _log_nodes(lo, hi, 2 * nodes)
-    v = integrand(np.concatenate([sc, sf]))
-    return float(wc @ v[:nodes]), float(wf @ v[nodes:])
+    _, wc = _log_nodes(lo, hi, nodes)
+    sf, wf = _log_nodes(lo, hi, 2 * nodes - 1)
+    v = integrand(sf)
+    return float(wc @ v[::2]), float(wf @ v)
 
 
 def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
@@ -146,8 +153,8 @@ def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
     Summed over m = 1..n this telescopes smooth_alpha - smooth_beta.  The
     Laplacian slot is the spectral slot of the n = 2 table for m = 1, else
     the scale derivative of the tent weights (``counting._form_values``).
-    The coarse (``tnodes``) and fine (``2 tnodes``) outer quadratures come
-    from one batched evaluation over both node sets.
+    The fine outer quadrature has ``2 tnodes - 1`` nodes, the coarse one
+    every other node; one batched evaluation gives both.
     """
     if not 0 < alpha < beta <= 1:
         raise ValueError("need 0 < alpha < beta <= 1")
@@ -169,15 +176,14 @@ def lp_pow_sum(f: PlanarGrid, p: float) -> float:
     return float((f.values**p).sum() * f.step * f.step)
 
 
-def theta_form(f: PlanarGrid, gammas, m: int, s_window=None,
-               nodes: int = 128) -> QuadratureValue:
+def theta_form(f: PlanarGrid, gammas, m: int, nodes: int = 128) -> QuadratureValue:
     """Scale-integrated box form with the Laplacian in slot m, truncated.
 
-    The s-window defaults to [1e-3 h, 1e3 R].  The value is nonnegative up
-    to truncation and quadrature; a negative result beyond a small multiple
-    of the telescoping total is an error.  The coarse (``nodes``) and fine
-    (``2 nodes``) outer quadratures come from one batched evaluation over
-    both node sets.
+    The s-window is [1e-5 h, 1e3 R], far below the cell because a tent
+    slot's weights are first order in s/h.  The value is nonnegative up to
+    truncation and quadrature; a negative result beyond a small multiple of
+    the telescoping total is an error.  The fine outer quadrature has
+    ``2 nodes - 1`` nodes, the coarse one every other node.
     """
     gammas = tuple(float(g) for g in gammas)
     n = len(gammas)
@@ -189,15 +195,11 @@ def theta_form(f: PlanarGrid, gammas, m: int, s_window=None,
         raise ValueError("slot scales must be positive")
     if f.periodic:
         raise ValueError("the box form needs a zero-extended grid")
-    if s_window is None:
-        s_window = (1e-3 * f.step, 1e3 * f.side)
-    smin, smax = s_window
-    if smin > 1e-2 * f.step or smax < 1e2 * f.side:
-        raise ValueError("s-window must cover [1e-2 step, 1e2 side]")
 
     tab = _offset_table(f, ring_pad(f, 0.0)) if n == 2 else None
     coarse, fine = _outer_sums(
-        lambda ss: _form_values(f, tab, m, 0.0, ss * gammas[0], ss * gammas[-1]), smin, smax, nodes)
+        lambda ss: _form_values(f, tab, m, 0.0, ss * gammas[0], ss * gammas[-1]),
+        1e-5 * f.step, 1e3 * f.side, nodes)
     scale = 2.0 * math.pi * lp_pow_sum(f, 2.0**n)
     if fine < -1e-6 * scale:
         raise ArithmeticError(
@@ -242,11 +244,7 @@ def check_error_bound(f: PlanarGrid, ladder: ScaleLadder, eps: float, n: int,
                       frozen: float | None = None, **kw) -> BoundCheck:
     """Ladder sum of |smooth_eps - smooth_1| against the frozen constant."""
     ladder.check_window(f.side)
-    diffs = []
-    for lam in ladder.scales:
-        ne = counting_smooth(f, CountingParams(n=n, lam=lam, eps=eps, **kw)).value
-        n1 = counting_smooth(f, CountingParams(n=n, lam=lam, eps=1.0, **kw)).value
-        diffs.append(abs(ne - n1))
+    diffs = [abs(error_part(f, lam, eps, n, **kw)) for lam in ladder.scales]
     total = float(sum(diffs))
     if eps >= 1.0:
         bound = 0.0

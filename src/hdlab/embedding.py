@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .decomposition import decompose
+from .decomposition import error_part
 from .grid import PlanarGrid, measure as grid_measure
 
 _SAMPLES_PER_INTERVAL = 5  # scales searched inside the chosen interval
@@ -347,9 +347,9 @@ def pigeonhole_interval(A: PlanarSet, delta: float, n: int, eps: float, depth: i
                         depth_coefficient: float | None = None) -> IntervalResult:
     """Pick the dyadic scale interval with the smallest error part.
 
-    For each j the decomposition triple is evaluated at the midpoint of
-    I_j = [4^-j, 2 * 4^-j); the j minimising |error part| wins, and copies
-    are searched at ``_SAMPLES_PER_INTERVAL`` scales inside I_j.  A result
+    For each j the error part smooth_eps - smooth_1 is evaluated at the
+    midpoint of I_j = [4^-j, 2 * 4^-j); the j minimising its size wins, and
+    copies are searched at ``_SAMPLES_PER_INTERVAL`` scales inside I_j.  A result
     without any witness carries ``witness_found=False``: the scan is
     resolution-limited, absence is not a refutation.
     """
@@ -363,8 +363,7 @@ def pigeonhole_interval(A: PlanarSet, delta: float, n: int, eps: float, depth: i
     errors = []
     for j in range(1, depth + 1):
         lam = 1.5 * 4.0**-j
-        cell = decompose(g, lam, eps, n, quadrature_nodes=quadrature_nodes)
-        errors.append(abs(cell.error_part))
+        errors.append(abs(error_part(g, lam, eps, n, quadrature_nodes=quadrature_nodes)))
     best_j = 1 + int(np.argmin(errors))
     lo, hi = 4.0**-best_j, 2.0 * 4.0**-best_j
     scales = tuple(lo * (1.0 + (2 * k + 1) / (2.0 * _SAMPLES_PER_INTERVAL))

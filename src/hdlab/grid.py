@@ -43,6 +43,8 @@ class PlanarGrid:
     def __post_init__(self):
         if self.boundary not in (ZERO, PERIODIC):
             raise ValueError(f"unknown boundary mode {self.boundary!r}")
+        if not 0 < self.step < np.inf:
+            raise ValueError(f"grid step must be finite and positive, got {self.step!r}")
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
         n = vals.shape[0]
         if vals.ndim != 2 or vals.shape[1] != n:

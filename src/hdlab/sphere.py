@@ -149,22 +149,23 @@ THETA = 0.1 / math.e
 _GAMMA_MAX = 2e5  # upper end of the gamma integral
 
 
-def domination_integral(x, s: float, nodes: int = 385) -> np.ndarray:
-    """Log-spaced Simpson quadrature of the dominating scale integral."""
+def domination_integral(x, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Log-spaced Simpson sums of the dominating scale integral on 385 and
+    769 nodes, from one evaluation: the 385-node rule reads every other node."""
     x = np.asarray(x, dtype=np.float64)
-    if nodes % 2 == 0:
-        nodes += 1
-    u = np.linspace(0.0, math.log(_GAMMA_MAX), nodes)
-    du = u[1] - u[0]
-    w = np.full(nodes, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w *= du / 3.0
+    u = np.linspace(0.0, math.log(_GAMMA_MAX), 769)
     r2 = (x**2).sum(axis=-1)[..., None]
     sg = s * np.exp(u)
     vals = np.exp(-np.pi * np.minimum(r2 / sg**2, 700.0)) / sg**2
-    # dgamma/gamma^2 = exp(-u) du in log coordinates
-    return (vals * (w * np.exp(-u))).sum(axis=-1)
+    sums = []
+    for us, vs in ((u[::2], vals[..., ::2]), (u, vals)):
+        w = np.full(len(us), 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+        w *= (us[1] - us[0]) / 3.0
+        # dgamma/gamma^2 = exp(-u) du in log coordinates
+        sums.append((vs * (w * np.exp(-us))).sum(axis=-1))
+    return tuple(sums)
 
 
 @dataclass(frozen=True)
@@ -183,8 +184,7 @@ def gaussian_domination_check(lam: float, t: float, eps: float, points,
     q = CircleQuadrature(node_count, lam)
     lhs = smooth_sphere_value(q, KernelSpec("g", t * lam), pts)
     s = THETA * t * lam
-    coarse = domination_integral(pts, s, nodes=385)
-    fine = domination_integral(pts, s, nodes=769)
+    coarse, fine = domination_integral(pts, s)
     scale = np.maximum(np.abs(fine), 1e-300)
     if np.max(np.abs(fine - coarse) / scale) > 1e-4:
         return DominationResult(False, 0.0, "inconclusive")

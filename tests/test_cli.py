@@ -323,3 +323,41 @@ def test_interrupted_cache_write_leaves_no_entry(tmp_path, capsys, monkeypatch):
     # the completed entry is served whole on the next run
     assert run_cli(["decompose", "--config", cfg, "--out", out]) == 0
     assert capsys.readouterr().out.count("cache hit") == 2
+
+
+def test_embed_verifies_with_the_scan_tolerances(tmp_path):
+    # with eta_gap = 1e-30 the scan accepts two coinciding vertices (a gap
+    # of 5.6e-17); the report verifies the witness with that same gap, not
+    # with the default min(lengths) / 1000
+    cfg = write_config(tmp_path, {
+        "command": "embed",
+        "set": {"R": 1.0, "h": 1 / 64,
+                "shapes": [{"type": "rect", "x0": 0.1, "y0": 0.45, "x1": 0.9, "y1": 0.55}]},
+        "lengths": [0.2, 0.2],
+        "search": {"angles": 4, "x_step": 0.05, "eta_gap": 1e-30},
+    })
+    out = tmp_path / "out"
+    assert run_cli(["embed", "--config", cfg, "--out", out]) == 0
+    report = json.loads((out / "embed.json").read_text())["report"]
+    assert report["status"] == "found" and report["witness"]["min_gap"] < 1e-15
+    assert report["verified"] is True
+
+
+@pytest.mark.parametrize("bad_set", [
+    {"R": 1.0, "h": 1 / 16, "shapes": [{"type": "rect", "x0": 0.1, "y0": 0.1, "x1": 0.9}]},
+    {"R": 1.0, "h": 1 / 16, "shapes": [{"type": "stripes1d", "axis": 0}]},
+    {"R": 1.0, "h": 1 / 16, "shapes": [{"type": "disk", "cx": 0.5, "cy": 0.5, "r": "big"}]},
+    {"pgm": "PGM", "side": 0},
+    {"R": 1.0, "h": 1 / 16, "shapes": [{"type": "stripes1d", "axis": [1], "intervals": []}]},
+], ids=["rect-without-y1", "stripes-without-intervals", "disk-radius-string", "pgm-side-0",
+        "stripes-axis-list"])
+def test_malformed_set_is_a_config_error(tmp_path, capsys, bad_set):
+    if "pgm" in bad_set:
+        pgm = tmp_path / "full.pgm"
+        write_pgm(pgm, np.full((16, 16), 255, dtype=np.uint8))
+        bad_set = dict(bad_set, pgm=str(pgm))
+    cfg = write_config(tmp_path, {"command": "counting", "set": bad_set,
+                                  "params": {"n": 1, "lambda": 0.25, "M": 16}, "form": "sharp"})
+    assert run_cli(["counting", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -12,12 +12,12 @@ from scipy.special import erf
 from hdlab import (PERIODIC, ZERO, CountingParams, L_form, PlanarGrid, ScaleLadder,
                    _kernels, counting, check_error_bound, check_structured_bound,
                    check_uniform_bound, counting_sharp, counting_smooth,
-                   decompose, decomposition_report, make_indicator, measure,
-                   spectral, structured_part, theta_form, uniform_part)
+                   decompose, decomposition_report, error_part, make_indicator,
+                   measure, spectral, structured_part, theta_form, uniform_part)
 from hdlab.calibrate import random_mask
 from hdlab.counting import (_ghat, _neg_khat, _offset_table, _ring_angles,
                             _sigma_weight_table, ring_pad)
-from hdlab.decomposition import _log_nodes, lp_pow_sum
+from hdlab.decomposition import _log_nodes, _outer_sums, lp_pow_sum
 from hdlab.sphere import sphere_fourier_radial
 
 from conftest import seeded_rng
@@ -145,6 +145,34 @@ def test_L_validates_band():
     f = make_indicator([], 1.0, 1 / 32)
     with pytest.raises(ValueError):
         L_form(f, 0.5, 0.5, 0.25, 1, 1)
+
+
+@settings(max_examples=200)
+@given(lo=st.floats(1e-6, 1.0), ratio=st.floats(2.0, 1e8), nodes=st.integers(2, 64),
+       power=st.floats(-1.0, 2.0))
+def test_outer_sums_nest_the_coarse_rule(lo, ratio, nodes, power):
+    # the integrand s^power exp(-s) is evaluated once, on the 2 nodes - 1
+    # fine nodes, and the coarse sum equals the separate nodes-point rule
+    calls = []
+
+    def integrand(s):
+        calls.append(s)
+        return s**power * np.exp(-s)
+
+    hi = lo * ratio
+    coarse, fine = _outer_sums(integrand, lo, hi, nodes)
+    assert len(calls) == 1 and calls[0].shape == (2 * nodes - 1,)
+    for count, got in ((nodes, coarse), (2 * nodes - 1, fine)):
+        s, w = _log_nodes(lo, hi, count)
+        want = float(w @ integrand(s))
+        assert abs(got - want) <= 1e-12 * want, (count, got, want)
+
+
+def test_error_part_is_the_decomposition_error_part(canonical_sets):
+    f = canonical_sets["mask"]
+    for n in (1, 2):
+        cell = decompose(f, 0.25, 0.5, n, quadrature_nodes=32)
+        assert error_part(f, 0.25, 0.5, n, quadrature_nodes=32) == cell.error_part
 
 
 # --- the batched evaluator against per-node loops --------------------------------
@@ -514,14 +542,15 @@ def test_batched_forms_match_node_loops(form, n, m, nodes, density, seed, lam_ce
     with mock.patch.object(_kernels, "STACK_ELEMENTS", stack_elements):
         if form == "theta":
             gammas = (1.0, math.sqrt(2.0))[:n]
-            window = (1e-3 * f.step, 1e3 * f.side)
+            window = (1e-5 * f.step, 1e3 * f.side)
             got = theta_form(f, gammas, m, nodes=outer_nodes)
-            ref = [theta_loop(f, gammas, m, *window, k * outer_nodes) for k in (1, 2)]
+            ref = [theta_loop(f, gammas, m, *window, k) for k in (outer_nodes, 2 * outer_nodes - 1)]
         else:
             lam = lam_cells * f.step
             params = CountingParams(n=n, lam=lam, eps=1.0, quadrature_nodes=16)
             got = L_form(f, lam, 0.25, 1.0, m, n, tnodes=outer_nodes, quadrature_nodes=16)
-            ref = [l_form_loop(f, lam, 0.25, 1.0, m, n, params, k * outer_nodes) for k in (1, 2)]
+            ref = [l_form_loop(f, lam, 0.25, 1.0, m, n, params, k)
+                   for k in (outer_nodes, 2 * outer_nodes - 1)]
     # relative to a magnitude, because sigma-hat and the tent derivatives
     # change sign and the value itself can cancel to near zero.  n = 1:
     # float64 round-off of the transformed correlation and of erf.  n = 2:
@@ -782,11 +811,6 @@ def test_theta_positivity(canonical_sets):
         th = theta_form(f, (1.0, 1.0), m)
         assert th.value >= -1e-6 * cap
 
-
-def test_theta_window_validation(canonical_sets):
-    f = canonical_sets["disk"]
-    with pytest.raises(ValueError, match="s-window"):
-        theta_form(f, (1.0,), 1, s_window=(0.1, 1e3))
 
 
 # --- ladder bounds -------------------------------------------------------------

@@ -62,6 +62,13 @@ def test_geometry_invariant_enforced():
         PlanarGrid(1.0, 1 / 31, np.zeros((64, 64)))
 
 
+@pytest.mark.parametrize("step", [0.0, -1 / 16, math.inf, math.nan])
+def test_step_must_be_finite_and_positive(step):
+    # a zero step with a zero side passes the geometry check N h = R
+    with pytest.raises(ValueError, match="grid step"):
+        PlanarGrid(0.0 if step == 0.0 else 1.0, step, np.zeros((16, 16)))
+
+
 # --- whole-grid shift ------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ from scipy.special import jv
 from hdlab import (CircleQuadrature, KernelSpec, gaussian_domination_check,
                    lower_bound_constant, measure, smooth_sphere,
                    smooth_sphere_value, sphere_fourier, sphere_fourier_radial)
-from hdlab.sphere import THETA, decay_envelope
+from hdlab.sphere import _GAMMA_MAX, THETA, decay_envelope, domination_integral
 
 from conftest import seeded_rng
 
@@ -184,6 +184,30 @@ def test_domination_monotone_in_eps(constants):
     m1 = gaussian_domination_check(1.0, 0.5, 0.5, pts, c).margin
     m2 = gaussian_domination_check(1.0, 0.5, 0.25, pts, c).margin
     assert m2 >= m1 * 7.9
+
+
+def simpson_domination(x, s, nodes):
+    """The dominating scale integral by one Simpson rule on its own nodes."""
+    u = np.linspace(0.0, math.log(_GAMMA_MAX), nodes)
+    w = np.full(nodes, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    w *= (u[1] - u[0]) / 3.0
+    sg = s * np.exp(u)
+    vals = np.exp(-np.pi * np.minimum((x**2).sum(axis=-1)[..., None] / sg**2, 700.0)) / sg**2
+    return (vals * (w * np.exp(-u))).sum(axis=-1)
+
+
+def test_domination_sums_are_the_separate_simpson_rules():
+    # the 385-node sum reads every other node of the 769-node evaluation
+    # and equals the 385-node rule bit for bit
+    rng = seeded_rng(5)
+    for _ in range(20):
+        pts = rng.normal(size=(7, 2)) * rng.uniform(0.01, 5.0)
+        s = float(rng.uniform(1e-3, 2.0))
+        coarse, fine = domination_integral(pts, s)
+        assert np.array_equal(coarse, simpson_domination(pts, s, 385))
+        assert np.array_equal(fine, simpson_domination(pts, s, 769))
 
 
 def test_domination_validates_ranges():
