@@ -135,11 +135,11 @@ def _exact_cost(params: CountingParams, n_nodes: int) -> int:
     return tuples * n_nodes**2 * (1 << params.n)
 
 
-def _require_budget(cost: int, params: CountingParams, what: str):
-    if cost > params.budget:
+def _require_budget(cost: int, budget: int, what: str):
+    if cost > budget:
         raise ValueError(
             f"{what}: exact quadrature needs ~{cost:.3g} elementary operations, "
-            f"over the configured budget {params.budget:.3g}; lower M/N or use monte_carlo"
+            f"over the configured budget {budget:.3g}; lower M/N or use monte_carlo"
         )
 
 
@@ -182,8 +182,8 @@ def _sigma_weight_table(f: PlanarGrid, params: CountingParams, u_cut: float,
     """Sigma-hat at each bin centroid of ``tab`` up to ``u_cut``, zero beyond,
     and at the zero-cell radii of its torus.
 
-    One ``sphere_fourier_radial`` call evaluates the distinct centroid radii
-    at most ``u_cut`` and the cell radii.  The circle-quadrature size is
+    The centroids increase, so one ``sphere_fourier_radial`` call evaluates
+    those at most ``u_cut`` and the cell radii.  The circle-quadrature size is
     floored at 8 nodes per unit of lam * |xi| so the transform stays
     faithful up to ``u_cut``.  The values are kept on ``f`` per (node count,
     lam, u_cut, table lattice), so the coarse and fine outer quadratures,
@@ -195,13 +195,11 @@ def _sigma_weight_table(f: PlanarGrid, params: CountingParams, u_cut: float,
     memo = _grid_memo(f, "_sigma_tables")
     key = (m_eff, params.lam, u_cut, r2, lattice.tobytes())
     if key not in memo:
-        radii, where = np.unique(lattice, return_inverse=True)
-        read = int(np.searchsorted(radii, u_cut, side="right"))
+        read = int(np.searchsorted(lattice, u_cut, side="right"))
         values = sphere_fourier_radial(CircleQuadrature(m_eff, params.lam),
-                                       np.concatenate([radii[:read], spectral.cell_radii(r2)]))
-        at_radii = np.zeros(len(radii))
-        at_radii[:read] = values[:read]
-        table = at_radii[where]
+                                       np.concatenate([lattice[:read], spectral.cell_radii(r2)]))
+        table = np.zeros(len(lattice))
+        table[:read] = values[:read]
         cell_values = values[read:]
         table.setflags(write=False)
         cell_values.setflags(write=False)
@@ -307,9 +305,18 @@ def _form_values(f: PlanarGrid, tab: spectral.OffsetTable | None, m: int, lam: f
     return np.concatenate([values(slice(i, i + size)) for i in range(0, len(scales), size)])
 
 
-def _offset_table(f: PlanarGrid, pad: int) -> spectral.OffsetTable:
+def _offset_table(f: PlanarGrid, pad: int, budget: int = DEFAULT_BUDGET,
+                  what: str = "offset table") -> spectral.OffsetTable:
+    """The offset table of f at padding ``pad``, memoised on f.
+
+    It holds the offsets within the support extent, one transform of the
+    padded torus each, so the estimate is nd^2 (pad N)^2 / 4; over
+    ``budget`` it raises before anything is built.
+    """
     if f.periodic:
         raise ValueError("the exact two-slot path needs a zero-extended grid")
+    nd = 2 * max(spectral.support_extent(f.values), 1) - 1
+    _require_budget(nd * nd * (pad * f.node_count) ** 2 // 4, budget, what)
     cache = _grid_memo(f, "_offset_tables")
     if pad not in cache:
         cache[pad] = spectral.build_offset_table(f.values, f.step, pad)
@@ -325,7 +332,7 @@ def counting_sharp(f: PlanarGrid, params: CountingParams) -> CountingReport:
     if params.estimator == MONTE_CARLO:
         return _mc_report(f, params, smooth=False)
     cost = _exact_cost(params, f.node_count)
-    _require_budget(cost, params, "counting_sharp")
+    _require_budget(cost, params.budget, "counting_sharp")
     cos_t, sin_t = _angles(params.quadrature_nodes)
     val = _kernels.sharp_sum(f.values, f.step, params.lam, cos_t, sin_t,
                              params.n, f.periodic)
@@ -355,19 +362,15 @@ def counting_smooth(f: PlanarGrid, params: CountingParams) -> CountingReport:
             "counting_smooth: the exact path supports n <= 2; use the monte_carlo estimator for n = 3"
         )
     scale = params.eps * params.lam
+    tab = None
     if params.n == 1:
         # the correlation torus's transform, then offsets^2 x angles tents
         torus = f.node_count if f.periodic else 2 * max(spectral.support_extent(f.values), 1)
         nd = len(_correlation_offsets(f, params.lam, scale))
         cost = torus * torus * 8 + nd * nd * _ring_angles(params, f.step)
+        _require_budget(cost, params.budget, "counting_smooth")
     else:
-        # the offset table holds the offsets within the support extent, one
-        # transform of the padded torus each
-        pad = ring_pad(f, params.lam)
-        nd = 2 * max(spectral.support_extent(f.values), 1) - 1
-        cost = nd * nd * (pad * f.node_count) ** 2 // 4
-    _require_budget(cost, params, "counting_smooth")
-    tab = _offset_table(f, pad) if params.n == 2 else None
+        tab = _offset_table(f, ring_pad(f, params.lam), params.budget, "counting_smooth")
     value = float(_form_values(f, tab, 0, params.lam, [scale], params=params)[0])
     return CountingReport(value if tab is None else _clamped(value, f, params), 0.0, params)
 

@@ -163,7 +163,7 @@ def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
     if n > 2:
         raise ValueError("the exact derivative form supports n <= 2")
     params = CountingParams(n=n, lam=lam, eps=1.0, quadrature_nodes=quadrature_nodes)
-    tab = _offset_table(f, ring_pad(f, lam)) if n == 2 else None
+    tab = _offset_table(f, ring_pad(f, lam), what="L_form") if n == 2 else None
     sums = _outer_sums(lambda ts: _form_values(f, tab, m, lam, ts * lam, params=params),
                        alpha, beta, tnodes)
     coarse, fine = (v / (2.0 * math.pi) for v in sums)
@@ -196,7 +196,7 @@ def theta_form(f: PlanarGrid, gammas, m: int, nodes: int = 128) -> QuadratureVal
     if f.periodic:
         raise ValueError("the box form needs a zero-extended grid")
 
-    tab = _offset_table(f, ring_pad(f, 0.0)) if n == 2 else None
+    tab = _offset_table(f, ring_pad(f, 0.0), what="theta_form") if n == 2 else None
     coarse, fine = _outer_sums(
         lambda ss: _form_values(f, tab, m, 0.0, ss * gammas[0], ss * gammas[-1]),
         1e-5 * f.step, 1e3 * f.side, nodes)

@@ -16,7 +16,12 @@ times sigma-hat) in the other.  That spectral slot is a midpoint rule: it
 leaves out the tent's transfer factor prod_i sinc^2(xi_i h), the leading
 error at small lambda / h.  The binning, the zero-frequency cell (its weight
 averaged over a sub-sampled cell, so vanishing Laplacian weights keep its
-mass) and the outer scale quadrature add smaller ones.
+mass) and the outer scale quadrature add smaller ones.  The table stores
+only the |xi| bins that hold a lattice point, so it has no zero column.
+Radial weights below the smallest normal float32 enter its product as 0:
+subnormals slow a float32 product and add less than its round-off.  The
+product runs in blocks of a fixed row count, so a row rounds alike in a
+table cropped to the support and in one over the whole window.
 
 Forms come in derivative pairs: the Laplacian slot is the spectral slot
 (weight ``-khat``) or a tent slot (weights ``-2 pi s dc_d/ds``), both the
@@ -39,7 +44,8 @@ from ._kernels import support_box
 
 _SQPI = math.sqrt(math.pi)
 _CELL_SUB = 12
-_NBINS = 2048  # |xi| bins of the offset table's power spectra
+_NBINS = 2048  # |xi| bins of the offset table's power spectra, occupied ones stored
+_ROW_BLOCK = 128  # table rows per float32 product in ``assemble``
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +188,18 @@ class OffsetTable:
     m_d translated by -d, P[-d] = P[d], and -d has the mirror index
     nd^2 - 1 - k.  Only the rows up to the middle one (d = 0,
     k = (nd^2 - 1) / 2) are stored.
+
+    |xi| runs over ``_NBINS`` equal bins up to its largest value on the
+    torus, and only the B bins that hold a lattice point are stored, in
+    increasing order: ``xi_bar`` has no empty bin and ``power`` no zero
+    column.
     """
 
     step: float
     torus_side: float          # padded side R2
     offsets: np.ndarray        # 1-d offsets in nodes, -(e-1) .. e-1
-    xi_bar: np.ndarray         # per-bin centroid of |xi|
-    power: np.ndarray          # ((nd*nd + 1) / 2, _NBINS) float32, nd = 2e - 1, zero mode excluded
+    xi_bar: np.ndarray         # (B,) centroid of |xi| in each occupied bin
+    power: np.ndarray          # ((nd*nd + 1) / 2, B) float32, nd = 2e - 1, zero mode excluded
     zero_mode: np.ndarray      # ((nd*nd + 1) / 2,) |FFT(m_d)(0)|^2
 
 
@@ -209,15 +220,18 @@ def build_offset_table(values: np.ndarray, step: float, pad: int) -> OffsetTable
     xi, mult = frequency_lattice(n2, r2)
     ximax = float(xi.max()) * (1.0 + 1e-12)
     binidx = np.minimum((xi / ximax * _NBINS).astype(np.int64), _NBINS - 1).ravel()
+    # keep the occupied bins only, in their order: each stored column sums
+    # the same lattice points in the same order as a full-width bincount
+    occupied, binidx = np.unique(binidx, return_inverse=True)
+    nbins = len(occupied)
     wmult = mult.ravel()
-    cnt = np.bincount(binidx, weights=wmult, minlength=_NBINS)
-    xi_bar = np.bincount(binidx, weights=(xi * mult).ravel(), minlength=_NBINS)
-    xi_bar = np.where(cnt > 0, xi_bar / np.maximum(cnt, 1e-300), 0.0)
+    xi_bar = np.bincount(binidx, weights=(xi * mult).ravel(), minlength=nbins)
+    xi_bar /= np.bincount(binidx, weights=wmult, minlength=nbins)
     e = max(support_extent(values), 1)
     offs = np.arange(-(e - 1), e)
     nd = len(offs)
     rows = (nd * nd + 1) // 2
-    power = np.zeros((rows, _NBINS), dtype=np.float32)
+    power = np.zeros((rows, nbins), dtype=np.float32)
     zero = np.zeros(rows)
     buf = np.zeros((n, n2))
     col = np.zeros((n2, n2 // 2 + 1), dtype=np.complex128)
@@ -244,7 +258,7 @@ def build_offset_table(values: np.ndarray, step: float, pad: int) -> OffsetTable
         zero[k] = pm[0]
         pm *= wmult
         pm[0] = 0.0
-        power[k] = np.bincount(binidx, weights=pm, minlength=_NBINS)
+        power[k] = np.bincount(binidx, weights=pm, minlength=nbins)
     return OffsetTable(step, r2, offs, xi_bar, power, zero)
 
 
@@ -259,7 +273,9 @@ def ring_tents(offsets: np.ndarray, step: float, lam: float, scales, angles: int
 
     Returns an (offsets^2, T) array for the T scales s, or with ``deriv``
     their derivatives d/ds.  The offsets are symmetric about 0.  The
-    Gaussian-tent profiles form (T, angles, offsets + 2) blocks.
+    Gaussian-tent profiles form (T, angles, offsets + 2) blocks; for an
+    even angle count only the nodes on a quarter turn are evaluated, and
+    the others are their mirror images.
     """
     x = offsets * step
     s = np.asarray(scales, dtype=np.float64)[:, None, None]
@@ -270,19 +286,24 @@ def ring_tents(offsets: np.ndarray, step: float, lam: float, scales, angles: int
         """Profiles at the cos and at the sin offsets; for 4 | angles,
         sin theta_j = cos theta_(j - angles/4), so the second are the first
         a quarter turn on."""
-        p = half_turn(fn, ux)
+        p = half_turn(fn, ux, True)
         if angles % 4:
-            return p, half_turn(fn, x[None, :] - lam * np.sin(th)[:, None])
+            return p, half_turn(fn, x[None, :] - lam * np.sin(th)[:, None], False)
         return p, np.roll(p, angles // 4, axis=1)
 
-    def half_turn(fn, u):
-        """fn on the rows of u; for even angles, theta_(j + angles/2) is
-        theta_j + pi, which flips the sign of the ring shift.  The offsets
-        are symmetric and fn is even, so those rows are the first half
-        reversed along the offset axis."""
+    def half_turn(fn, u, flips):
+        """fn on the rows of u, evaluated for theta in [0, pi/2] only when
+        angles is even.  The offsets are symmetric and fn is even, so a row
+        whose ring shift changes sign is an earlier row reversed along the
+        offset axis.  theta_(j + angles/2) = theta_j + pi flips the sign of
+        cos and sin; theta_(angles/2 - j) = pi - theta_j flips cos only
+        (``flips``) and leaves sin."""
         if angles % 2:
             return fn(u, s, step)
-        p = fn(u[:angles // 2], s, step)
+        half, quarter = angles // 2, angles // 4
+        p = fn(u[:quarter + 1], s, step)
+        mirror = p[:, half - quarter - 1:0:-1]
+        p = np.concatenate([p, mirror[..., ::-1] if flips else mirror], axis=1)
         return np.concatenate([p, p[..., ::-1]], axis=1)
 
     gx, gy = profiles(gauss_tent)
@@ -314,13 +335,27 @@ def assemble(tab: OffsetTable, tent_weights: np.ndarray, bin_weights: np.ndarray
     and ``zero_weights`` w0 has T entries.  The table stores each pair
     P[d] = P[-d] once, so C[k] + C[nd^2 - 1 - k] multiplies stored row k,
     and the middle row (d = 0) takes its own weight once.  One float32
-    product ``P @ W`` reads the table once for all T columns.
+    product ``P @ W``, in blocks of ``_ROW_BLOCK`` rows, reads the table once
+    for all T columns; weights below the smallest normal float32 enter it
+    as 0.
     """
     half = len(tab.power)
     folded = tent_weights[:half].copy()
     folded[:-1] += tent_weights[:half - 1:-1]
-    vals = tab.power @ bin_weights.astype(np.float32)
-    vals = vals + tab.zero_mode[:, None] * zero_weights
+    # subnormals slow a float32 product and add less than its round-off
+    w = bin_weights.astype(np.float32, order="C")
+    w[np.abs(w) < np.finfo(np.float32).tiny] = 0.0
+    # BLAS picks its kernel, and so its rounding, by the shape of the whole
+    # product: blocks of a fixed row count, the last one zero-filled, give
+    # a row the same bits whatever the table's row count and the row's place
+    vals = np.empty((-(-half // _ROW_BLOCK) * _ROW_BLOCK, w.shape[1]), dtype=np.float32)
+    for r0 in range(0, half, _ROW_BLOCK):
+        block = tab.power[r0:r0 + _ROW_BLOCK]
+        if len(block) < _ROW_BLOCK:
+            block = np.concatenate([block, np.zeros((_ROW_BLOCK - len(block), block.shape[1]),
+                                                    dtype=np.float32)])
+        np.matmul(block, w, out=vals[r0:r0 + _ROW_BLOCK])
+    vals = vals[:half] + tab.zero_mode[:, None] * zero_weights
     return np.einsum("dt,dt->t", folded, vals) / tab.torus_side**2
 
 

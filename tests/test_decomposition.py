@@ -91,8 +91,9 @@ def test_structured_bound_holds_one_set_of_tables_at_a_time():
     chk, peak = traced(masks)
     assert chk.detail["ratios"] == [r for c, _ in alone for r in c.detail["ratios"]]
     assert not any(hasattr(f, "_offset_tables") for f in masks)
-    # a 24-node mask's table is (47^2 + 1) / 2 rows of 2048 float32, 9 MB;
-    # holding all three tables would add 18 MB to the single-set peak
+    # a 24-node mask's table is (47^2 + 1) / 2 rows of its 826 occupied
+    # |xi| bins in float32, 3.7 MB; holding all three tables would add
+    # 7.3 MB to the single-set peak
     assert peak <= 1.25 * max(p for _, p in alone), (peak, [p for _, p in alone])
 
 
@@ -236,14 +237,22 @@ def assemble_ref(tab, c, w, zero_w):
     return np.array([c @ vals, np.abs(c) @ mags]) / tab.torus_side**2
 
 
-def offset_table_ref(values, step, pad, nbins=2048):
-    """(power, zero mode) rows of every lattice offset, -d as well as d,
-    one rfft2 each, binned as ``build_offset_table`` bins them."""
-    n = values.shape[0]
-    n2 = pad * n
+def lattice_bins(n2, step, nbins=2048):
+    """|xi| and the multiplicity of each rfft2 lattice point of an n2-node
+    torus, and its bin as ``build_offset_table`` bins them, all flat."""
     xi, mult = spectral.frequency_lattice(n2, n2 * step)
     binidx = np.minimum((xi / (float(xi.max()) * (1.0 + 1e-12)) * nbins).astype(np.int64),
-                        nbins - 1).ravel()
+                        nbins - 1)
+    return xi.ravel(), mult.ravel(), binidx.ravel()
+
+
+def offset_table_ref(values, step, pad, nbins=2048):
+    """(power, zero mode) rows of every lattice offset, -d as well as d,
+    one rfft2 each, over all ``nbins`` bins, and the mask of the bins that
+    hold a lattice point."""
+    n = values.shape[0]
+    n2 = pad * n
+    _, mult, binidx = lattice_bins(n2, step, nbins)
     offs = np.arange(-(n - 1), n)
     power = np.zeros((len(offs) ** 2, nbins), dtype=np.float32)
     zero = np.zeros(len(offs) ** 2)
@@ -255,10 +264,17 @@ def offset_table_ref(values, step, pad, nbins=2048):
         fm = np.fft.rfft2(buf) * (step * step)
         pm = (fm.real**2 + fm.imag**2).ravel()
         zero[k] = pm[0]
-        pm *= mult.ravel()
+        pm *= mult
         pm[0] = 0.0
         power[k] = np.bincount(binidx, weights=pm, minlength=nbins)
-    return power, zero
+    return power, zero, np.bincount(binidx, minlength=nbins) > 0
+
+
+def stored_columns(power, occupied):
+    """The reference columns ``build_offset_table`` keeps, row-major like its
+    table; every dropped one holds no lattice point and is zero."""
+    assert not power[:, ~occupied].any()
+    return np.ascontiguousarray(power[:, occupied])
 
 
 def sub_box_mask(rng, nodes, density, box, corner):
@@ -281,11 +297,12 @@ def test_half_offset_table_matches_full_table(nodes, density, pad, box, corner, 
     values = sub_box_mask(seeded_rng(seed), nodes, density, box, corner)
     step = 1.0 / nodes
     tab = spectral.build_offset_table(values, step, pad)
-    power, zero = offset_table_ref(values, step, pad)
+    power, zero, occupied = offset_table_ref(values, step, pad)
+    power = stored_columns(power, occupied)
     e = max(spectral.support_extent(values), 1)
     nd = 2 * e - 1
     assert np.array_equal(tab.offsets, np.arange(-(e - 1), e))
-    assert tab.power.shape == ((nd * nd + 1) // 2, 2048)
+    assert tab.power.shape == ((nd * nd + 1) // 2, occupied.sum())
     # every window offset beyond the support extent has an empty product ...
     window = np.arange(-(nodes - 1), nodes)
     inside = np.abs(window) < e
@@ -302,6 +319,67 @@ def test_half_offset_table_matches_full_table(nodes, density, pad, box, corner, 
     scale = max(float(power.max()), 1e-300)
     assert np.abs(full_power - power).max() <= 1e-6 * scale
     assert np.abs(full_zero - zero).max() <= 1e-12 * max(float(zero.max()), 1e-300)
+
+
+@settings(max_examples=30)
+@given(nodes=st.integers(2, 12), density=st.floats(0.05, 1.0), pad=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_offset_table_stores_the_occupied_bins(nodes, density, pad, seed):
+    # one column per |xi| bin that holds a lattice point, in bin order: each
+    # centroid lies among its bin's lattice radii, so they strictly increase
+    values = (seeded_rng(seed).random((nodes, nodes)) < density).astype(float)
+    step = 1.0 / nodes
+    tab = spectral.build_offset_table(values, step, pad)
+    xi, _, binidx = lattice_bins(pad * nodes, step)
+    occupied = np.unique(binidx)
+    assert len(tab.xi_bar) == tab.power.shape[1] == len(occupied)
+    assert np.all(np.diff(tab.xi_bar) > 0)
+    for centroid, b in zip(tab.xi_bar, occupied):
+        radii = xi[binidx == b]
+        assert radii.min() * (1 - 1e-12) <= centroid <= radii.max() * (1 + 1e-12)
+
+
+def test_assemble_drops_subnormal_float32_weights():
+    # weights below the smallest normal float32 enter the product as 0, so
+    # the value is bit-identical with them replaced by 0; the last column
+    # has no other weight, not even at the zero mode, so it must be 0
+    rng = seeded_rng(17)
+    f = random_mask(1.0, 12, 0.5, 17)
+    tab = spectral.build_offset_table(f.values, f.step, ring_pad(f, 0.0))
+    nd, tiny = len(tab.offsets), float(np.finfo(np.float32).tiny)
+    c = rng.normal(size=(nd * nd, 3))
+    w = rng.normal(size=(len(tab.xi_bar), 3))
+    small = rng.random(w.shape) < 0.3
+    small[:, -1] = True
+    w[small] = rng.uniform(-tiny, tiny, small.sum())
+    w0 = rng.normal(size=3)
+    w0[-1] = 0.0
+    zeroed = np.where(np.abs(w) < tiny, 0.0, w)
+    got = spectral.assemble(tab, c, w, w0)
+    assert np.array_equal(got, spectral.assemble(tab, c, zeroed, w0)) and got[-1] == 0.0
+
+
+@pytest.mark.parametrize("bins,columns", [(273, 1), (273, 4), (632, 16), (826, 8), (1628, 5),
+                                          (826, 255)])
+def test_assemble_rounds_a_row_alike_in_any_table(bins, columns):
+    # the 85 rows of a small table placed among the zero rows of a 1105-row
+    # one: a one-hot tent column t reads row d_t of the float32 product
+    # alone, exactly, so both tables give the same bits
+    rng = seeded_rng(bins * 1000 + columns)
+    small = rng.random((85, bins)).astype(np.float32)
+    place = np.sort(rng.choice(1105, 85, replace=False))
+    big = np.zeros((1105, bins), dtype=np.float32)
+    big[place] = small
+    w = rng.random((bins, columns))
+    picks = rng.integers(0, 85, columns)
+    values = []
+    for power, at, nd in ((small, picks, 13), (big, place[picks], 47)):
+        tab = spectral.OffsetTable(1.0, 2.0, np.arange(-(nd // 2), nd // 2 + 1),
+                                   np.arange(1.0, bins + 1), power, np.zeros(len(power)))
+        c = np.zeros((nd * nd, columns))
+        c[at, np.arange(columns)] = 1.0
+        values.append(spectral.assemble(tab, c, w, np.zeros(columns)))
+    assert np.array_equal(*values)
 
 
 @settings(max_examples=30)
@@ -324,23 +402,26 @@ def test_assemble_matches_full_table(nodes, density, columns, seed):
 
 
 def test_offset_table_memory_is_half_the_full_table():
-    # N = 32: the full table would take nd^2 x 2048 float32 = 32.5 MB
+    # N = 32: the full table over the window's offsets would take
+    # nd^2 x B float32 = 13.1 MB for its B = 826 stored |xi| bins
     f = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.3}], 1.0, 1 / 32)
     nd = 2 * f.node_count - 1
     tracemalloc.start()
     try:
-        spectral.build_offset_table(f.values, f.step, ring_pad(f, 0.0))
+        tab = spectral.build_offset_table(f.values, f.step, ring_pad(f, 0.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 0.6 * nd * nd * 2048 * 4, peak
+    assert peak <= 0.6 * nd * nd * len(tab.xi_bar) * 4, peak
 
 
 @pytest.mark.parametrize("angles", [4, 5, 8, 30, 64, 66])
 @pytest.mark.parametrize("deriv", [False, True])
 def test_ring_tents_match_per_scale_reference(angles, deriv):
-    # 4 | angles takes the profiles at the sin offsets from those at the cos
-    # offsets a quarter turn on; the others evaluate both
+    # an even angle count evaluates the profiles for theta in [0, pi/2] and
+    # mirrors the rest; 4 | angles (4, 8, 64) also takes the profiles at the
+    # sin offsets from those at the cos offsets a quarter turn on, angles =
+    # 2 (mod 4) (30, 66) evaluates both, and an odd count (5) every node
     f = random_mask(1.0, 12, 0.5, 3)
     tab = _offset_table(f, ring_pad(f, 0.0))
     lam = 3.3 * tab.step
@@ -604,7 +685,8 @@ def full_window_table(f, pad):
     """The offset table over every window offset -(N-1) .. N-1, packed from
     ``offset_table_ref`` with the lattice of ``build_offset_table``."""
     tab = spectral.build_offset_table(f.values, f.step, pad)
-    power, zero = offset_table_ref(f.values, f.step, pad)
+    power, zero, occupied = offset_table_ref(f.values, f.step, pad)
+    power = stored_columns(power, occupied)
     half = (len(power) + 1) // 2
     return spectral.OffsetTable(tab.step, tab.torus_side, np.arange(-(f.node_count - 1), f.node_count),
                                 tab.xi_bar, power[:half], zero[:half])
@@ -634,7 +716,8 @@ def test_cropped_table_matches_full_window_table(form, m):
         got, want = (theta_form(g, gammas, m, nodes=8).value for g in (cropped, full))
         magnitude = theta_loop(full, gammas, m, 1e-3 * full.step, 1e3 * full.side, 16)[1]
     # the tolerance of test_batched_forms_match_node_loops' normalisation:
-    # only the rows of empty products are gone from the float32 product
+    # the float32 product runs in fixed-shape row blocks, so a row rounds
+    # alike in both tables and only the rows of empty products are gone
     assert abs(got - want) <= 1e-9 * magnitude, (got, want, magnitude)
 
 
@@ -700,6 +783,21 @@ def test_two_slot_budget_counts_the_padded_torus():
     assert cost(2) < budget < cost(4)
     params = CountingParams(n=2, lam=0.125, eps=0.5, quadrature_nodes=16, budget=budget)
     assert counting_smooth(f, params).value > 0
+
+
+@pytest.mark.parametrize("form", ["L", "theta"])
+def test_two_slot_forms_check_the_budget_before_the_build(form):
+    # a full-window square of 256 nodes: nd = 511 offsets, each a transform
+    # of a pad-4 torus, is an estimate of 511^2 1024^2 / 4 = 6.8e10 over the
+    # default budget of 1.7e10; the form refuses before any table is built
+    f = make_indicator([{"type": "rect", "x0": 0, "y0": 0, "x1": 1, "y1": 1}], 1.0, 1 / 256)
+    with mock.patch.object(spectral, "build_offset_table") as spy:
+        with pytest.raises(ValueError, match="budget"):
+            if form == "L":
+                L_form(f, 0.25, 0.25, 1.0, 1, 2, tnodes=4, quadrature_nodes=16)
+            else:
+                theta_form(f, (1.0, math.sqrt(2.0)), 1, nodes=8)
+    spy.assert_not_called()
 
 
 def test_ball_tents_are_the_radius_zero_ring():
