@@ -299,7 +299,7 @@ def mc_values(values, h, ys, periodic, out):
 
 
 # ---------------------------------------------------------------------------
-# Gowers box-sum routes on a torus (used as independent oracles for U^2)
+# Gowers box sum on a torus by direct shifts (a test oracle for U^2)
 
 
 def u2_fourth_direct(values, h):

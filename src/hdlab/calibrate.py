@@ -3,8 +3,8 @@
 Each constant is the extremal value of a seeded deterministic sweep, padded
 by a safety factor, stored with the settings that produced it.  Re-running
 the sweeps with the same settings must stay on the safe side of the frozen
-values (``off_safe_side``).  The test suite asserts that for the six cheap
-sweeps; the CI workflow re-runs all eight through ``hdlab calibrate``.
+values (``off_safe_side``).  The test suite asserts that for every sweep
+but ``c_str``; the CI workflow re-runs all eight through ``hdlab calibrate``.
 """
 
 from __future__ import annotations

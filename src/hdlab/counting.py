@@ -96,28 +96,28 @@ class CountingReport:
 # vertex product
 
 
-def eval_F(f: PlanarGrid, x, ys, method: str = "direct") -> float:
-    """Product of f over the 2^n vertices x + sum r_k y_k (bilinear reads).
-
-    ``method='recurrence'`` splits off the last edge vector and multiplies
-    the two half-products; both paths agree to round-off.
-    """
+def eval_F(f: PlanarGrid, x, ys) -> float:
+    """Product of f over the 2^n vertices x + sum r_k y_k (bilinear reads)."""
     ys = np.asarray(ys, dtype=np.float64).reshape(-1, 2)
     if len(ys) < 1:
         raise ValueError("need at least one edge vector")
     x = np.asarray(x, dtype=np.float64)
-    if method == "direct":
-        return float(
-            _kernels.vertex_product(f.values, f.step, float(x[0]), float(x[1]), ys, f.periodic)
-        )
-    if method == "recurrence":
-        if len(ys) == 1:
-            a = float(f.value_at(x[0], x[1]))
-            b = float(f.value_at(x[0] + ys[0, 0], x[1] + ys[0, 1]))
-            return a * b
-        head, last = ys[:-1], ys[-1]
-        return eval_F(f, x, head, "recurrence") * eval_F(f, x + last, head, "recurrence")
-    raise ValueError(f"unknown method {method!r}")
+    return float(
+        _kernels.vertex_product(f.values, f.step, float(x[0]), float(x[1]), ys, f.periodic)
+    )
+
+
+def _eval_F_recurrence(f: PlanarGrid, x, ys) -> float:
+    """``eval_F`` by splitting off the last edge vector and multiplying the
+    two half-products; an independent oracle for the direct product."""
+    ys = np.asarray(ys, dtype=np.float64).reshape(-1, 2)
+    x = np.asarray(x, dtype=np.float64)
+    if len(ys) == 1:
+        a = float(f.value_at(x[0], x[1]))
+        b = float(f.value_at(x[0] + ys[0, 0], x[1] + ys[0, 1]))
+        return a * b
+    head, last = ys[:-1], ys[-1]
+    return _eval_F_recurrence(f, x, head) * _eval_F_recurrence(f, x + last, head)
 
 
 # ---------------------------------------------------------------------------
@@ -397,18 +397,20 @@ def _u2_fourth_spectral(values: np.ndarray, h: float) -> float:
 
 
 def _u2_fourth_autocorr(f: PlanarGrid) -> float:
-    c = spectral.pair_spectrum(f.values, f.step, f.periodic)  # pair correlation
+    # oracle: the pair correlation by Wiener-Khinchin, squared and integrated
+    c = spectral.pair_spectrum(f.values, f.step, f.periodic)
     return float((c * c).sum() * f.step * f.step)
 
 
-def gowers_norm(f: PlanarGrid, n: int, route: str = "recursion") -> float:
+def gowers_norm(f: PlanarGrid, n: int) -> float:
     """Box norm of order n on the plane (nonnegative f).
 
-    Routes for n = 2: 'recursion' (direct shifted sums), 'autocorrelation'
-    (square of the pair correlation integrated over shifts, the correlation
-    taken by Wiener-Khinchin from |rfft2|^2) and 'spectral' (fourth power
-    of the transform).  They are algebraically identical on the torus and
-    serve as mutual oracles.
+    U^2 is the Parseval sum of the fourth power of the transform on the
+    torus; the eighth power of U^3 integrates the fourth power of
+    U^2(f f(. + d)) over the shifts d.  The tests check U^2 against two
+    private oracles that agree with it algebraically: direct shifted sums
+    (``_kernels.u2_fourth_direct``) and the squared pair correlation
+    (``_u2_fourth_autocorr``).
     """
     if not 1 <= n <= MAX_DIMENSION:
         raise ValueError(f"box norm order must be 1..{MAX_DIMENSION}")
@@ -418,17 +420,7 @@ def gowers_norm(f: PlanarGrid, n: int, route: str = "recursion") -> float:
     if n == 1:
         return abs(float(vals.sum() * h * h))
     if n == 2:
-        if route == "recursion":
-            fourth = _kernels.u2_fourth_direct(vals, h)
-        elif route == "autocorrelation":
-            fourth = _u2_fourth_autocorr(f)
-        elif route == "spectral":
-            fourth = _u2_fourth_spectral(vals, h)
-        else:
-            raise ValueError(f"unknown route {route!r}")
-        return float(fourth) ** 0.25
-    if route != "recursion":
-        raise ValueError("only the recursion route is defined for n = 3")
+        return _u2_fourth_spectral(vals, h) ** 0.25
     nn = vals.shape[0]
     total = 0.0
     for d1 in range(nn):
@@ -488,13 +480,12 @@ def _sign_vectors(n: int) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
-def degenerate_mass(f: PlanarGrid, params: CountingParams, tol: float) -> float:
+def degenerate_mass(params: CountingParams, tol: float) -> float:
     """Fraction of quadrature angle tuples within tol of a collision plane.
 
     A tuple collides when some signed subset sum of its edge vectors has
-    length at most tol.  Depends only on the quadrature, not on f.
+    length at most tol.  Depends only on the quadrature.
     """
-    del f
     n, m, lam = params.n, params.quadrature_nodes, params.lam
     cos_t, sin_t = _angles(m)
     signs = _sign_vectors(n)

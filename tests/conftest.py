@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hdlab import load_constants, make_indicator
+from hdlab import _kernels, counting, gowers_norm, load_constants, make_indicator
 from hdlab.calibrate import random_mask
 
 # one profile for every property test: examples drawn from the test's source
@@ -14,6 +14,14 @@ settings.load_profile("hdlab")
 
 def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
+def u2_routes(g) -> list[float]:
+    """U^2 of g by ``gowers_norm`` and by its two oracles: direct shifted
+    sums and the squared pair correlation."""
+    vals, h = counting._torus_values(g)
+    return [gowers_norm(g, 2), _kernels.u2_fourth_direct(vals, h) ** 0.25,
+            counting._u2_fourth_autocorr(g) ** 0.25]
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from hdlab.calibrate import random_grid, random_mask
 from hdlab.cli import main as cli_main
 from hdlab.decomposition import lp_pow_sum
 
-from conftest import seeded_rng
+from conftest import seeded_rng, u2_routes
 
 
 def _report(num, desc, t0, budget):
@@ -48,7 +48,7 @@ def test_criterion_2_gowers_suite(constants):
     t0 = time.monotonic()
     for i in range(20):
         g = random_grid(1.0, 32, 5000 + i)
-        routes = [gowers_norm(g, 2, r) for r in ("recursion", "autocorrelation", "spectral")]
+        routes = u2_routes(g)
         assert max(routes) - min(routes) <= 1e-6 * max(routes)
     sq = make_indicator([{"type": "rect", "x0": 0, "y0": 0, "x1": 1, "y1": 1}], 1.0, 1 / 64)
     assert gowers_norm(sq, 2) == pytest.approx((4 / 9) ** 0.25, rel=0.01)

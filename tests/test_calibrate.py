@@ -6,8 +6,8 @@ import pytest
 
 from hdlab import calibrate
 
-# c_gcs and c_str take about 43 s together; the CI workflow re-runs them
-CHEAP = ["c_ball", "C_decay", "C_domination", "J_coeff", "C_err", "C_uni"]
+# c_str alone takes about 13 s; the CI workflow re-runs it
+CHEAP = ["c_ball", "C_decay", "C_domination", "J_coeff", "C_err", "C_uni", "c_gcs"]
 
 
 def inputs(settings):

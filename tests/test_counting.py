@@ -11,6 +11,7 @@ from hdlab import (PERIODIC, ZERO, CountingParams, PlanarGrid, _kernels,
                    counting_sharp, counting_smooth, degenerate_mass, eval_F,
                    make_indicator)
 from hdlab.calibrate import random_grid, random_mask
+from hdlab.counting import _eval_F_recurrence
 
 from conftest import seeded_rng
 
@@ -41,8 +42,8 @@ def test_eval_F_recurrence_agrees_with_direct():
         n = int(rng.integers(1, 4))
         x = rng.uniform(0, 1, 2)
         ys = rng.uniform(-0.4, 0.4, (n, 2))
-        a = eval_F(g, x, ys, "direct")
-        b = eval_F(g, x, ys, "recurrence")
+        a = eval_F(g, x, ys)
+        b = _eval_F_recurrence(g, x, ys)
         worst = max(worst, abs(a - b))
     assert worst <= 1e-12
 
@@ -57,8 +58,8 @@ def test_eval_F_routes_agree(n, nodes, seed, periodic, reach):
     g = PlanarGrid(1.0, 1.0 / nodes, rng.random((nodes, nodes)), PERIODIC if periodic else ZERO)
     x = rng.uniform(0.0, 1.0, 2)
     ys = rng.uniform(-reach, reach, (n, 2))
-    a = eval_F(g, x, ys, "direct")
-    b = eval_F(g, x, ys, "recurrence")
+    a = eval_F(g, x, ys)
+    b = _eval_F_recurrence(g, x, ys)
     assert abs(a - b) <= 1e-12 * abs(b), (a, b)
 
 
@@ -120,7 +121,7 @@ def test_mc_values_match_pointwise_route_at_long_edges():
     _kernels.mc_values(g.values, g.step, ys, g.periodic, out)
     x = g.node_coords()
     for value, y in zip(out, ys):
-        ref = g.step**2 * sum(eval_F(g, (a, b), y, "direct") for a in x for b in x)
+        ref = g.step**2 * sum(eval_F(g, (a, b), y) for a in x for b in x)
         assert value == pytest.approx(ref, rel=1e-12, abs=1e-15)
     assert out[:2].min() > 0 and not out[2:].any()
 
@@ -522,31 +523,31 @@ def test_report_serialisation(disk_r4):
 
 def test_degenerate_mass_single_slot():
     p = CountingParams(n=1, lam=1.0, quadrature_nodes=64)
-    assert degenerate_mass(None, p, 0.5) == 0.0
-    assert degenerate_mass(None, p, 1.0) == 1.0  # |y| = lam <= tol
+    assert degenerate_mass(p, 0.5) == 0.0
+    assert degenerate_mass(p, 1.0) == 1.0  # |y| = lam <= tol
 
 
 def test_degenerate_mass_two_slots_exact_ties():
     m = 256
     p = CountingParams(n=2, lam=1.0, quadrature_nodes=m)
-    frac = degenerate_mass(None, p, 0.0)
+    frac = degenerate_mass(p, 0.0)
     assert frac <= 4.0 / m
     assert frac > 0  # the aligned and antipodal pairs are real ties
 
 
 def test_degenerate_mass_two_slots_tolerance():
     p = CountingParams(n=2, lam=1.0, quadrature_nodes=256)
-    assert degenerate_mass(None, p, 0.01) <= 0.05
+    assert degenerate_mass(p, 0.01) <= 0.05
 
 
 def test_degenerate_mass_shrinks_with_tolerance():
     p = CountingParams(n=2, lam=1.0, quadrature_nodes=128)
-    fracs = [degenerate_mass(None, p, tol) for tol in (0.2, 0.1, 0.05, 0.0)]
+    fracs = [degenerate_mass(p, tol) for tol in (0.2, 0.1, 0.05, 0.0)]
     assert all(b <= a for a, b in zip(fracs, fracs[1:]))
 
 
 def test_degenerate_mass_three_slots():
     p = CountingParams(n=3, lam=1.0, quadrature_nodes=32)
-    frac = degenerate_mass(None, p, 0.0)
+    frac = degenerate_mass(p, 0.0)
     # ties y_i = +- y_j across three slots; each pair contributes 2/M
     assert 0 < frac <= 6.0 / 32 + 1e-12

@@ -442,7 +442,7 @@ def test_positivity_link(constants):
     lam = 0.25
     params = CountingParams(n=1, lam=lam, quadrature_nodes=128)
     count = counting_sharp(mask, params).value
-    degen = degenerate_mass(mask, params, 1e-9)
+    degen = degenerate_mass(params, 1e-9)
     assert count > degen
     out = find_copy(PlanarSet.from_bitmap(mask), (lam,), SearchSpec(x_step=1 / 64))
     assert out.status == "found"

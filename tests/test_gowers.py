@@ -1,14 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdlab import (PERIODIC, ZERO, PlanarGrid, gowers_cs_bound, gowers_norm,
-                   make_indicator)
+from hdlab import (PERIODIC, ZERO, PlanarGrid, counting, gowers_cs_bound,
+                   gowers_norm, make_indicator)
 from hdlab.calibrate import random_grid
 
-from conftest import seeded_rng
+from conftest import seeded_rng, u2_routes
 
 U2_UNIT_SQUARE = (4.0 / 9.0) ** 0.25  # tent-correlation integral per axis is 2/3
 
@@ -24,11 +25,8 @@ def test_u2_unit_square(unit_square):
 def test_u2_three_routes_agree():
     for seed in range(5):
         g = random_grid(1.0, 32, 100 + seed)
-        r1 = gowers_norm(g, 2, "recursion")
-        r2 = gowers_norm(g, 2, "autocorrelation")
-        r3 = gowers_norm(g, 2, "spectral")
-        spread = max(r1, r2, r3) - min(r1, r2, r3)
-        assert spread <= 1e-6 * max(r1, r2, r3)
+        routes = u2_routes(g)
+        assert max(routes) - min(routes) <= 1e-6 * max(routes)
 
 
 @settings(max_examples=200)
@@ -41,7 +39,7 @@ def test_u2_routes_agree_on_random_grids(nodes, density, seed, periodic):
     rng = seeded_rng(seed)
     values = rng.random((nodes, nodes)) * (rng.random((nodes, nodes)) < density)
     g = PlanarGrid(1.0, 1.0 / nodes, values, PERIODIC if periodic else ZERO)
-    routes = [gowers_norm(g, 2, r) for r in ("recursion", "autocorrelation", "spectral")]
+    routes = u2_routes(g)
     assert max(routes) - min(routes) <= 1e-14 * max(routes), routes
 
 
@@ -51,11 +49,34 @@ def test_u3_runs_and_dominates_density(unit_square):
     assert 0 < u3 <= 1
 
 
+@settings(max_examples=100)
+@given(nodes=st.integers(2, 4), density=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1),
+       periodic=st.booleans())
+def test_u3_matches_direct_sum(nodes, density, seed, periodic):
+    # on the torus gowers_norm embeds the grid in, with no transform:
+    # u3^8 = h^8 sum_{a,b} (sum_x f(x) f(x+a) f(x+b) f(x+a+b))^2, the shift
+    # of the third slot factored out as the square
+    rng = seeded_rng(seed)
+    values = rng.random((nodes, nodes)) * (rng.random((nodes, nodes)) < density)
+    g = PlanarGrid(1.0, 1.0 / nodes, values, PERIODIC if periodic else ZERO)
+    vals, h = counting._torus_values(g)
+    t = len(vals)
+    plus = (np.arange(t)[:, None] + np.arange(t)) % t  # plus[b, x] = x + b mod t
+
+    def shifts(m):  # shifts(m)[b1, b2, x1, x2] = m(x + b)
+        return m[plus[:, None, :, None], plus[None, :, None, :]]
+
+    total = 0.0
+    for shifted in shifts(vals).reshape(t * t, t, t):
+        pair = vals * shifted  # f(x) f(x + a)
+        total += float(((pair * shifts(pair)).sum(axis=(2, 3)) ** 2).sum())
+    want = (h**8 * total) ** 0.125
+    assert abs(gowers_norm(g, 3) - want) <= 1e-13 * want
+
+
 def test_gowers_rejects_bad_order(unit_square):
     with pytest.raises(ValueError):
         gowers_norm(unit_square, 4)
-    with pytest.raises(ValueError):
-        gowers_norm(unit_square, 2, route="fft")
 
 
 def test_gowers_rejects_negative_values(unit_square):
