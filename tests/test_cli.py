@@ -72,6 +72,25 @@ def test_under_resolved_smoothing_exit_2(tmp_path, capsys):
     assert "under-resolved on this grid" in err
 
 
+def test_decompose_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the n = 2 smoothed parts contract a table with BLAS; a run at one and
+    # at two OpenBLAS threads must write the same bytes
+    cfg = write_config(tmp_path, {
+        "command": "decompose",
+        "set": {"R": 2.0, "h": 1 / 32, "shapes": [{"type": "disk", "cx": 1.0, "cy": 1.0, "r": 18 / 32}]},
+        "n": 2, "eps": 0.25, "M": 32, "ladder": {"smallest": 0.125, "count": 3},
+    })
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(cli.__file__).parent.parent))
+        code = f"from hdlab.cli import main; raise SystemExit(main({['decompose', '--config', str(cfg), '--out', str(out), '--no-cache']!r}))"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        reports.append([(out / name).read_bytes() for name in ("decompose.json", "decompose.csv")])
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("command", sorted(cli.SCHEMAS))
 def test_schemas_are_valid(command):
     # run validates configs without checking the schema itself
