@@ -10,10 +10,9 @@ generator so results are a pure function of the seed.
 
 The smoothed form is the T = 1, slot-0 call of ``_form_values``, which also
 gives the derivative and box forms of ``decomposition`` at T outer scales.
-For n = 1 it is the pair correlation of f times tent weights; for n = 2 an
-offset table paired with sigma-hat times a kernel and with tent weights.
-The correlation and sigma-hat (at the radii the table reads) are memoised
-on the grid.
+For n = 1 it is the pair correlation of f times tent weights; for n = 2 the
+four-point table of f contracted with tent weights in both slots.  The
+correlation and the table depend only on f and are memoised on the grid.
 """
 
 from __future__ import annotations
@@ -23,9 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, spectral
+from . import _kernels, spectral, sphere
 from .grid import PlanarGrid, measure
-from .sphere import CircleQuadrature, sphere_fourier_radial
+
+# the benchmark's tracer patches this name here, where the n = 2 forms once
+# read sigma-hat; nothing in this module calls it
+sphere_fourier_radial = sphere.sphere_fourier_radial
 
 EXACT = "exact_quadrature"
 MONTE_CARLO = "monte_carlo"
@@ -177,63 +179,10 @@ def _grid_memo(f: PlanarGrid, name: str) -> dict:
     return memo
 
 
-def _sigma_weight_table(f: PlanarGrid, params: CountingParams, u_cut: float,
-                        tab: spectral.OffsetTable):
-    """Sigma-hat at each bin centroid of ``tab`` up to ``u_cut``, zero beyond,
-    and at the zero-cell radii of its torus.
-
-    The centroids increase, so one ``sphere_fourier_radial`` call evaluates
-    those at most ``u_cut`` and the cell radii.  The circle-quadrature size is
-    floored at 8 nodes per unit of lam * |xi| so the transform stays
-    faithful up to ``u_cut``.  The values are kept on ``f`` per (node count,
-    lam, u_cut, table lattice), so the coarse and fine outer quadratures,
-    the slots of ``L_form`` and the smoothed forms at a shared cut reuse them.
-    """
-    lattice, r2 = tab.xi_bar, tab.torus_side
-    m_eff = max(params.quadrature_nodes,
-                int(math.ceil(8.0 * params.lam * u_cut / 2.0)) * 2, 64)
-    memo = _grid_memo(f, "_sigma_tables")
-    key = (m_eff, params.lam, u_cut, r2, lattice.tobytes())
-    if key not in memo:
-        read = int(np.searchsorted(lattice, u_cut, side="right"))
-        values = sphere_fourier_radial(CircleQuadrature(m_eff, params.lam),
-                                       np.concatenate([lattice[:read], spectral.cell_radii(r2)]))
-        table = np.zeros(len(lattice))
-        table[:read] = values[:read]
-        cell_values = values[read:]
-        table.setflags(write=False)
-        cell_values.setflags(write=False)
-        memo[key] = table, cell_values
-    return memo[key]
-
-
 def _ring_angles(params: CountingParams, step: float) -> int:
     spacing = max(params.eps * params.lam, step)
     need = int(math.ceil(6.0 * math.pi * params.lam / spacing))
     return max(params.quadrature_nodes, need, 64)
-
-
-def ring_pad(f: PlanarGrid, lam: float) -> int:
-    """Padding factor of the offset table for circle-smoothed forms at ``lam``.
-
-    The torus must resolve the support spectrum (four extents) and hold
-    the smoothed ring plus the correlation support without wrap-around.
-    The box forms smooth with plain Gaussians, the ring of radius 0, so
-    ``lam = 0`` gives their torus.
-    """
-    ext = spectral.support_extent(f.values) * f.step
-    need = max(4.0 * ext, 5.0 * lam + 1.2 * ext + 6.0 * f.step)
-    return max(1, int(math.ceil(need / f.side - 1e-9)))
-
-
-def _neg_khat(a, u: np.ndarray) -> np.ndarray:
-    au = a * np.asarray(u)
-    return 4.0 * np.pi**2 * au * au * np.exp(-np.pi * au * au)
-
-
-def _ghat(a, u: np.ndarray) -> np.ndarray:
-    au = a * np.asarray(u)
-    return np.exp(-np.pi * au * au)
 
 
 def _pair_correlation(f: PlanarGrid, lam: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -259,68 +208,71 @@ def _correlation_offsets(f: PlanarGrid, lam: float, scale: float) -> np.ndarray:
     return np.arange(-k, k + 1)
 
 
-def _form_values(f: PlanarGrid, tab: spectral.OffsetTable | None, m: int, lam: float, scales,
+def _form_values(f: PlanarGrid, tab: spectral.FourPointTable | None, m: int, lam: float, scales,
                  tent_scales=None, params: CountingParams | None = None) -> np.ndarray:
-    """A form at T scales with the Laplacian in slot m, smoothed on the circle
-    of radius ``lam`` (``params``) or, with ``params`` None, by plain Gaussians.
+    """A form at T scales with the Laplacian in slot m (none for m = 0),
+    smoothed on the circle of radius ``lam`` (``params``) or, with ``params``
+    None, by plain Gaussians.
 
-    n = 1 (no ``tab``): the pair correlation times the tent weights c at
-    ``scales``, or times -2 pi s dc/ds for m = 1.  n = 2: the table's
-    spectral slot takes sigma-hat times g-hat (m = 0, 2) or -k-hat (m = 1)
-    at ``scales``, its tent slot c (m = 0, 1) or -2 pi s dc/ds (m = 2) at
-    ``tent_scales`` (default ``scales``).  Nodes go in chunks whose blocks
-    of ``column`` elements per node stay within ``_kernels.STACK_ELEMENTS``.
+    A slot takes the tent weights c or, as the Laplacian slot, -2 pi s dc/ds.
+    n = 1 (no ``tab``): the pair correlation times slot 1 at ``scales``.
+    n = 2: the four-point table contracted with slot 1 at ``scales`` and
+    slot 2 at ``tent_scales``.  Without ``tent_scales`` both slots take
+    ``scales``; Q is symmetric under the swap of slots, so m = 1 and m = 2
+    are the same form, and one pass over the profiles gives c and dc.
+    Nodes go in chunks whose blocks of ``column`` elements per node stay
+    within ``_kernels.STACK_ELEMENTS``.
     """
     scales = np.asarray(scales, dtype=np.float64)
     angles = 1 if params is None else _ring_angles(params, f.step)
     if tab is None:
         offsets, corr = _pair_correlation(f, lam, float(scales.max()))
-        tent_scales, deriv, lattice = scales, m >= 1, ()
     else:
-        offsets, deriv, lattice = tab.offsets, m == 2, tab.xi_bar
-        tent_scales = scales if tent_scales is None else tent_scales
-        kernel = _neg_khat if m == 1 else _ghat
-        cells = spectral.cell_radii(tab.torus_side)
-        sig_lattice = sig_cells = 1.0
-        if params is not None:
-            u_cut = min(float(lattice.max()) * (1 + 1e-9), 3.6 / float(scales.min()))
-            sig_lattice, sig_cells = _sigma_weight_table(f, params, u_cut, tab)
+        offsets = tab.offsets
     nd = len(offsets)
-    column = max(len(lattice), nd * nd, (nd + 2) * angles)
+    column = max(nd * nd, (nd + 2) * angles)
 
-    def tents(sl):
-        s = tent_scales[sl]
-        c = (spectral.ball_tents(offsets, f.step, s, deriv) if params is None
-             else spectral.ring_tents(offsets, f.step, lam, s, angles, deriv))
-        return -2.0 * math.pi * s * c if deriv else c
+    def tents(s, deriv, both=False):
+        return (spectral.ball_tents(offsets, f.step, s, deriv, both) if params is None
+                else spectral.ring_tents(offsets, f.step, lam, s, angles, deriv, both))
+
+    def slot(s, laplacian):
+        return -2.0 * math.pi * s * tents(s, True) if laplacian else tents(s, False)
 
     def values(sl):
+        s = scales[sl]
         if tab is None:
-            return corr @ tents(sl)
-        weights = sig_lattice * kernel(scales[sl, None], lattice)
-        zero_w = (sig_cells * kernel(scales[sl, None], cells)).mean(axis=1)
-        return spectral.assemble(tab, tents(sl), weights.T, zero_w)
+            return corr @ slot(s, m == 1)
+        if tent_scales is not None:
+            return spectral.assemble(tab, slot(s, m == 1), slot(tent_scales[sl], m == 2))
+        if m == 0:
+            c = tents(s, False)
+            return spectral.assemble(tab, c, c)
+        c, dc = tents(s, True, both=True)
+        return spectral.assemble(tab, c, -2.0 * math.pi * s * dc)
 
     size = max(1, _kernels.STACK_ELEMENTS // column)
     return np.concatenate([values(slice(i, i + size)) for i in range(0, len(scales), size)])
 
 
-def _offset_table(f: PlanarGrid, pad: int, budget: int = DEFAULT_BUDGET,
-                  what: str = "offset table") -> spectral.OffsetTable:
-    """The offset table of f at padding ``pad``, memoised on f.
+def _offset_table(f: PlanarGrid, budget: int = DEFAULT_BUDGET,
+                  what: str = "four-point table") -> spectral.FourPointTable:
+    """The four-point table of f, memoised on f.
 
-    It holds the offsets within the support extent, one transform of the
-    padded torus each, so the estimate is nd^2 (pad N)^2 / 4; over
-    ``budget`` it raises before anything is built.
+    Before anything is allocated, the estimate is checked against
+    ``budget``: one transform of the (2e)^2 support-box torus per stored
+    row, (2e)^2 log2(2e) each for a support extent of e nodes, plus the
+    table's bytes.
     """
     if f.periodic:
         raise ValueError("the exact two-slot path needs a zero-extended grid")
-    nd = 2 * max(spectral.support_extent(f.values), 1) - 1
-    _require_budget(nd * nd * (pad * f.node_count) ** 2 // 4, budget, what)
-    cache = _grid_memo(f, "_offset_tables")
-    if pad not in cache:
-        cache[pad] = spectral.build_offset_table(f.values, f.step, pad)
-    return cache[pad]
+    side = 2 * max(spectral.support_extent(f.values), 1)
+    rows, entries = spectral.table_size(side // 2)
+    _require_budget(int(rows * side * side * math.log2(side)) + 4 * entries, budget, what)
+    memo = _grid_memo(f, "_offset_tables")
+    if "table" not in memo:
+        memo["table"] = spectral.build_offset_table(f.values, f.step)
+    return memo["table"]
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +289,6 @@ def counting_sharp(f: PlanarGrid, params: CountingParams) -> CountingReport:
     val = _kernels.sharp_sum(f.values, f.step, params.lam, cos_t, sin_t,
                              params.n, f.periodic)
     return CountingReport(float(val), 0.0, params)
-
-
-def _clamped(value: float, f: PlanarGrid, params: CountingParams) -> float:
-    # the spectral slot of the n = 2 table route samples oscillatory weights
-    # at bin centroids, which leaves a noise floor; a value within it is
-    # zero at this precision
-    floor = 1e-3 * max(float(f.values.sum()) * f.step**2, f.step**2)
-    if value < -floor:
-        raise ArithmeticError(
-            f"counting value came out negative: {value:.3e} at lambda/h = "
-            f"{params.lam / f.step:.4g}, eps*lambda/h = {params.eps * params.lam / f.step:.4g}; "
-            "the smoothing width is under-resolved on this grid (use a finer grid, "
-            "a larger lambda or a larger eps)")
-    return max(value, 0.0)
 
 
 def counting_smooth(f: PlanarGrid, params: CountingParams) -> CountingReport:
@@ -370,9 +308,9 @@ def counting_smooth(f: PlanarGrid, params: CountingParams) -> CountingReport:
         cost = torus * torus * 8 + nd * nd * _ring_angles(params, f.step)
         _require_budget(cost, params.budget, "counting_smooth")
     else:
-        tab = _offset_table(f, ring_pad(f, params.lam), params.budget, "counting_smooth")
+        tab = _offset_table(f, params.budget, "counting_smooth")
     value = float(_form_values(f, tab, 0, params.lam, [scale], params=params)[0])
-    return CountingReport(value if tab is None else _clamped(value, f, params), 0.0, params)
+    return CountingReport(value, 0.0, params)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +345,9 @@ def gowers_norm(f: PlanarGrid, n: int) -> float:
 
     U^2 is the Parseval sum of the fourth power of the transform on the
     torus; the eighth power of U^3 integrates the fourth power of
-    U^2(f f(. + d)) over the shifts d.  The tests check U^2 against two
+    U^2(m_d), m_d = f f(. + d), over the shifts d.  m_-d is a translate of
+    m_d, so ``spectral.offset_products`` transforms one of each pair, on
+    the torus of its bounding box for a zero-extended grid.  The tests check U^2 against two
     private oracles that agree with it algebraically: direct shifted sums
     (``_kernels.u2_fourth_direct``) and the squared pair correlation
     (``_u2_fourth_autocorr``).
@@ -421,14 +361,18 @@ def gowers_norm(f: PlanarGrid, n: int) -> float:
         return abs(float(vals.sum() * h * h))
     if n == 2:
         return _u2_fourth_spectral(vals, h) ** 0.25
-    nn = vals.shape[0]
     total = 0.0
-    for d1 in range(nn):
-        rolled1 = np.roll(vals, -d1, axis=0)
-        for d2 in range(nn):
-            prod = vals * np.roll(rolled1, -d2, axis=1)
-            total += _u2_fourth_spectral(prod, h) * h * h
-    return float(total) ** (1.0 / 8.0)
+    for d, spectra, torus, _ in spectral.offset_products(f.values, f.periodic):
+        # the rfft2 half-lattice holds each frequency but its own mirror once
+        mult = np.full(spectra.shape[2], 2.0)
+        mult[0] = 1.0
+        if torus[1] % 2 == 0:
+            mult[-1] = 1.0
+        power = spectra.real**2 + spectra.imag**2
+        fourth = (power * power) @ mult
+        pairs = 1.0 + np.any((2 * d) % f.node_count if f.periodic else d, axis=1)
+        total += pairs @ fourth.sum(axis=1) / (torus[0] * torus[1])
+    return float(total * h**8) ** (1.0 / 8.0)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counting import (CountingParams, _form_values, _offset_table, counting_sharp,
-                       counting_smooth, ring_pad)
+                       counting_smooth)
 from .grid import PlanarGrid, measure
 
 # the outer quadrature converges when one refinement moves it by less than this
@@ -150,11 +150,13 @@ def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
            tnodes: int = 64, quadrature_nodes: int = 256) -> QuadratureValue:
     """Scale-derivative form for slot m over the band [alpha, beta].
 
-    Summed over m = 1..n this telescopes smooth_alpha - smooth_beta.  The
-    Laplacian slot is the spectral slot of the n = 2 table for m = 1, else
-    the scale derivative of the tent weights (``counting._form_values``).
-    The fine outer quadrature has ``2 tnodes - 1`` nodes, the coarse one
-    every other node; one batched evaluation gives both.
+    Summed over m = 1..n this telescopes smooth_alpha - smooth_beta.  Slot
+    m takes the scale derivative of the tent weights, the other slot the
+    tents (``counting._form_values``).  For n = 2 both slots read the
+    four-point table, which is symmetric under their swap, so m = 1 and
+    m = 2 give the same value.  The fine outer quadrature has
+    ``2 tnodes - 1`` nodes, the coarse one every other node; one batched
+    evaluation gives both.
     """
     if not 0 < alpha < beta <= 1:
         raise ValueError("need 0 < alpha < beta <= 1")
@@ -163,7 +165,7 @@ def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
     if n > 2:
         raise ValueError("the exact derivative form supports n <= 2")
     params = CountingParams(n=n, lam=lam, eps=1.0, quadrature_nodes=quadrature_nodes)
-    tab = _offset_table(f, ring_pad(f, lam), what="L_form") if n == 2 else None
+    tab = _offset_table(f, what="L_form") if n == 2 else None
     sums = _outer_sums(lambda ts: _form_values(f, tab, m, lam, ts * lam, params=params),
                        alpha, beta, tnodes)
     coarse, fine = (v / (2.0 * math.pi) for v in sums)
@@ -196,7 +198,7 @@ def theta_form(f: PlanarGrid, gammas, m: int, nodes: int = 128) -> QuadratureVal
     if f.periodic:
         raise ValueError("the box form needs a zero-extended grid")
 
-    tab = _offset_table(f, ring_pad(f, 0.0), what="theta_form") if n == 2 else None
+    tab = _offset_table(f, what="theta_form") if n == 2 else None
     coarse, fine = _outer_sums(
         lambda ss: _form_values(f, tab, m, 0.0, ss * gammas[0], ss * gammas[-1]),
         1e-5 * f.step, 1e3 * f.side, nodes)
@@ -224,8 +226,8 @@ def check_structured_bound(sets, lam_values, n: int, frozen: float | None = None
                            **kw) -> BoundCheck:
     """Minimum of smooth_1 / ((|B|/R^2)^(2^n) R^2) over sets and scales.
 
-    A set's memoised offset tables are dropped once its scales are done,
-    so a list of sets holds at most one set's tables at a time.
+    A set's memoised four-point table is dropped once its scales are done,
+    so a list of sets holds at most one table at a time.
     """
     ratios = []
     for f in sets:

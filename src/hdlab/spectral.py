@@ -1,4 +1,4 @@
-"""Spectral evaluation engine for the smoothed pair and box forms.
+"""Evaluation engine for the smoothed pair and box forms.
 
 The sharp and Monte Carlo kernels read f bilinearly, so on the lattice a
 smoothed form sums over offsets d with closed-form tent weights
@@ -8,33 +8,27 @@ is a Gaussian on a ring of circle nodes (``ring_tents``); the box form's
 plain Gaussian is the ring of radius 0 with one node (``ball_tents``).
 
 One-slot forms are the pair correlation a(d) = h^2 sum_x f(x) f(x + dh)
-(``pair_spectrum``) times the tent weights, exact for 0/1 pixel grids up to
-round-off.  Two-slot forms read offset spectra ``P[d] = |FFT(f . f(.+dh))|^2``,
-stored for half the offsets as P[-d] = P[d] (``OffsetTable``), paired with
-the tent weights in one slot and with a radial weight (the kernel transform
-times sigma-hat) in the other.  That spectral slot is a midpoint rule: it
-leaves out the tent's transfer factor prod_i sinc^2(xi_i h), the leading
-error at small lambda / h.  The binning, the zero-frequency cell (its weight
-averaged over a sub-sampled cell, so vanishing Laplacian weights keep its
-mass) and the outer scale quadrature add smaller ones.  The table stores
-only the |xi| bins that hold a lattice point, so it has no zero column.
-Radial weights below the smallest normal float32 enter its product as 0:
-subnormals slow a float32 product and add less than its round-off.  The
-product runs in blocks of a fixed row count, so a row rounds alike in a
-table cropped to the support and in one over the whole window.
+(``pair_spectrum``) times the tent weights.  Two-slot forms are the
+four-point table Q(d1, d2) = h^2 sum_x f(x) f(x + d1 h) f(x + d2 h)
+f(x + (d1 + d2) h) contracted with tent weights in both slots
+(``FourPointTable``, ``assemble``).  Both are exact for 0/1 pixel grids up
+to round-off: tents and the table are nonnegative, so a value can go below
+0 only by the round-off of tents deep in the Gaussian tail.  Row d1 of Q is
+the pair correlation of m_d1 = f . f(. + d1 h), which ``offset_products``
+transforms in batches on the torus of the product's own bounding box.
 
-Forms come in derivative pairs: the Laplacian slot is the spectral slot
-(weight ``-khat``) or a tent slot (weights ``-2 pi s dc_d/ds``), both the
-scale derivative of one functional, so telescoping sums over a matched pair
-are exact up to the outer quadrature.  Weights carry T outer scale nodes on
-their last axis and one product ``P @ W`` reads the table once per batch;
-``counting._form_values`` cuts T so that each (offsets^2 x T),
-(offsets x angles x T) or (bins x T) block stays within
+Forms come in derivative pairs: the Laplacian slot takes the weights
+-2 pi s dc_d/ds, the scale derivative of the tents, so telescoping sums
+over a matched pair are exact up to the outer quadrature.  Weights carry T
+outer scale nodes on their last axis and one contraction reads the table
+once per batch; ``counting._form_values`` cuts T so that each
+(offsets^2 x T) or (offsets x angles x T) block stays within
 ``_kernels.STACK_ELEMENTS`` elements.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,9 +37,9 @@ import numpy as np
 from ._kernels import support_box
 
 _SQPI = math.sqrt(math.pi)
-_CELL_SUB = 12
-_NBINS = 2048  # |xi| bins of the offset table's power spectra, occupied ones stored
-_ROW_BLOCK = 128  # table rows per float32 product in ``assemble``
+_BATCH = 64  # offset products per batched transform ...
+_BATCH_POINTS = 1 << 16  # ... and torus points per batch, at least one product
+_ROW_BLOCK = 128  # table rows per stored block, read by one product in ``assemble``
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +58,10 @@ _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.463210564422
 _ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 
 
 def _horner(x, coef, monic):
@@ -109,6 +107,23 @@ def _erf(x):
     return out.reshape(x.shape)
 
 
+def _erfc(x):
+    """erfc(x) elementwise for x >= 0, as Cephes evaluates it.
+
+    x < 1: 1 - erf(x).  1 <= x < 8: exp(-x^2) P(x) / Q(x); x >= 8: exp(-x^2)
+    R(x) / S(x), with x capped at 27, where erfc is below the smallest
+    subnormal.
+    """
+    x = np.minimum(np.asarray(x, dtype=np.float64), 27.0)
+    out = np.empty_like(x)
+    small = x < 1.0
+    out[small] = 1.0 - _erf(x[small])
+    for part, num, den in ((~small & (x < 8.0), _ERFC_P, _ERFC_Q), (x >= 8.0, _ERFC_R, _ERFC_S)):
+        a = x[part]
+        out[part] = np.exp(-a * a) * _horner(a, num, False) / _horner(a, den, True)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # 1-d Gaussian/tent building blocks (dilation g1_a(u) = exp(-pi u^2/a^2)/a)
 
@@ -131,17 +146,24 @@ def _lattice_second_difference(fn, x, h):
 def gauss_tent(x, a, h):
     """(g1_a * tent_h)(x) with tent(u) = max(0, 1 - |u|/h).
 
-    The second difference of an antiderivative of the cdf of g1_a, which
-    takes ``_erf``.  ``x`` steps by h along its last axis; ``a`` broadcasts
-    against it.
+    The second difference of an antiderivative of the cdf of g1_a,
+    max(u, 0) + R(|u|) with R(v) = (exp(-k^2 v^2) / (k sqrt(pi)) - v erfc(k v)) / 2,
+    k = sqrt(pi) / a.  R decays like the Gaussian, and the second difference
+    of max(u, 0) is 0 unless the three points straddle 0, so a tent deep in
+    the Gaussian tail keeps its relative precision instead of cancelling to
+    round-off of the linear part.  ``x`` steps by h along its last axis;
+    ``a`` broadcasts against it.
     """
     k = _SQPI / a
 
-    def anti(u):  # antiderivative of the cdf of g1_a
-        ku = k * u
-        return 0.5 * u + 0.5 * (u * _erf(ku) + np.exp(-np.minimum(ku * ku, 700.0)) / (k * _SQPI))
+    def rest(u):
+        v = np.abs(u)
+        kv = k * v
+        return 0.5 * (np.exp(-np.minimum(kv * kv, 700.0)) / (k * _SQPI) - v * _erfc(kv))
 
-    return _lattice_second_difference(anti, x, h) / h
+    ramp = _lattice_second_difference(lambda u: np.maximum(u, 0.0), x, h)
+    ramp[(x - h >= 0) | (x + h <= 0)] = 0.0
+    return (_lattice_second_difference(rest, x, h) + ramp) / h
 
 
 def gauss_tent_da(x, a, h):
@@ -150,7 +172,7 @@ def gauss_tent_da(x, a, h):
 
 
 # ---------------------------------------------------------------------------
-# offset spectra table
+# four-point table
 
 
 def support_extent(values: np.ndarray) -> int:
@@ -162,104 +184,193 @@ def support_extent(values: np.ndarray) -> int:
     return max(i1 - i0, j1 - j0)
 
 
-def frequency_lattice(n2: int, r2: float) -> tuple[np.ndarray, np.ndarray]:
-    """|xi| on the rfft2 half-lattice of an n2-node torus of side r2.
+@functools.lru_cache(maxsize=None)
+def _fast_size(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a torus side the FFT takes fast."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    Also returns the multiplicity of each stored frequency: 2 where rfft2
-    does not store its mirror image, else 1.
+
+def _batch(d, products, torus):
+    """(offsets, rfft2 of the products, torus) of one batch, each product in
+    the corner of the torus."""
+    buf = np.zeros((len(products),) + torus)
+    for b, m in enumerate(products):
+        buf[b, :m.shape[0], :m.shape[1]] = m
+    return np.array(d), np.fft.rfft2(buf), torus
+
+
+def offset_products(values: np.ndarray, periodic: bool = False):
+    """Batches (d, spectra, torus, ext) of the products m_d = f . f(. + d)
+    over one offset d of each +-d pair: m_-d is m_d translated by -d.
+
+    ``d`` is (B, 2) in nodes and ``spectra`` the rfft2 of each m_d on the
+    batch's ``torus`` (L1, L2).  A periodic grid is its own torus, and every
+    offset of it counts.  On a zero-extended grid the offsets are those of
+    ``FourPointTable`` up to d = 0: beyond the support extent m_d vanishes.
+    Empty products are skipped, and each other one is cropped to its
+    bounding box.  The batches group the boxes by size; ``ext`` holds the
+    largest box sides and L_i >= 2 ext_i - 1, so no pair correlation wraps.
+    The products are formed one batch at a time.
     """
-    kx = np.fft.fftfreq(n2, d=1.0 / n2) / r2
-    ky = np.fft.rfftfreq(n2, d=1.0 / n2) / r2
-    xi = np.sqrt(kx[:, None] ** 2 + ky[None, :] ** 2)
-    mult = np.full(xi.shape, 2.0)
-    mult[:, 0] = 1.0
-    if n2 % 2 == 0:
-        mult[:, -1] = 1.0
-    return xi, mult
+    if periodic:
+        n = values.shape[0]
+        pairs = [(a, b) for a in range(n) for b in range(n) if (a, b) <= ((-a) % n, (-b) % n)]
+        for s in range(0, len(pairs), _BATCH):
+            d = pairs[s:s + _BATCH]
+            products = [values * np.roll(values, (-a, -b), axis=(0, 1)) for a, b in d]
+            yield *_batch(d, products, (n, n)), (n, n)
+        return
+    f = _support_square(values)
+    yield from _batches(f, _product_boxes(f))
+
+
+def _support_square(values):
+    """The grid's support box, zero-filled to a square of the support extent."""
+    e = max(support_extent(values), 1)
+    i0, _, j0, _ = support_box(values) or (0, 0, 0, 0)
+    f = np.zeros((e, e))
+    box = values[i0:i0 + e, j0:j0 + e]
+    f[:box.shape[0], :box.shape[1]] = box
+    return f
+
+
+def _product_boxes(f):
+    """(rows, columns, a, b, first row, first column) of the bounding box of
+    each nonempty product m_(a, b) over the square f, for the offsets up to
+    d = 0, sorted: from the support alone, one row a of offsets at a time."""
+    e = len(f)
+    live = np.zeros((3 * e, 3 * e), dtype=bool)
+    live[e:2 * e, e:2 * e] = f != 0
+    boxes = []
+    for a in range(-(e - 1), 1):
+        b = np.arange(-(e - 1), e if a < 0 else 1)
+        moved = np.lib.stride_tricks.sliding_window_view(live[e + a:2 * e + a], e, axis=1)
+        m = live[None, e:2 * e, e:2 * e] & moved[:, e + b, :].transpose(1, 0, 2)
+        rows, cols = m.any(axis=2), m.any(axis=1)
+        k = rows.any(axis=1)
+        rows, cols, b = rows[k], cols[k], b[k]
+        r0, c0 = rows.argmax(axis=1), cols.argmax(axis=1)
+        r1, c1 = e - rows[:, ::-1].argmax(axis=1), e - cols[:, ::-1].argmax(axis=1)
+        boxes += zip((r1 - r0).tolist(), (c1 - c0).tolist(), [a] * len(b), b.tolist(),
+                     r0.tolist(), c0.tolist())
+    return sorted(boxes)
+
+
+def _batches(f, boxes):
+    """The batches of ``offset_products`` for the sorted boxes over f."""
+    start = 0
+    while start < len(boxes):
+        stop, cols = start + 1, boxes[start][1]
+        while stop < min(start + _BATCH, len(boxes)):
+            # sorted boxes: box stop has the most rows, not the most columns
+            cols = max(cols, boxes[stop][1])
+            points = _fast_size(2 * boxes[stop][0] - 1) * _fast_size(2 * cols - 1)
+            if (stop + 1 - start) * points > _BATCH_POINTS:
+                break
+            stop += 1
+        chunk = boxes[start:stop]
+        ext = (chunk[-1][0], max(c[1] for c in chunk))
+        products = [f[r0:r0 + r, c0:c0 + c] * f[r0 + a:r0 + a + r, c0 + b:c0 + b + c]
+                    for r, c, a, b, r0, c0 in chunk]
+        torus = (_fast_size(2 * ext[0] - 1), _fast_size(2 * ext[1] - 1))
+        yield *_batch([c[2:4] for c in chunk], products, torus), ext
+        start = stop
+
+
+def table_size(extent: int) -> tuple[int, int]:
+    """(stored rows, entries of the whole triangle) of a support extent: an
+    upper bound on a table's entries."""
+    nd = 2 * max(extent, 1) - 1
+    half = (nd * nd + 1) // 2
+    return half, sum((min(r0 + _ROW_BLOCK, half) - r0) * (half - r0)
+                     for r0 in range(0, half, _ROW_BLOCK))
 
 
 @dataclass
-class OffsetTable:
-    """Binned power spectra of the offset products of one grid.
+class FourPointTable:
+    """Q(d1, d2) = h^2 sum_x f(x) f(x + d1) f(x + d2) f(x + d1 + d2) of one grid.
 
     Offsets d = (offsets[a], offsets[b]) have the flat index k = a nd + b,
     nd = len(offsets).  The offsets run over -(e-1) .. e-1 for a support
-    extent of e nodes: beyond, m_d = f . f(. + d) vanishes.  Since m_-d is
-    m_d translated by -d, P[-d] = P[d], and -d has the mirror index
-    nd^2 - 1 - k.  Only the rows up to the middle one (d = 0,
-    k = (nd^2 - 1) / 2) are stored.
-
-    |xi| runs over ``_NBINS`` equal bins up to its largest value on the
-    torus, and only the B bins that hold a lattice point are stored, in
-    increasing order: ``xi_bar`` has no empty bin and ``power`` no zero
-    column.
+    extent of e nodes: beyond, m_d = f . f(. + d) vanishes.  Q is even in
+    each argument (m_-d is m_d translated, and -d has the mirror index
+    nd^2 - 1 - k) and symmetric under the swap, so its rows and columns up
+    to the middle one (d = 0) hold it, and of those the upper triangle is
+    stored, in blocks of ``_ROW_BLOCK`` rows packed in ``power``.  Block b
+    holds the columns from ``starts[b]`` on, at least its first row: its
+    diagonal square is whole, and the columns before are 0 in its rows.
     """
 
     step: float
-    torus_side: float          # padded side R2
     offsets: np.ndarray        # 1-d offsets in nodes, -(e-1) .. e-1
-    xi_bar: np.ndarray         # (B,) centroid of |xi| in each occupied bin
-    power: np.ndarray          # ((nd*nd + 1) / 2, B) float32, nd = 2e - 1, zero mode excluded
-    zero_mode: np.ndarray      # ((nd*nd + 1) / 2,) |FFT(m_d)(0)|^2
+    starts: list               # first stored column of each block
+    power: np.ndarray          # float32 blocks of Q, packed row-major
+
+    def blocks(self):
+        """(r0, r1, c0, block) per stored block: block[i - r0, j - c0] = Q[i, j]
+        for the rows r0 <= i < r1 and the columns j >= c0."""
+        half, at = len(self.offsets) ** 2 // 2 + 1, 0
+        for r0, c0 in zip(range(0, half, _ROW_BLOCK), self.starts):
+            r1 = min(r0 + _ROW_BLOCK, half)
+            size = (r1 - r0) * (half - c0)
+            yield r0, r1, c0, self.power[at:at + size].reshape(r1 - r0, half - c0)
+            at += size
 
 
-def build_offset_table(values: np.ndarray, step: float, pad: int) -> OffsetTable:
-    """One 2-d transform of the padded grid per stored non-empty lattice
-    offset: at most (nd^2 + 1) / 2, nd = 2e - 1 for a support extent of e
-    nodes (the other half are mirror images).  Each is the rfft2 sequence,
-    a row rfft then a column fft, with the row pass run on the live rows of
-    the offset product only; the result is rfft2's bit for bit.
+def build_offset_table(values: np.ndarray, step: float) -> FourPointTable:
+    """The four-point table of a zero-extended grid.
 
-    The grid is zero-extended to ``pad`` times its side; ``counting.ring_pad``
-    picks the factor that resolves the spectrum of the support and keeps
-    the smoothed correlations free of wrap-around.
+    Row d1 is the pair correlation of m_d1, one rfft2 and one irfft2 each
+    (``offset_products``), read at the offsets below the batch's extents;
+    the rest of the row is 0.  Q(d1, d2) vanishes where |d2_1| is at least
+    the row count r of m_d1's bounding box, and the columns of d2_1 <= 0 run
+    in order of d2_1, so a block's columns before (e - max r) nd are 0.  On
+    an integer-valued grid Q / h^2 is an integer, and the correlations are
+    rounded to it.
     """
-    n = values.shape[0]
-    n2 = pad * n
-    r2 = n2 * step
-    xi, mult = frequency_lattice(n2, r2)
-    ximax = float(xi.max()) * (1.0 + 1e-12)
-    binidx = np.minimum((xi / ximax * _NBINS).astype(np.int64), _NBINS - 1).ravel()
-    # keep the occupied bins only, in their order: each stored column sums
-    # the same lattice points in the same order as a full-width bincount
-    occupied, binidx = np.unique(binidx, return_inverse=True)
-    nbins = len(occupied)
-    wmult = mult.ravel()
-    xi_bar = np.bincount(binidx, weights=(xi * mult).ravel(), minlength=nbins)
-    xi_bar /= np.bincount(binidx, weights=wmult, minlength=nbins)
-    e = max(support_extent(values), 1)
+    f = _support_square(values)
+    e = len(f)
     offs = np.arange(-(e - 1), e)
     nd = len(offs)
-    rows = (nd * nd + 1) // 2
-    power = np.zeros((rows, nbins), dtype=np.float32)
-    zero = np.zeros(rows)
-    buf = np.zeros((n, n2))
-    col = np.zeros((n2, n2 // 2 + 1), dtype=np.complex128)
-    hh = step * step
-    for k in range(rows):
-        da, db = offs[k // nd], offs[k % nd]
-        sa = slice(max(0, -da), min(n, n - da))
-        sa2 = slice(max(0, da), min(n, n + da))
-        sb = slice(max(0, -db), min(n, n - db))
-        sb2 = slice(max(0, db), min(n, n + db))
-        m = values[sa, sb] * values[sa2, sb2]
-        live = np.flatnonzero(m.any(axis=1))
-        if not len(live):
-            continue
-        # rfft2 is a row rfft then a column fft; rows of zeros transform
-        # to zeros, so the row pass runs on the live rows only
-        r0, r1 = sa.start + live[0], sa.start + live[-1] + 1
-        buf[sa, sb] = m
-        col[r0:r1] = np.fft.rfft(buf[r0:r1], axis=1)
-        buf[sa, sb] = 0.0
-        fm = np.fft.fft(col, axis=0) * hh
-        col[r0:r1] = 0.0
-        pm = (fm.real**2 + fm.imag**2).ravel()
-        zero[k] = pm[0]
-        pm *= wmult
-        pm[0] = 0.0
-        power[k] = np.bincount(binidx, weights=pm, minlength=nbins)
-    return OffsetTable(step, r2, offs, xi_bar, power, zero)
+    half = (nd * nd + 1) // 2
+    boxes = _product_boxes(f)
+    reach = np.zeros(half, dtype=np.int64)
+    for r, _, a, b, _, _ in boxes:
+        reach[(a + e - 1) * nd + b + e - 1] = r
+    starts = [min(max(r0, (e - int(reach[r0:r0 + _ROW_BLOCK].max())) * nd), half)
+              for r0 in range(0, half, _ROW_BLOCK)]
+    size = sum((min(r0 + _ROW_BLOCK, half) - r0) * (half - c0)
+               for r0, c0 in zip(range(0, half, _ROW_BLOCK), starts))
+    tab = FourPointTable(step, offs, starts, np.zeros(size, dtype=np.float32))
+    blocks = list(tab.blocks())
+    ca, cb = offs[np.arange(half) // nd], offs[np.arange(half) % nd]
+    integer = np.array_equal(values, np.rint(values))
+    for d, spectra, torus, ext in _batches(f, boxes):
+        spectra *= spectra.conj()
+        corr = np.fft.irfft2(spectra, s=torus)
+        read = np.flatnonzero((np.abs(ca) < ext[0]) & (np.abs(cb) < ext[1]))
+        q = corr[:, ca[read] % torus[0], cb[read] % torus[1]]
+        if integer:
+            np.rint(q, out=q)
+        q *= step * step
+        rows = (d[:, 0] + e - 1) * nd + d[:, 1] + e - 1
+        for b in np.unique(rows // _ROW_BLOCK):
+            r0, _, c0, block = blocks[b]
+            sel = rows // _ROW_BLOCK == b
+            at = np.searchsorted(read, c0)
+            block[np.ix_(rows[sel] - r0, read[at:] - c0)] = q[sel, at:]
+    return tab
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +378,13 @@ def build_offset_table(values: np.ndarray, step: float, pad: int) -> OffsetTable
 
 
 def ring_tents(offsets: np.ndarray, step: float, lam: float, scales, angles: int,
-               deriv: bool = False) -> np.ndarray:
+               deriv: bool = False, both: bool = False):
     """Tent weights of sigma_lam * g_s (equal-weight circle nodes) at the
     offsets d = (offsets[a], offsets[b]) * step, flat index a nd + b.
 
     Returns an (offsets^2, T) array for the T scales s, or with ``deriv``
-    their derivatives d/ds.  The offsets are symmetric about 0.  The
+    their derivatives d/ds, or with ``both`` the pair of them from one pass
+    over the profiles.  The offsets are symmetric about 0.  The
     Gaussian-tent profiles form (T, angles, offsets + 2) blocks; for an
     even angle count only the nodes on a quarter turn are evaluated, and
     the others are their mirror images.
@@ -306,57 +418,56 @@ def ring_tents(offsets: np.ndarray, step: float, lam: float, scales, angles: int
         p = np.concatenate([p, mirror[..., ::-1] if flips else mirror], axis=1)
         return np.concatenate([p, p[..., ::-1]], axis=1)
 
+    def flat(c):
+        return (c / angles).reshape(len(s), -1).T
+
     gx, gy = profiles(gauss_tent)
-    if not deriv:
-        c = np.matmul(gx.transpose(0, 2, 1), gy)
-    else:
-        dgx, dgy = profiles(gauss_tent_da)
-        c = np.matmul(dgx.transpose(0, 2, 1), gy) + np.matmul(gx.transpose(0, 2, 1), dgy)
-    return (c / angles).reshape(len(s), -1).T
+    gxt = gx.transpose(0, 2, 1)
+    if not (deriv or both):
+        return flat(np.matmul(gxt, gy))
+    dgx, dgy = profiles(gauss_tent_da)
+    dc = flat(np.matmul(dgx.transpose(0, 2, 1), gy) + np.matmul(gxt, dgy))
+    return (flat(np.matmul(gxt, gy)), dc) if both else dc
 
 
-def ball_tents(offsets: np.ndarray, step: float, scales, deriv: bool = False) -> np.ndarray:
+def ball_tents(offsets: np.ndarray, step: float, scales, deriv: bool = False,
+               both: bool = False):
     """Tent weights of the plain Gaussians g_s centred at the origin.
 
     The ring of radius 0 with one node; same layout as ``ring_tents``.
     """
-    return ring_tents(offsets, step, 0.0, scales, 1, deriv)
+    return ring_tents(offsets, step, 0.0, scales, 1, deriv, both)
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
 
-def assemble(tab: OffsetTable, tent_weights: np.ndarray, bin_weights: np.ndarray,
-             zero_weights: np.ndarray) -> np.ndarray:
-    """sum_d C[d, t] [ sum_b P(d, b) W[b, t] + P0(d) w0[t] ] / R2^2 for each t.
+def _fold(weights: np.ndarray, half: int) -> np.ndarray:
+    """Weights of all offsets onto the stored half: Q is even in each
+    argument, so row k takes W[k] + W[nd^2 - 1 - k] and d = 0 its own."""
+    folded = weights[:half].copy()
+    folded[:-1] += weights[:half - 1:-1]
+    return folded
 
-    ``tent_weights`` C is (offsets^2, T), ``bin_weights`` W is (bins, T)
-    and ``zero_weights`` w0 has T entries.  The table stores each pair
-    P[d] = P[-d] once, so C[k] + C[nd^2 - 1 - k] multiplies stored row k,
-    and the middle row (d = 0) takes its own weight once.  One float32
-    product ``P @ W``, in blocks of ``_ROW_BLOCK`` rows, reads the table once
-    for all T columns; weights below the smallest normal float32 enter it
-    as 0.
+
+def assemble(tab: FourPointTable, slot1: np.ndarray, slot2: np.ndarray) -> np.ndarray:
+    """sum_{d1, d2} W1[d1, t] W2[d2, t] Q(d1, d2) for each t.
+
+    ``slot1`` W1 and ``slot2`` W2 are (offsets^2, T) weights in the layout
+    of ``ring_tents``.  Each stored block is read once, in float64: its
+    product with W2 covers the pairs with d1 in the block, and its product
+    beyond its rows with W1 the mirrored pairs.
     """
-    half = len(tab.power)
-    folded = tent_weights[:half].copy()
-    folded[:-1] += tent_weights[:half - 1:-1]
-    # subnormals slow a float32 product and add less than its round-off
-    w = bin_weights.astype(np.float32, order="C")
-    w[np.abs(w) < np.finfo(np.float32).tiny] = 0.0
-    # BLAS picks its kernel, and so its rounding, by the shape of the whole
-    # product: blocks of a fixed row count, the last one zero-filled, give
-    # a row the same bits whatever the table's row count and the row's place
-    vals = np.empty((-(-half // _ROW_BLOCK) * _ROW_BLOCK, w.shape[1]), dtype=np.float32)
-    for r0 in range(0, half, _ROW_BLOCK):
-        block = tab.power[r0:r0 + _ROW_BLOCK]
-        if len(block) < _ROW_BLOCK:
-            block = np.concatenate([block, np.zeros((_ROW_BLOCK - len(block), block.shape[1]),
-                                                    dtype=np.float32)])
-        np.matmul(block, w, out=vals[r0:r0 + _ROW_BLOCK])
-    vals = vals[:half] + tab.zero_mode[:, None] * zero_weights
-    return np.einsum("dt,dt->t", folded, vals) / tab.torus_side**2
+    half = len(tab.offsets) ** 2 // 2 + 1
+    w1, w2 = _fold(slot1, half), _fold(slot2, half)
+    total = np.zeros(w1.shape[1])
+    for r0, r1, c0, block in tab.blocks():
+        q = block.astype(np.float64)
+        beyond = max(r1, c0)
+        total += np.einsum("it,it->t", w1[r0:r1], q @ w2[c0:])
+        total += np.einsum("it,it->t", w2[r0:r1], q[:, beyond - c0:] @ w1[beyond:])
+    return total
 
 
 def pair_spectrum(values: np.ndarray, step: float, periodic: bool) -> np.ndarray:
@@ -375,10 +486,3 @@ def pair_spectrum(values: np.ndarray, step: float, periodic: bool) -> np.ndarray
         buf[:i1 - i0, :j1 - j0] = values[i0:i1, j0:j1]
     fm = np.fft.rfft2(buf)
     return np.fft.irfft2(fm.real**2 + fm.imag**2, s=buf.shape) * (step * step)
-
-
-def cell_radii(r2: float) -> np.ndarray:
-    """Sub-sampled radii of the zero-frequency cell of a torus of side r2."""
-    q = ((np.arange(_CELL_SUB) + 0.5) / _CELL_SUB - 0.5) / r2
-    qx, qy = np.meshgrid(q, q, indexing="ij")
-    return np.sqrt(qx * qx + qy * qy).ravel()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hdlab import _kernels, counting, gowers_norm, load_constants, make_indicator
+from hdlab import _kernels, counting, gowers_norm, load_constants, make_indicator, spectral
 from hdlab.calibrate import random_mask
 
 # one profile for every property test: examples drawn from the test's source
@@ -22,6 +22,47 @@ def u2_routes(g) -> list[float]:
     vals, h = counting._torus_values(g)
     return [gowers_norm(g, 2), _kernels.u2_fourth_direct(vals, h) ** 0.25,
             counting._u2_fourth_autocorr(g) ** 0.25]
+
+
+def four_point_ref(values, step, offsets):
+    """Q(d1, d2) = h^2 sum_x f(x) f(x + d1) f(x + d2) f(x + d1 + d2) of a 0/1
+    grid at every pair of the 2-d offsets that ``offsets`` span, flat as the
+    tent weights: f read as 0 outside the grid, one product and one
+    transform of a torus of twice the window per offset d1, with no symmetry
+    or crop.  The sums count nodes, so they are rounded to their integers:
+    the zeros of Q are exact, as tent weights far larger than the value can
+    multiply them."""
+    assert np.isin(values, (0.0, 1.0)).all()
+    n = values.shape[0]
+    t = 2 * n + 2 * int(np.abs(offsets).max())
+    rows = []
+    for da in offsets:
+        for db in offsets:
+            m = np.zeros((t, t))
+            m[max(0, -da):min(n, n - da), max(0, -db):min(n, n - db)] = (
+                values[max(0, -da):min(n, n - da), max(0, -db):min(n, n - db)]
+                * values[max(0, da):min(n, n + da), max(0, db):min(n, n + db)])
+            fm = np.fft.rfft2(m)
+            corr = np.fft.irfft2(fm.real**2 + fm.imag**2, s=(t, t))
+            rows.append(corr[np.ix_(offsets % t, offsets % t)].ravel())
+    return np.rint(rows) * step * step
+
+
+def assemble_ref(q, c1, c2):
+    """(value, magnitude): c1^T Q c2 over all offsets, and the same sum over
+    absolute terms."""
+    return np.array([c1 @ q @ c2, np.abs(c1) @ np.abs(q) @ np.abs(c2)])
+
+
+def packed_table(step, offsets, q):
+    """A ``FourPointTable`` holding the dense Q of ``offsets`` in its layout."""
+    nd = len(offsets)
+    half, entries = spectral.table_size((nd + 1) // 2)
+    tab = spectral.FourPointTable(step, np.asarray(offsets), list(range(0, half, 128)),
+                                  np.zeros(entries, dtype=np.float32))
+    for r0, r1, c0, block in tab.blocks():
+        block[...] = q[r0:r1, c0:half]
+    return tab
 
 
 @pytest.fixture(scope="session")

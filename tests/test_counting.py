@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdlab import (PERIODIC, ZERO, CountingParams, PlanarGrid, _kernels,
+from hdlab import (PERIODIC, ZERO, CountingParams, PlanarGrid, _kernels, counting,
                    counting_sharp, counting_smooth, degenerate_mass, eval_F,
-                   make_indicator)
+                   make_indicator, spectral)
 from hdlab.calibrate import random_grid, random_mask
 from hdlab.counting import _eval_F_recurrence
 
-from conftest import seeded_rng
+from conftest import assemble_ref, four_point_ref, seeded_rng
 
 LENS_AREA = 2 * math.acos(0.5) - 0.5 * math.sqrt(3)  # unit disk, lam = 1
 
@@ -344,19 +344,22 @@ def test_sharp_sum_evaluates_each_angle_multiset_once(n, stack_elements):
     assert abs(got - ref) <= 1e-12 * ref
 
 
-@pytest.mark.parametrize("eps,value", [(0.5, "-2.377e-04"), (0.25, "-3.519e-04")])
-def test_negative_smoothed_value_names_the_under_resolved_width(eps, value):
-    # eps * lambda below a cell: the spectral slot of the n = 2 value falls
-    # under the noise floor.  The n = 1 value, correlation times tents, is a
-    # sum of nonnegative terms
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_under_resolved_width_gives_the_direct_value(eps):
+    # eps * lambda below a cell on a sparse 8 x 8 mask, where a midpoint
+    # rule in one slot once drove the n = 2 value negative.  Tents and the
+    # four-point table are nonnegative, so the value is a sum of nonnegative
+    # terms, as the n = 1 value is, and it is the direct sum over all pairs
+    # of window offsets
     f = random_mask(1.0, 8, 0.125, 0)
     assert counting_smooth(f, CountingParams(n=1, lam=1.5 * f.step, eps=eps)).value > 0
-    with pytest.raises(ArithmeticError) as err:
-        counting_smooth(f, CountingParams(n=2, lam=1.5 * f.step, eps=eps))
-    msg = str(err.value)
-    assert f"negative: {value}" in msg
-    assert "lambda/h = 1.5," in msg and f"eps*lambda/h = {1.5 * eps:g};" in msg
-    assert "under-resolved on this grid" in msg
+    params = CountingParams(n=2, lam=1.5 * f.step, eps=eps)
+    got = counting_smooth(f, params).value
+    offsets = np.arange(-7, 8)
+    c = spectral.ring_tents(offsets, f.step, params.lam, [eps * params.lam],
+                            counting._ring_angles(params, f.step))[:, 0]
+    want, magnitude = assemble_ref(four_point_ref(f.values, f.step, offsets), c, c)
+    assert got >= 0.0 and abs(got - want) <= 1e-6 * magnitude, (got, want)
 
 
 @pytest.mark.parametrize("n", [1, 2])
