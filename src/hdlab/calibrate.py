@@ -91,7 +91,7 @@ def calibrate_structured(count: int = 50, nodes: int = 32, seed: int = 2000):
     lams = (0.125, 0.25, 0.5)
     masks = (random_mask(1.0, nodes, 0.1 + 0.8 * (i / max(count - 1, 1)), seed + i)
              for i in range(count))
-    # one mask at a time, so each grid's memoised offset table goes with it
+    # one mask at a time, so each grid's memoised four-point table goes with it
     worst = min(check_structured_bound([f], lams, n, quadrature_nodes=64).observed
                 for f in masks for n in (1, 2))
     return {

@@ -4,7 +4,7 @@ The sharp form integrates the 2^n-fold vertex product of ``f`` against the
 product of dilated circle measures; the smoothed form replaces each circle
 factor by its Gaussian mollification at relative width ``eps``.  Exact
 evaluation goes through angle quadrature plus grid sums (sharp) or the
-spectral engine (smooth); the Monte Carlo estimator samples the smoothing
+tent weights of ``spectral`` (smooth); the Monte Carlo estimator samples the smoothing
 measure per slot while keeping the x-sum exact, with a counter-based
 generator so results are a pure function of the seed.
 
@@ -25,8 +25,7 @@ import numpy as np
 from . import _kernels, spectral, sphere
 from .grid import PlanarGrid, measure
 
-# the benchmark's tracer patches this name here, where the n = 2 forms once
-# read sigma-hat; nothing in this module calls it
+# the benchmark's tracer patches this name here; nothing in this module calls it
 sphere_fourier_radial = sphere.sphere_fourier_radial
 
 EXACT = "exact_quadrature"
@@ -214,12 +213,11 @@ def _form_values(f: PlanarGrid, tab: spectral.FourPointTable | None, m: int, lam
     smoothed on the circle of radius ``lam`` (``params``) or, with ``params``
     None, by plain Gaussians.
 
-    A slot takes the tent weights c or, as the Laplacian slot, -2 pi s dc/ds.
-    n = 1 (no ``tab``): the pair correlation times slot 1 at ``scales``.
-    n = 2: the four-point table contracted with slot 1 at ``scales`` and
-    slot 2 at ``tent_scales``.  Without ``tent_scales`` both slots take
-    ``scales``; Q is symmetric under the swap of slots, so m = 1 and m = 2
-    are the same form, and one pass over the profiles gives c and dc.
+    A slot takes the tents c, or -2 pi s dc/ds as the Laplacian slot.  n = 1
+    (no ``tab``): the pair correlation times slot 1 at ``scales``.  n = 2:
+    the four-point table contracted with slot 1 at ``scales`` and slot 2 at
+    ``tent_scales`` (default ``scales``, where the table's swap symmetry
+    makes m = 1 and m = 2 one form and one profile pass gives c and dc).
     Nodes go in chunks whose blocks of ``column`` elements per node stay
     within ``_kernels.STACK_ELEMENTS``.
     """
@@ -257,12 +255,9 @@ def _form_values(f: PlanarGrid, tab: spectral.FourPointTable | None, m: int, lam
 
 def _offset_table(f: PlanarGrid, budget: int = DEFAULT_BUDGET,
                   what: str = "four-point table") -> spectral.FourPointTable:
-    """The four-point table of f, memoised on f.
-
-    Before anything is allocated, the estimate is checked against
-    ``budget``: one transform of the (2e)^2 support-box torus per stored
-    row, (2e)^2 log2(2e) each for a support extent of e nodes, plus the
-    table's bytes.
+    """The four-point table of f, memoised on f.  Refused before anything is
+    allocated when over ``budget``: a transform of the (2e)^2 support-box
+    torus per stored row, (2e)^2 log2(2e) each, plus the triangle's bytes.
     """
     if f.periodic:
         raise ValueError("the exact two-slot path needs a zero-extended grid")
@@ -292,7 +287,7 @@ def counting_sharp(f: PlanarGrid, params: CountingParams) -> CountingReport:
 
 
 def counting_smooth(f: PlanarGrid, params: CountingParams) -> CountingReport:
-    """Smoothed form at relative width eps: g-hat at eps * lam, T = 1."""
+    """Smoothed form at relative width eps: tents at the scale eps * lam, T = 1."""
     if params.estimator == MONTE_CARLO:
         return _mc_report(f, params, smooth=True)
     if params.n > 2:
@@ -347,10 +342,10 @@ def gowers_norm(f: PlanarGrid, n: int) -> float:
     torus; the eighth power of U^3 integrates the fourth power of
     U^2(m_d), m_d = f f(. + d), over the shifts d.  m_-d is a translate of
     m_d, so ``spectral.offset_products`` transforms one of each pair, on
-    the torus of its bounding box for a zero-extended grid.  The tests check U^2 against two
-    private oracles that agree with it algebraically: direct shifted sums
-    (``_kernels.u2_fourth_direct``) and the squared pair correlation
-    (``_u2_fourth_autocorr``).
+    the torus of its bounding box for a zero-extended grid.  The tests
+    check U^2 against two private oracles that agree with it
+    algebraically: direct shifted sums (``_kernels.u2_fourth_direct``) and
+    the squared pair correlation (``_u2_fourth_autocorr``).
     """
     if not 1 <= n <= MAX_DIMENSION:
         raise ValueError(f"box norm order must be 1..{MAX_DIMENSION}")

@@ -151,12 +151,10 @@ def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
     """Scale-derivative form for slot m over the band [alpha, beta].
 
     Summed over m = 1..n this telescopes smooth_alpha - smooth_beta.  Slot
-    m takes the scale derivative of the tent weights, the other slot the
-    tents (``counting._form_values``).  For n = 2 both slots read the
-    four-point table, which is symmetric under their swap, so m = 1 and
-    m = 2 give the same value.  The fine outer quadrature has
-    ``2 tnodes - 1`` nodes, the coarse one every other node; one batched
-    evaluation gives both.
+    m takes the scale derivative of the tents (``counting._form_values``);
+    the n = 2 table is symmetric under the swap of slots, so m = 1 and 2
+    give one value.  The fine outer quadrature has ``2 tnodes - 1`` nodes,
+    the coarse one every other node; one batched evaluation gives both.
     """
     if not 0 < alpha < beta <= 1:
         raise ValueError("need 0 < alpha < beta <= 1")

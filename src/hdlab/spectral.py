@@ -8,27 +8,23 @@ is a Gaussian on a ring of circle nodes (``ring_tents``); the box form's
 plain Gaussian is the ring of radius 0 with one node (``ball_tents``).
 
 One-slot forms are the pair correlation a(d) = h^2 sum_x f(x) f(x + dh)
-(``pair_spectrum``) times the tent weights.  Two-slot forms are the
+(``pair_spectrum``) times the tent weights.  Two-slot forms contract the
 four-point table Q(d1, d2) = h^2 sum_x f(x) f(x + d1 h) f(x + d2 h)
-f(x + (d1 + d2) h) contracted with tent weights in both slots
-(``FourPointTable``, ``assemble``).  Both are exact for 0/1 pixel grids up
-to round-off: tents and the table are nonnegative, so a value can go below
-0 only by the round-off of tents deep in the Gaussian tail.  Row d1 of Q is
-the pair correlation of m_d1 = f . f(. + d1 h), which ``offset_products``
-transforms in batches on the torus of the product's own bounding box.
+f(x + (d1 + d2) h) with tent weights in both slots (``assemble``); row d1
+of Q is the pair correlation of m_d1 = f . f(. + d1 h) (``offset_products``).
+Both are exact for 0/1 pixel grids up to round-off, and sums of
+nonnegative terms.
 
 Forms come in derivative pairs: the Laplacian slot takes the weights
--2 pi s dc_d/ds, the scale derivative of the tents, so telescoping sums
-over a matched pair are exact up to the outer quadrature.  Weights carry T
-outer scale nodes on their last axis and one contraction reads the table
-once per batch; ``counting._form_values`` cuts T so that each
-(offsets^2 x T) or (offsets x angles x T) block stays within
-``_kernels.STACK_ELEMENTS`` elements.
+-2 pi s dc_d/ds, so telescoping sums over a matched pair are exact up to
+the outer quadrature.  Weights carry T outer scale nodes on their last axis;
+``counting._form_values`` cuts T so that each (offsets^2 x T) or
+(offsets x angles x T) block stays within ``_kernels.STACK_ELEMENTS``.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -77,15 +73,14 @@ def _horner(x, coef, monic):
 def _erf(x):
     """erf(x) elementwise, as Cephes evaluates it.
 
-    |x| <= 1: x T(x^2) / U(x^2).  1 < |x| < 6: 1 - exp(-x^2) P(|x|) / Q(|x|)
-    with the sign of x.  |x| >= 6: +-1, since erfc(6) = 2.2e-17 is below half
-    an ulp of 1.  Each branch sees only its own elements, so huge, infinite
-    and NaN inputs raise no floating-point warning; NaN maps to NaN and
-    the sign of zero is kept.
+    |x| <= 1: x T(x^2) / U(x^2).  Beyond: 1 - erfc(|x|) with the sign of x,
+    which rounds to +-1 from |x| = 6 on.  Huge, infinite and NaN inputs
+    raise no floating-point warning; NaN maps to NaN and the sign of zero
+    is kept.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
-    out = np.copysign(np.ones_like(flat), flat)
+    out = np.empty_like(flat)
     ax = np.abs(flat)
     small = ax <= 1.0
     xs = flat[small]
@@ -94,31 +89,23 @@ def _erf(x):
     y *= xs
     y /= _horner(z, _ERF_U, True)
     out[small] = y
-    mid = ~(small | (ax >= 6.0))  # NaN goes here and stays NaN
-    a = ax[mid]
-    z = a * a
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    y = _horner(a, _ERFC_P, False)
-    y *= z
-    y /= _horner(a, _ERFC_Q, True)
-    np.subtract(1.0, y, out=y)
-    out[mid] = np.copysign(y, flat[mid], out=y)
+    if not small.all():
+        out[~small] = np.copysign(1.0 - _erfc(ax[~small]), flat[~small])
     return out.reshape(x.shape)
 
 
 def _erfc(x):
     """erfc(x) elementwise for x >= 0, as Cephes evaluates it.
 
-    x < 1: 1 - erf(x).  1 <= x < 8: exp(-x^2) P(x) / Q(x); x >= 8: exp(-x^2)
-    R(x) / S(x), with x capped at 27, where erfc is below the smallest
-    subnormal.
+    x < 1: 1 - erf(x).  Then exp(-x^2) P(x) / Q(x), and from x = 8 on
+    exp(-x^2) R(x) / S(x), with x capped at 27, where erfc is below the
+    smallest subnormal.  NaN maps to NaN.
     """
     x = np.minimum(np.asarray(x, dtype=np.float64), 27.0)
     out = np.empty_like(x)
-    small = x < 1.0
+    small, large = x < 1.0, x >= 8.0
     out[small] = 1.0 - _erf(x[small])
-    for part, num, den in ((~small & (x < 8.0), _ERFC_P, _ERFC_Q), (x >= 8.0, _ERFC_R, _ERFC_S)):
+    for part, num, den in ((~(small | large), _ERFC_P, _ERFC_Q), (large, _ERFC_R, _ERFC_S)):
         a = x[part]
         out[part] = np.exp(-a * a) * _horner(a, num, False) / _horner(a, den, True)
     return out
@@ -146,13 +133,12 @@ def _lattice_second_difference(fn, x, h):
 def gauss_tent(x, a, h):
     """(g1_a * tent_h)(x) with tent(u) = max(0, 1 - |u|/h).
 
-    The second difference of an antiderivative of the cdf of g1_a,
-    max(u, 0) + R(|u|) with R(v) = (exp(-k^2 v^2) / (k sqrt(pi)) - v erfc(k v)) / 2,
-    k = sqrt(pi) / a.  R decays like the Gaussian, and the second difference
-    of max(u, 0) is 0 unless the three points straddle 0, so a tent deep in
-    the Gaussian tail keeps its relative precision instead of cancelling to
-    round-off of the linear part.  ``x`` steps by h along its last axis;
-    ``a`` broadcasts against it.
+    The second difference of max(u, 0) + R(|u|), an antiderivative of the
+    cdf of g1_a, with R(v) = (exp(-k^2 v^2) / (k sqrt(pi)) - v erfc(k v)) / 2,
+    k = sqrt(pi) / a.  R decays like the Gaussian and the ramp's part is 0
+    unless the three points straddle 0, so a tent deep in the tail keeps its
+    relative precision.  ``x`` steps by h along its last axis; ``a``
+    broadcasts against it.
     """
     k = _SQPI / a
 
@@ -184,76 +170,47 @@ def support_extent(values: np.ndarray) -> int:
     return max(i1 - i0, j1 - j0)
 
 
-@functools.lru_cache(maxsize=None)
+# torus sides the FFT takes fast, 2^a 3^b 5^c up to 2^12
+_FAST_SIDES = sorted(2**a * 3**b * 5**c for a in range(13) for b in range(8) for c in range(6)
+                     if 2**a * 3**b * 5**c <= 1 << 12)
+
+
 def _fast_size(n: int) -> int:
-    """The smallest 2^a 3^b 5^c >= n, a torus side the FFT takes fast."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            m = p35
-            while m < n:
-                m *= 2
-            best = min(best, m)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _batch(d, products, torus):
-    """(offsets, rfft2 of the products, torus) of one batch, each product in
-    the corner of the torus."""
-    buf = np.zeros((len(products),) + torus)
-    for b, m in enumerate(products):
-        buf[b, :m.shape[0], :m.shape[1]] = m
-    return np.array(d), np.fft.rfft2(buf), torus
+    return _FAST_SIDES[bisect.bisect_left(_FAST_SIDES, n)]
 
 
 def offset_products(values: np.ndarray, periodic: bool = False):
     """Batches (d, spectra, torus, ext) of the products m_d = f . f(. + d)
-    over one offset d of each +-d pair: m_-d is m_d translated by -d.
+    over one offset d of each +-d pair (m_-d is m_d translated by -d):
+    ``spectra`` is the rfft2 of each m_d on the (L1, L2) ``torus``.
 
-    ``d`` is (B, 2) in nodes and ``spectra`` the rfft2 of each m_d on the
-    batch's ``torus`` (L1, L2).  A periodic grid is its own torus, and every
-    offset of it counts.  On a zero-extended grid the offsets are those of
-    ``FourPointTable`` up to d = 0: beyond the support extent m_d vanishes.
-    Empty products are skipped, and each other one is cropped to its
-    bounding box.  The batches group the boxes by size; ``ext`` holds the
-    largest box sides and L_i >= 2 ext_i - 1, so no pair correlation wraps.
-    The products are formed one batch at a time.
+    A periodic grid is its own torus.  On a zero-extended grid the offsets
+    are those of ``FourPointTable`` up to d = 0; empty products are skipped
+    and the others cropped to their bounding boxes, batched by size and
+    formed one batch at a time.  ``ext`` holds a batch's largest box sides
+    and L_i >= 2 ext_i - 1, so no pair correlation wraps.
     """
     if periodic:
         n = values.shape[0]
-        pairs = [(a, b) for a in range(n) for b in range(n) if (a, b) <= ((-a) % n, (-b) % n)]
-        for s in range(0, len(pairs), _BATCH):
-            d = pairs[s:s + _BATCH]
-            products = [values * np.roll(values, (-a, -b), axis=(0, 1)) for a, b in d]
-            yield *_batch(d, products, (n, n)), (n, n)
-        return
-    f = _support_square(values)
-    yield from _batches(f, _product_boxes(f))
+        boxes = [(n, n, a, b) for a in range(n) for b in range(n) if (a, b) <= ((-a) % n, (-b) % n)]
+        return _batches(boxes, lambda r, c, a, b: values * np.roll(values, (-a, -b), axis=(0, 1)), n)
+    return _batches(*_products(values))
 
 
-def _support_square(values):
-    """The grid's support box, zero-filled to a square of the support extent."""
+def _products(values):
+    """(boxes, product) of a zero-extended grid: (rows, columns, a, b, first
+    row, first column) of the bounding box of each nonempty m_(a, b) over
+    the support box, sorted, from the support alone; ``product(*box)`` is
+    m_(a, b) on its box."""
     e = max(support_extent(values), 1)
     i0, _, j0, _ = support_box(values) or (0, 0, 0, 0)
     f = np.zeros((e, e))
     box = values[i0:i0 + e, j0:j0 + e]
     f[:box.shape[0], :box.shape[1]] = box
-    return f
-
-
-def _product_boxes(f):
-    """(rows, columns, a, b, first row, first column) of the bounding box of
-    each nonempty product m_(a, b) over the square f, for the offsets up to
-    d = 0, sorted: from the support alone, one row a of offsets at a time."""
-    e = len(f)
     live = np.zeros((3 * e, 3 * e), dtype=bool)
     live[e:2 * e, e:2 * e] = f != 0
     boxes = []
-    for a in range(-(e - 1), 1):
+    for a in range(-(e - 1), 1):  # one row of offsets at a time
         b = np.arange(-(e - 1), e if a < 0 else 1)
         moved = np.lib.stride_tricks.sliding_window_view(live[e + a:2 * e + a], e, axis=1)
         m = live[None, e:2 * e, e:2 * e] & moved[:, e + b, :].transpose(1, 0, 2)
@@ -264,28 +221,29 @@ def _product_boxes(f):
         r1, c1 = e - rows[:, ::-1].argmax(axis=1), e - cols[:, ::-1].argmax(axis=1)
         boxes += zip((r1 - r0).tolist(), (c1 - c0).tolist(), [a] * len(b), b.tolist(),
                      r0.tolist(), c0.tolist())
-    return sorted(boxes)
+
+    def product(r, c, a, b, r0, c0):
+        return f[r0:r0 + r, c0:c0 + c] * f[r0 + a:r0 + a + r, c0 + b:c0 + b + c]
+
+    return sorted(boxes), product
 
 
-def _batches(f, boxes):
-    """The batches of ``offset_products`` for the sorted boxes over f."""
+def _batches(boxes, product, side=None):
+    """The batches of ``offset_products`` over boxes sorted by size, on tori
+    of ``side`` or of the batch's boxes."""
     start = 0
     while start < len(boxes):
-        stop, cols = start + 1, boxes[start][1]
-        while stop < min(start + _BATCH, len(boxes)):
-            # sorted boxes: box stop has the most rows, not the most columns
-            cols = max(cols, boxes[stop][1])
-            points = _fast_size(2 * boxes[stop][0] - 1) * _fast_size(2 * cols - 1)
-            if (stop + 1 - start) * points > _BATCH_POINTS:
-                break
-            stop += 1
-        chunk = boxes[start:stop]
-        ext = (chunk[-1][0], max(c[1] for c in chunk))
-        products = [f[r0:r0 + r, c0:c0 + c] * f[r0 + a:r0 + a + r, c0 + b:c0 + b + c]
-                    for r, c, a, b, r0, c0 in chunk]
-        torus = (_fast_size(2 * ext[0] - 1), _fast_size(2 * ext[1] - 1))
-        yield *_batch([c[2:4] for c in chunk], products, torus), ext
-        start = stop
+        chunk = boxes[start:start + _BATCH]
+        for _ in range(2):  # the torus of up to _BATCH boxes, then the boxes it holds
+            ext = (chunk[-1][0], max(c[1] for c in chunk))
+            torus = (side, side) if side else (_fast_size(2 * ext[0] - 1), _fast_size(2 * ext[1] - 1))
+            chunk = chunk[:max(1, _BATCH_POINTS // (torus[0] * torus[1]))]
+        buf = np.zeros((len(chunk),) + torus)
+        for i, box in enumerate(chunk):
+            m = product(*box)
+            buf[i, :m.shape[0], :m.shape[1]] = m
+        yield np.array([c[2:4] for c in chunk]), np.fft.rfft2(buf), torus, ext
+        start += len(chunk)
 
 
 def table_size(extent: int) -> tuple[int, int]:
@@ -331,20 +289,17 @@ class FourPointTable:
 def build_offset_table(values: np.ndarray, step: float) -> FourPointTable:
     """The four-point table of a zero-extended grid.
 
-    Row d1 is the pair correlation of m_d1, one rfft2 and one irfft2 each
-    (``offset_products``), read at the offsets below the batch's extents;
-    the rest of the row is 0.  Q(d1, d2) vanishes where |d2_1| is at least
-    the row count r of m_d1's bounding box, and the columns of d2_1 <= 0 run
-    in order of d2_1, so a block's columns before (e - max r) nd are 0.  On
-    an integer-valued grid Q / h^2 is an integer, and the correlations are
-    rounded to it.
+    Row d1 is the pair correlation of m_d1 (``offset_products``), read at
+    the offsets below the batch's extents; the rest is 0.  Q(d1, d2) is 0
+    where |d2_1| is at least the row count r of m_d1's box, and the columns
+    run in order of d2_1, so a block stores from (e - max r) nd on.  On an
+    integer-valued grid the correlations are rounded to Q / h^2, an integer.
     """
-    f = _support_square(values)
-    e = len(f)
+    boxes, product = _products(values)
+    e = max(support_extent(values), 1)
     offs = np.arange(-(e - 1), e)
     nd = len(offs)
     half = (nd * nd + 1) // 2
-    boxes = _product_boxes(f)
     reach = np.zeros(half, dtype=np.int64)
     for r, _, a, b, _, _ in boxes:
         reach[(a + e - 1) * nd + b + e - 1] = r
@@ -356,7 +311,7 @@ def build_offset_table(values: np.ndarray, step: float) -> FourPointTable:
     blocks = list(tab.blocks())
     ca, cb = offs[np.arange(half) // nd], offs[np.arange(half) % nd]
     integer = np.array_equal(values, np.rint(values))
-    for d, spectra, torus, ext in _batches(f, boxes):
+    for d, spectra, torus, ext in _batches(boxes, product):
         spectra *= spectra.conj()
         corr = np.fft.irfft2(spectra, s=torus)
         read = np.flatnonzero((np.abs(ca) < ext[0]) & (np.abs(cb) < ext[1]))

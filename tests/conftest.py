@@ -24,28 +24,35 @@ def u2_routes(g) -> list[float]:
             counting._u2_fourth_autocorr(g) ** 0.25]
 
 
+_FOUR_POINT_CACHE = {}
+
+
 def four_point_ref(values, step, offsets):
     """Q(d1, d2) = h^2 sum_x f(x) f(x + d1) f(x + d2) f(x + d1 + d2) of a 0/1
     grid at every pair of the 2-d offsets that ``offsets`` span, flat as the
     tent weights: f read as 0 outside the grid, one product and one
-    transform of a torus of twice the window per offset d1, with no symmetry
-    or crop.  The sums count nodes, so they are rounded to their integers:
-    the zeros of Q are exact, as tent weights far larger than the value can
-    multiply them."""
+    transform of a torus of at least the window plus the largest offset per
+    offset d1, with no symmetry or crop.  The sums count nodes, so they are
+    rounded to their integers: the zeros of Q are exact, as tent weights far
+    larger than the value can multiply them.  The last result is kept."""
     assert np.isin(values, (0.0, 1.0)).all()
-    n = values.shape[0]
-    t = 2 * n + 2 * int(np.abs(offsets).max())
-    rows = []
-    for da in offsets:
-        for db in offsets:
-            m = np.zeros((t, t))
-            m[max(0, -da):min(n, n - da), max(0, -db):min(n, n - db)] = (
-                values[max(0, -da):min(n, n - da), max(0, -db):min(n, n - db)]
-                * values[max(0, da):min(n, n + da), max(0, db):min(n, n + db)])
+    key = (values.tobytes(), values.shape, step, np.asarray(offsets).tobytes())
+    if key not in _FOUR_POINT_CACHE:
+        _FOUR_POINT_CACHE.clear()
+        n, k = values.shape[0], int(np.abs(offsets).max())
+        t = 1 << (n + k).bit_length()
+        rows = []
+        for da in offsets:
+            m = np.zeros((len(offsets), t, t))
+            for i, db in enumerate(offsets):
+                m[i, max(0, -da):min(n, n - da), max(0, -db):min(n, n - db)] = (
+                    values[max(0, -da):min(n, n - da), max(0, -db):min(n, n - db)]
+                    * values[max(0, da):min(n, n + da), max(0, db):min(n, n + db)])
             fm = np.fft.rfft2(m)
             corr = np.fft.irfft2(fm.real**2 + fm.imag**2, s=(t, t))
-            rows.append(corr[np.ix_(offsets % t, offsets % t)].ravel())
-    return np.rint(rows) * step * step
+            rows.append(corr[:, offsets % t][:, :, offsets % t].reshape(len(offsets), -1))
+        _FOUR_POINT_CACHE[key] = np.rint(np.concatenate(rows)) * step * step
+    return _FOUR_POINT_CACHE[key]
 
 
 def assemble_ref(q, c1, c2):
