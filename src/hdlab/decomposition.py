@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import (CountingParams, _form_values, _offset_table, counting_sharp,
+from .counting import (CountingParams, _form_values, _grid_memo, _offset_table, counting_sharp,
                        counting_smooth)
 from .grid import PlanarGrid, measure
 
@@ -153,8 +153,9 @@ def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
     Summed over m = 1..n this telescopes smooth_alpha - smooth_beta.  Slot
     m takes the scale derivative of the tents (``counting._form_values``);
     the n = 2 table is symmetric under the swap of slots, so m = 1 and 2
-    give one value.  The fine outer quadrature has ``2 tnodes - 1`` nodes,
-    the coarse one every other node; one batched evaluation gives both.
+    are one form, kept on f once evaluated.  The fine outer quadrature has
+    ``2 tnodes - 1`` nodes, the coarse one every other node; one batched
+    evaluation gives both.
     """
     if not 0 < alpha < beta <= 1:
         raise ValueError("need 0 < alpha < beta <= 1")
@@ -164,11 +165,14 @@ def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
         raise ValueError("the exact derivative form supports n <= 2")
     params = CountingParams(n=n, lam=lam, eps=1.0, quadrature_nodes=quadrature_nodes)
     tab = _offset_table(f, what="L_form") if n == 2 else None
-    sums = _outer_sums(lambda ts: _form_values(f, tab, m, lam, ts * lam, params=params),
-                       alpha, beta, tnodes)
-    coarse, fine = (v / (2.0 * math.pi) for v in sums)
-    scale = max(abs(fine), 1e-300)
-    return QuadratureValue(fine, coarse, abs(fine - coarse) <= _FLAG_TOLERANCE * scale)
+    memo, key = _grid_memo(f, "_l_forms"), (n, lam, alpha, beta, tnodes, quadrature_nodes)
+    if key not in memo:
+        sums = _outer_sums(lambda ts: _form_values(f, tab, m, lam, ts * lam, params=params),
+                           alpha, beta, tnodes)
+        coarse, fine = (v / (2.0 * math.pi) for v in sums)
+        scale = max(abs(fine), 1e-300)
+        memo[key] = QuadratureValue(fine, coarse, abs(fine - coarse) <= _FLAG_TOLERANCE * scale)
+    return memo[key]
 
 
 def lp_pow_sum(f: PlanarGrid, p: float) -> float:

@@ -71,13 +71,10 @@ def _horner(x, coef, monic):
 
 
 def _erf(x):
-    """erf(x) elementwise, as Cephes evaluates it.
-
-    |x| <= 1: x T(x^2) / U(x^2).  Beyond: 1 - erfc(|x|) with the sign of x,
-    which rounds to +-1 from |x| = 6 on.  Huge, infinite and NaN inputs
-    raise no floating-point warning; NaN maps to NaN and the sign of zero
-    is kept.
-    """
+    """erf(x) elementwise, as Cephes evaluates it: x T(x^2) / U(x^2) for
+    |x| <= 1, else 1 - exp(-x^2) erfcx(|x|) with the sign of x (+-1 from
+    |x| = 6 on).  No floating-point warning; NaN maps to NaN and the sign
+    of zero is kept."""
     x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
     out = np.empty_like(flat)
@@ -90,24 +87,22 @@ def _erf(x):
     y /= _horner(z, _ERF_U, True)
     out[small] = y
     if not small.all():
-        out[~small] = np.copysign(1.0 - _erfc(ax[~small]), flat[~small])
+        a = np.minimum(ax[~small], 27.0)
+        out[~small] = np.copysign(1.0 - np.exp(-a * a) * _erfcx(a), flat[~small])
     return out.reshape(x.shape)
 
 
-def _erfc(x):
-    """erfc(x) elementwise for x >= 0, as Cephes evaluates it.
-
-    x < 1: 1 - erf(x).  Then exp(-x^2) P(x) / Q(x), and from x = 8 on
-    exp(-x^2) R(x) / S(x), with x capped at 27, where erfc is below the
-    smallest subnormal.  NaN maps to NaN.
-    """
-    x = np.minimum(np.asarray(x, dtype=np.float64), 27.0)
+def _erfcx(x):
+    """exp(x^2) erfc(x) for x >= 0 from the Cephes forms of erfc:
+    exp(x^2) (1 - erf(x)) below 1, P(x) / Q(x) below 8, then R(x) / S(x)."""
+    x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     small, large = x < 1.0, x >= 8.0
-    out[small] = 1.0 - _erf(x[small])
+    a = x[small]
+    out[small] = np.exp(a * a) * (1.0 - _erf(a))
     for part, num, den in ((~(small | large), _ERFC_P, _ERFC_Q), (large, _ERFC_R, _ERFC_S)):
         a = x[part]
-        out[part] = np.exp(-a * a) * _horner(a, num, False) / _horner(a, den, True)
+        out[part] = _horner(a, num, False) / _horner(a, den, True)
     return out
 
 
@@ -130,26 +125,30 @@ def _lattice_second_difference(fn, x, h):
     return v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]
 
 
+def _gauss_tail(z):
+    """exp(-z^2) - sqrt(pi) z erfc(z) for z >= 0, at relative precision in
+    the tail through erfcx; 0 from z = 27 on, below the smallest subnormal."""
+    out = np.zeros_like(z)
+    near = z < 27.0
+    a = z[near]
+    out[near] = np.exp(-a * a) * (1.0 - _SQPI * a * _erfcx(a))
+    return out
+
+
 def gauss_tent(x, a, h):
     """(g1_a * tent_h)(x) with tent(u) = max(0, 1 - |u|/h).
 
-    The second difference of max(u, 0) + R(|u|), an antiderivative of the
-    cdf of g1_a, with R(v) = (exp(-k^2 v^2) / (k sqrt(pi)) - v erfc(k v)) / 2,
-    k = sqrt(pi) / a.  R decays like the Gaussian and the ramp's part is 0
-    unless the three points straddle 0, so a tent deep in the tail keeps its
-    relative precision.  ``x`` steps by h along its last axis; ``a``
-    broadcasts against it.
+    The second difference of max(u, 0) + a / (2 pi) tail(k |u|), k =
+    sqrt(pi) / a, an antiderivative of the cdf of g1_a: the tail part decays
+    like the Gaussian and the ramp's is 0 unless the three points straddle
+    0, so a tent deep in the tail keeps its relative precision.  ``x`` steps
+    by h along its last axis; ``a`` broadcasts against it.
     """
     k = _SQPI / a
-
-    def rest(u):
-        v = np.abs(u)
-        kv = k * v
-        return 0.5 * (np.exp(-np.minimum(kv * kv, 700.0)) / (k * _SQPI) - v * _erfc(kv))
-
     ramp = _lattice_second_difference(lambda u: np.maximum(u, 0.0), x, h)
     ramp[(x - h >= 0) | (x + h <= 0)] = 0.0
-    return (_lattice_second_difference(rest, x, h) + ramp) / h
+    tail = _lattice_second_difference(lambda u: _gauss_tail(k * np.abs(u)), x, h)
+    return (a / (2.0 * math.pi) * tail + ramp) / h
 
 
 def gauss_tent_da(x, a, h):
@@ -185,10 +184,9 @@ def offset_products(values: np.ndarray, periodic: bool = False):
     ``spectra`` is the rfft2 of each m_d on the (L1, L2) ``torus``.
 
     A periodic grid is its own torus.  On a zero-extended grid the offsets
-    are those of ``FourPointTable`` up to d = 0; empty products are skipped
-    and the others cropped to their bounding boxes, batched by size and
-    formed one batch at a time.  ``ext`` holds a batch's largest box sides
-    and L_i >= 2 ext_i - 1, so no pair correlation wraps.
+    are those of ``FourPointTable`` up to d = 0, the nonempty products
+    cropped to their boxes and batched by size; ``ext`` holds a batch's
+    largest box sides, and L_i >= 2 ext_i - 1 so no correlation wraps.
     """
     if periodic:
         n = values.shape[0]
@@ -247,8 +245,7 @@ def _batches(boxes, product, side=None):
 
 
 def table_size(extent: int) -> tuple[int, int]:
-    """(stored rows, entries of the whole triangle) of a support extent: an
-    upper bound on a table's entries."""
+    """(stored rows, entries of the whole triangle, a table's most)."""
     nd = 2 * max(extent, 1) - 1
     half = (nd * nd + 1) // 2
     return half, sum((min(r0 + _ROW_BLOCK, half) - r0) * (half - r0)
@@ -259,15 +256,13 @@ def table_size(extent: int) -> tuple[int, int]:
 class FourPointTable:
     """Q(d1, d2) = h^2 sum_x f(x) f(x + d1) f(x + d2) f(x + d1 + d2) of one grid.
 
-    Offsets d = (offsets[a], offsets[b]) have the flat index k = a nd + b,
-    nd = len(offsets).  The offsets run over -(e-1) .. e-1 for a support
-    extent of e nodes: beyond, m_d = f . f(. + d) vanishes.  Q is even in
-    each argument (m_-d is m_d translated, and -d has the mirror index
-    nd^2 - 1 - k) and symmetric under the swap, so its rows and columns up
-    to the middle one (d = 0) hold it, and of those the upper triangle is
-    stored, in blocks of ``_ROW_BLOCK`` rows packed in ``power``.  Block b
-    holds the columns from ``starts[b]`` on, at least its first row: its
-    diagonal square is whole, and the columns before are 0 in its rows.
+    Offsets d = (offsets[a], offsets[b]), -(e-1) .. e-1 for a support extent
+    of e nodes, have the flat index k = a nd + b.  Q is even in each argument
+    (-d has the mirror index nd^2 - 1 - k) and symmetric under the swap, so
+    the upper triangle of its rows and columns up to d = 0 holds it, stored
+    in blocks of ``_ROW_BLOCK`` rows packed in ``power``.  Block b holds the
+    columns from ``starts[b]`` (at least its first row) on; before, its
+    rows are 0.
     """
 
     step: float
