@@ -3,10 +3,10 @@
 The sharp form integrates the 2^n-fold vertex product of ``f`` against the
 product of dilated circle measures; the smoothed form replaces each circle
 factor by its Gaussian mollification at relative width ``eps``.  Exact
-evaluation goes through angle quadrature plus grid sums (sharp) or the
-tent weights of ``spectral`` (smooth); the Monte Carlo estimator samples the smoothing
-measure per slot while keeping the x-sum exact, with a counter-based
-generator so results are a pure function of the seed.
+evaluation goes through angle quadrature plus grid sums (sharp) or the tent
+weights of ``spectral`` (smooth); the Monte Carlo estimator samples the
+smoothing measure per slot while keeping the x-sum exact, with a
+counter-based generator so results are a pure function of the seed.
 
 The smoothed form is the T = 1, slot-0 call of ``_form_values``, which also
 gives the derivative and box forms of ``decomposition`` at T outer scales.

@@ -78,7 +78,8 @@ def test_decompose_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
     # at two OpenBLAS threads must write the same bytes
     cfg = write_config(tmp_path, {
         "command": "decompose",
-        "set": {"R": 2.0, "h": 1 / 32, "shapes": [{"type": "disk", "cx": 1.0, "cy": 1.0, "r": 18 / 32}]},
+        "set": {"R": 2.0, "h": 1 / 32,
+                "shapes": [{"type": "disk", "cx": 1.0, "cy": 1.0, "r": 18 / 32}]},
         "n": 2, "eps": 0.25, "M": 32, "ladder": {"smallest": 0.125, "count": 3},
     })
     reports = []

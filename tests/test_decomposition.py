@@ -450,7 +450,7 @@ def l_form_loop(f, lam, alpha, beta, m, n, params, tnodes):
     total = np.zeros(2)
     angles = _ring_angles(params, f.step)
     offsets = tent_ref_offsets(f, lam + 4.0 * beta * lam)
-    corr = correlation_ref(f, offsets)
+    corr = correlation_ref(f, offsets) if n == 1 else None
     q = four_point_ref(f.values, f.step, offsets) if n == 2 else None
     for t, w in zip(ts, wq):
         a = t * lam
@@ -467,7 +467,7 @@ def theta_loop(f, gammas, m, smin, smax, nodes):
     ss, wq = _log_nodes(smin, smax, nodes)
     total = np.zeros(2)
     offsets = tent_ref_offsets(f, 4.0 * smax * gammas[0])
-    corr = correlation_ref(f, offsets)
+    corr = correlation_ref(f, offsets) if len(gammas) == 1 else None
     q = four_point_ref(f.values, f.step, offsets) if len(gammas) == 2 else None
     for s, w in zip(ss, wq):
         slots = []
