@@ -165,16 +165,20 @@ def _stack_len(box, elements):
 
 
 def vertex_product(values, h, x1, x2, ys, periodic):
+    """The 2^n vertices read in one ``read_bilinear`` call: vertex r adds
+    the edges of its set bits in slot order, and the values multiply in r
+    order, stopping at the first zero product."""
     n = ys.shape[0]
+    r = np.arange(1 << n)
+    p1 = np.full(len(r), np.float64(x1))
+    p2 = np.full(len(r), np.float64(x2))
+    for k in range(n):
+        on = (r >> k) & 1 == 1
+        p1[on] += ys[k, 0]
+        p2[on] += ys[k, 1]
     prod = 1.0
-    for r in range(1 << n):
-        p1 = x1
-        p2 = x2
-        for k in range(n):
-            if (r >> k) & 1:
-                p1 += ys[k, 0]
-                p2 += ys[k, 1]
-        prod *= float(read_bilinear(values, h, np.float64(p1), np.float64(p2), periodic))
+    for v in read_bilinear(values, h, p1, p2, periodic).tolist():
+        prod *= v
         if prod == 0.0:
             return 0.0
     return prod

@@ -33,6 +33,9 @@ MONTE_CARLO = "monte_carlo"
 
 MAX_DIMENSION = 3
 DEFAULT_BUDGET = 1 << 34
+# operations a table byte is priced at: DEFAULT_BUDGET then admits a
+# four-point table of at most 74 support nodes (236 MB), not 124 (1.87 GB)
+_BYTE_COST = 64
 
 
 @dataclass(frozen=True)
@@ -179,9 +182,12 @@ def _grid_memo(f: PlanarGrid, name: str) -> dict:
 
 
 def _ring_angles(params: CountingParams, step: float) -> int:
+    # nodes at most a sixth of the smoothing width or a cell apart, rounded
+    # up to a multiple of 4, which ``spectral.ring_tents`` folds onto a
+    # quarter turn
     spacing = max(params.eps * params.lam, step)
     need = int(math.ceil(6.0 * math.pi * params.lam / spacing))
-    return max(params.quadrature_nodes, need, 64)
+    return -(-max(params.quadrature_nodes, need, 64) // 4) * 4
 
 
 def _pair_correlation(f: PlanarGrid, lam: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -257,13 +263,15 @@ def _offset_table(f: PlanarGrid, budget: int = DEFAULT_BUDGET,
                   what: str = "four-point table") -> spectral.FourPointTable:
     """The four-point table of f, memoised on f.  Refused before anything is
     allocated when over ``budget``: a transform of the (2e)^2 support-box
-    torus per stored row, (2e)^2 log2(2e) each, plus the triangle's bytes.
+    torus per stored row, (2e)^2 log2(2e) each, plus the triangle's bytes
+    at ``_BYTE_COST`` each.
     """
     if f.periodic:
         raise ValueError("the exact two-slot path needs a zero-extended grid")
     side = 2 * max(spectral.support_extent(f.values), 1)
     rows, entries = spectral.table_size(side // 2)
-    _require_budget(int(rows * side * side * math.log2(side)) + 4 * entries, budget, what)
+    cost = int(rows * side * side * math.log2(side)) + _BYTE_COST * 4 * entries
+    _require_budget(cost, budget, what)
     memo = _grid_memo(f, "_offset_tables")
     if "table" not in memo:
         memo["table"] = spectral.build_offset_table(f.values, f.step)

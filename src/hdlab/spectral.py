@@ -4,8 +4,10 @@ The sharp and Monte Carlo kernels read f bilinearly, so on the lattice a
 smoothed form sums over offsets d with closed-form tent weights
 ``c_d = integral of slot_kernel(y) tent_d(y) dy`` (erf expressions; ``_erf``
 is a NumPy port of Cephes, so the package needs no SciPy).  The slot kernel
-is a Gaussian on a ring of circle nodes (``ring_tents``); the box form's
-plain Gaussian is the ring of radius 0 with one node (``ball_tents``).
+is a Gaussian on a ring of circle nodes (``ring_tents``), evaluated on a
+quarter turn and the offsets d >= 0 since the nodes share the square's
+symmetries; the box form's plain Gaussian is the ring of radius 0 with
+four nodes (``ball_tents``).
 
 One-slot forms are the pair correlation a(d) = h^2 sum_x f(x) f(x + dh)
 (``pair_spectrum``) times the tent weights.  Two-slot forms contract the
@@ -115,14 +117,15 @@ def gauss1(x, a):
 
 
 def _lattice_second_difference(fn, x, h):
-    """v(x + h) - 2 v(x) + v(x - h) with v = fn(u), u on the lattice x.
+    """(v(x + h) + v(x - h)) - 2 v(x) with v = fn(u), u on the lattice x.
 
     The last axis of ``x`` steps by h, so x - h and x + h are neighbouring
     lattice points: fn is evaluated once per point of the lattice extended
-    by one node at each end.
+    by one node at each end.  The outer points are added first, so an even
+    fn gives an exactly even result on a lattice symmetric about 0.
     """
     v = fn(np.concatenate([x[..., :1] - h, x, x[..., -1:] + h], axis=-1))
-    return v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]
+    return (v[..., 2:] + v[..., :-2]) - 2.0 * v[..., 1:-1]
 
 
 def _gauss_tail(z):
@@ -334,59 +337,54 @@ def ring_tents(offsets: np.ndarray, step: float, lam: float, scales, angles: int
 
     Returns an (offsets^2, T) array for the T scales s, or with ``deriv``
     their derivatives d/ds, or with ``both`` the pair of them from one pass
-    over the profiles.  The offsets are symmetric about 0.  The
-    Gaussian-tent profiles form (T, angles, offsets + 2) blocks; for an
-    even angle count only the nodes on a quarter turn are evaluated, and
-    the others are their mirror images.
+    over the profiles.  The offsets are symmetric about 0 and 4 must divide
+    ``angles``.  The nodes theta, pi - theta, pi + theta and -theta carry
+    the four sign patterns of (cos theta, sin theta), and sin theta_j =
+    cos theta_(q-j) for q = angles / 4, so with S_j(d) = G(d - lam cos
+    theta_j) + G(d + lam cos theta_j), G the Gaussian-tent profile,
+
+        c(d1, d2) = c(|d1|, |d2|) = sum_(j=0..q) w_j S_j(|d1|) S_(q-j)(|d2|) / angles,
+
+    w_0 = w_q = 1/2 and w_j = 1 between.  The profiles are evaluated on the
+    q + 1 nodes of a quarter turn, folded onto d >= 0, contracted in one
+    (T, e, q+1) @ (T, q+1, e) product per term and gathered at |d1|, |d2|.
     """
+    if angles % 4:
+        raise ValueError(f"ring_tents needs an angle count divisible by 4, got {angles}")
+    q, nd = angles // 4, len(offsets)
     x = offsets * step
     s = np.asarray(scales, dtype=np.float64)[:, None, None]
-    th = 2.0 * np.pi * np.arange(angles) / angles
-    ux = x[None, :] - lam * np.cos(th)[:, None]
+    u = x[None, :] - lam * np.cos(2.0 * np.pi * np.arange(q + 1) / angles)[:, None]
+    w = np.ones((q + 1, 1))
+    w[[0, q]] = 0.5
+    at = np.arange(nd)
+    at = np.maximum(at - nd // 2, (nd - 1) // 2 - at)  # index of |offsets[a]| in the fold
 
-    def profiles(fn):
-        """Profiles at the cos and at the sin offsets; for 4 | angles,
-        sin theta_j = cos theta_(j - angles/4), so the second are the first
-        a quarter turn on."""
-        p = half_turn(fn, ux, True)
-        if angles % 4:
-            return p, half_turn(fn, x[None, :] - lam * np.sin(th)[:, None], False)
-        return p, np.roll(p, angles // 4, axis=1)
-
-    def half_turn(fn, u, flips):
-        """fn on the rows of u, evaluated for theta in [0, pi/2] only when
-        angles is even.  The offsets are symmetric and fn is even, so a row
-        whose ring shift changes sign is an earlier row reversed along the
-        offset axis.  theta_(j + angles/2) = theta_j + pi flips the sign of
-        cos and sin; theta_(angles/2 - j) = pi - theta_j flips cos only
-        (``flips``) and leaves sin."""
-        if angles % 2:
-            return fn(u, s, step)
-        half, quarter = angles // 2, angles // 4
-        p = fn(u[:quarter + 1], s, step)
-        mirror = p[:, half - quarter - 1:0:-1]
-        p = np.concatenate([p, mirror[..., ::-1] if flips else mirror], axis=1)
-        return np.concatenate([p, p[..., ::-1]], axis=1)
+    def folded(fn):
+        """(S_j transposed, w_j S_(q-j)): S on the offsets >= 0, the
+        profile at -d added to that at d."""
+        p = fn(u, s, step)
+        p = p[..., nd // 2:] + p[..., (nd - 1) // 2::-1]
+        return p.transpose(0, 2, 1), w * p[:, ::-1]
 
     def flat(c):
-        return (c / angles).reshape(len(s), -1).T
+        return (c / angles)[:, at[:, None], at].reshape(len(s), -1).T
 
-    gx, gy = profiles(gauss_tent)
-    gxt = gx.transpose(0, 2, 1)
+    g, gw = folded(gauss_tent)
     if not (deriv or both):
-        return flat(np.matmul(gxt, gy))
-    dgx, dgy = profiles(gauss_tent_da)
-    dc = flat(np.matmul(dgx.transpose(0, 2, 1), gy) + np.matmul(gxt, dgy))
-    return (flat(np.matmul(gxt, gy)), dc) if both else dc
+        return flat(g @ gw)
+    dg, dgw = folded(gauss_tent_da)
+    dc = flat(dg @ gw + g @ dgw)
+    return (flat(g @ gw), dc) if both else dc
 
 
 def ball_tents(offsets: np.ndarray, step: float, scales, deriv: bool = False,
                both: bool = False):
     """Tent weights of the plain Gaussians g_s centred at the origin.
 
-    The ring of radius 0 with one node; same layout as ``ring_tents``.
+    The ring of radius 0 with four nodes; same layout as ``ring_tents``.
     """
-    return ring_tents(offsets, step, 0.0, scales, 1, deriv, both)
+    return ring_tents(offsets, step, 0.0, scales, 4, deriv, both)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,22 @@ def test_eval_F_recurrence_agrees_with_direct():
     assert worst <= 1e-12
 
 
+def vertex_product_ref(values, h, x1, x2, ys, periodic):
+    """The vertex product with one scalar ``read_bilinear`` call per vertex."""
+    prod = 1.0
+    for r in range(1 << ys.shape[0]):
+        p1 = x1
+        p2 = x2
+        for k in range(ys.shape[0]):
+            if (r >> k) & 1:
+                p1 += ys[k, 0]
+                p2 += ys[k, 1]
+        prod *= float(_kernels.read_bilinear(values, h, np.float64(p1), np.float64(p2), periodic))
+        if prod == 0.0:
+            return 0.0
+    return prod
+
+
 @settings(max_examples=300)
 @given(n=st.integers(1, 3), nodes=st.integers(4, 16), seed=st.integers(0, 2**32 - 1),
        periodic=st.booleans(), reach=st.floats(0.0, 3.0))
@@ -61,6 +77,8 @@ def test_eval_F_routes_agree(n, nodes, seed, periodic, reach):
     a = eval_F(g, x, ys)
     b = _eval_F_recurrence(g, x, ys)
     assert abs(a - b) <= 1e-12 * abs(b), (a, b)
+    # one batched read of the vertices gives the bits of one read per vertex
+    assert a == vertex_product_ref(g.values, g.step, x[0], x[1], ys, g.periodic)
 
 
 def test_eval_F_symmetric_in_slots():

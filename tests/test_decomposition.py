@@ -370,13 +370,12 @@ def test_offset_table_memory_is_half_the_full_table():
     assert peak <= tab.power.nbytes + 16 * spectral._BATCH_POINTS * 8, peak
 
 
-@pytest.mark.parametrize("angles", [4, 5, 8, 30, 64, 66])
+@pytest.mark.parametrize("angles", [4, 8, 12, 64, 68])
 @pytest.mark.parametrize("deriv", [False, True])
 def test_ring_tents_match_per_scale_reference(angles, deriv):
-    # an even angle count evaluates the profiles for theta in [0, pi/2] and
-    # mirrors the rest; 4 | angles (4, 8, 64) also takes the profiles at the
-    # sin offsets from those at the cos offsets a quarter turn on, angles =
-    # 2 (mod 4) (30, 66) evaluates both, and an odd count (5) every node
+    # the profiles are evaluated on a quarter turn and folded onto the
+    # offsets >= 0; q = angles / 4 is odd (4, 12, 68) or even (8, 64), so the
+    # node pi/4, paired with itself, is absent or present
     f = random_mask(1.0, 12, 0.5, 3)
     tab = _offset_table(f)
     lam = 3.3 * tab.step
@@ -385,6 +384,35 @@ def test_ring_tents_match_per_scale_reference(angles, deriv):
     for t, a in enumerate(scales):
         want = ring_tents_ref(tab.offsets, tab.step, lam, a, angles, deriv)
         assert np.abs(got[:, t] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("angles", [5, 30, 66])
+@pytest.mark.parametrize("deriv", [False, True])
+def test_ring_tents_refuse_angle_counts_not_divisible_by_4(angles, deriv):
+    # odd (5) and 2 (mod 4) (30, 66) counts have no quarter turn to fold onto
+    with pytest.raises(ValueError, match="divisible by 4"):
+        spectral.ring_tents(np.arange(-3, 4), 0.1, 0.3, [0.1], angles, deriv)
+
+
+@settings(max_examples=150)
+@given(nodes=st.integers(2, 12), quarter=st.integers(1, 64), sides=st.floats(0.0, 3.0),
+       rel_scale=st.floats(-4.0, 3.0), step=st.floats(1e-3, 1.0),
+       kind=st.sampled_from(["c", "dc", "both"]))
+def test_ring_tents_match_reference_property(nodes, quarter, sides, rel_scale, step, kind):
+    # symmetric offsets of either parity (half-integers for an even count),
+    # lam up to three window sides, scales 1e-4 h .. 1e3 h.  Both routes
+    # round the node positions (error eps lam / s in the profiles) and take
+    # second differences of antiderivatives of size s / h (eps (s / h)^2).
+    # On this domain the fold and a sum over the full ring both stay within
+    # 130 eps times that condition; the bound is 450 eps times it
+    offsets = np.arange(nodes) - (nodes - 1) / 2
+    angles, lam, scale = 4 * quarter, sides * nodes * step, 10.0**rel_scale * step
+    tol = 1e-13 * (1.0 + 10.0 ** (2 * rel_scale) + lam / scale)
+    got = spectral.ring_tents(offsets, step, lam, [scale], angles, kind == "dc", kind == "both")
+    for deriv, c in ([(False, got[0]), (True, got[1])] if kind == "both" else [(kind == "dc", got)]):
+        want = ring_tents_ref(offsets, step, lam, scale, angles, deriv)
+        assert c.shape == (nodes * nodes, 1)
+        assert np.abs(c[:, 0] - want).max() <= tol * np.abs(want).max()
 
 
 def correlation_ref(f, offsets):
@@ -613,10 +641,11 @@ def test_two_slot_forms_reject_periodic_grids():
 
 def table_cost(extent):
     """The budget estimate of a table: one transform of the (2e)^2 torus per
-    stored row, (2e)^2 log2(2e) each, plus the table's bytes."""
+    stored row, (2e)^2 log2(2e) each, plus the table's bytes at 64
+    operations each."""
     side = 2 * max(extent, 1)
     rows, entries = spectral.table_size(extent)
-    return int(rows * side * side * math.log2(side)) + 4 * entries
+    return int(rows * side * side * math.log2(side)) + 64 * 4 * entries
 
 
 def test_two_slot_budget_counts_the_cropped_offsets():
@@ -645,7 +674,7 @@ def test_two_slot_budget_counts_the_padded_torus():
     for lam in (0.125, 1.0):
         with pytest.raises(ValueError, match="budget"):
             counting_smooth(f, CountingParams(n=2, lam=lam, eps=0.5, quadrature_nodes=16,
-                                              budget=cost - 4 * entries))
+                                              budget=cost - 64 * 4 * entries))
         params = CountingParams(n=2, lam=lam, eps=0.5, quadrature_nodes=16, budget=cost)
         assert counting_smooth(f, params).value > 0
 
@@ -653,9 +682,9 @@ def test_two_slot_budget_counts_the_padded_torus():
 @pytest.mark.parametrize("form", ["L", "theta"])
 def test_two_slot_forms_check_the_budget_before_the_build(form):
     # a full-window square of 256 nodes: 130 561 stored rows, each a
-    # transform of the 512-node torus, and 2.1e9 entries of 4 bytes make an
-    # estimate of 3.9e11, over the default budget of 1.7e10; the form
-    # refuses before any table is built
+    # transform of the 512-node torus, and 8.5e9 entries of 4 bytes at 64
+    # operations each make an estimate of 2.5e12, over the default budget
+    # of 1.7e10; the form refuses before any table is built
     f = make_indicator([{"type": "rect", "x0": 0, "y0": 0, "x1": 1, "y1": 1}], 1.0, 1 / 256)
     assert table_cost(256) > counting.DEFAULT_BUDGET
     with mock.patch.object(spectral, "build_offset_table") as spy:
@@ -667,9 +696,27 @@ def test_two_slot_forms_check_the_budget_before_the_build(form):
     spy.assert_not_called()
 
 
+def test_default_budget_caps_the_table_memory():
+    # a table byte is priced at 64 operations, so the default budget admits
+    # support extents up to 74 nodes (a 236 MB triangle), the 64-node
+    # acceptance square among them, and refuses 75 before any table is built
+    assert table_cost(64) <= table_cost(74) <= counting.DEFAULT_BUDGET < table_cost(75)
+    assert 4 * spectral.table_size(74)[1] < 240e6
+    h = 1 / 128
+    f = make_indicator([{"type": "rect", "x0": 0, "y0": 0, "x1": 75 * h, "y1": 75 * h}], 1.0, h)
+    assert spectral.support_extent(f.values) == 75
+    with mock.patch.object(spectral, "build_offset_table") as spy:
+        with pytest.raises(ValueError, match="budget"):
+            counting_smooth(f, CountingParams(n=2, lam=0.1, eps=0.5, quadrature_nodes=16))
+    spy.assert_not_called()
+
+
 def test_ball_tents_are_the_radius_zero_ring():
-    # the radius-0 ring of one node reproduces the outer product of the
-    # 1-d profiles bit for bit, tents and scale derivatives alike
+    # the radius-0 ring of four nodes reproduces the outer product of the
+    # 1-d profiles bit for bit, tents and scale derivatives alike: the
+    # profiles are exactly even, so the fold doubles them and the weights
+    # 1/2 and 1/4 undo it.  Those weights round below the smallest normal
+    # number, so there the ring may differ from the product by that much
     f = random_mask(1.0, 16, 0.5, 5)
     tab = _offset_table(f)
     x = tab.offsets * tab.step
@@ -678,9 +725,13 @@ def test_ball_tents_are_the_radius_zero_ring():
     dg = spectral.gauss_tent_da(x, s, tab.step)
     outer = {False: g[:, :, None] * g[:, None, :],
              True: dg[:, :, None] * g[:, None, :] + g[:, :, None] * dg[:, None, :]}
+    tiny = np.finfo(float).tiny
     for deriv, c in outer.items():
-        assert np.array_equal(spectral.ball_tents(tab.offsets, tab.step, s[:, 0], deriv),
-                              c.reshape(len(s), -1).T)
+        want = c.reshape(len(s), -1).T
+        got = spectral.ball_tents(tab.offsets, tab.step, s[:, 0], deriv)
+        normal = np.abs(want) >= tiny
+        assert np.array_equal(got[normal], want[normal])
+        assert np.abs(got - want)[~normal].max(initial=0.0) <= tiny
 
 
 def test_gauss_tent_profiles_match_three_point_formula():
