@@ -5,6 +5,11 @@ derivatives ``h1``/``h2``, and its Laplacian ``k``.  Dilation follows
 ``kernel_t(x) = t^{-2} kernel(x/t)``; Fourier transforms follow
 ``hat(kernel_t)(xi) = hat(kernel)(t xi)``.
 
+Each kernel is a sum of products a(v1) b(v2) of per-axis factors of
+G(v) = exp(-pi v^2): g = G(x)G, h1 = (-2 pi v G)(x)G, h2 = G(x)(-2 pi v G)
+and k = ((4 pi^2 v^2 - 2 pi) G)(x)G + G(x)((4 pi^2 v^2 - 2 pi) G).  So is
+each periodisation, midpoint sum or circle-node sum of one (``_axis_terms``).
+
 Closed forms are the source of truth; grids only enter the numerical
 verification of the two convolution identities
 
@@ -24,7 +29,7 @@ import numpy as np
 from .grid import PERIODIC, PlanarGrid, convolve
 
 FAMILIES = ("g", "h1", "h2", "k")
-_RING = 2  # sample_wrapped sums the 5 x 5 images that _check_probe's tail test assumes
+_RING = 2  # 5 images per axis, the 5 x 5 images that _check_probe's tail test assumes
 _INTEGRAL_NODES = 512  # per axis, of kernel_integral's midpoint rule
 
 
@@ -40,23 +45,30 @@ class KernelSpec:
             raise ValueError("kernel scale must be positive")
 
 
+def gauss1(x, a):
+    return np.exp(-np.pi * np.minimum((x / a) ** 2, 700.0 / np.pi)) / a
+
+
+def _axis_terms(family: str, v1, v2) -> list:
+    """The unit-scale kernel as [(a(v1), b(v2)), ...]: it is sum a * b."""
+    g1 = gauss1(v1, 1.0)
+    g2 = gauss1(v2, 1.0)
+    if family == "g":
+        return [(g1, g2)]
+    if family == "h1":
+        return [(-2.0 * np.pi * v1 * g1, g2)]
+    if family == "h2":
+        return [(g1, -2.0 * np.pi * v2 * g2)]
+    return [((4.0 * np.pi**2 * v1 * v1 - 2.0 * np.pi) * g1, g2),
+            (g1, (4.0 * np.pi**2 * v2 * v2 - 2.0 * np.pi) * g2)]
+
+
 def eval_kernel(spec: KernelSpec, x) -> np.ndarray:
     """Pointwise value of the dilated kernel; ``x`` has shape (..., 2)."""
     x = np.asarray(x, dtype=np.float64)
     t = spec.scale
-    v1 = x[..., 0] / t
-    v2 = x[..., 1] / t
-    r2 = v1 * v1 + v2 * v2
-    e = np.exp(-np.pi * np.minimum(r2, 700.0 / np.pi))
-    if spec.family == "g":
-        base = e
-    elif spec.family == "h1":
-        base = -2.0 * np.pi * v1 * e
-    elif spec.family == "h2":
-        base = -2.0 * np.pi * v2 * e
-    else:
-        base = (4.0 * np.pi**2 * r2 - 4.0 * np.pi) * e
-    return base / (t * t)
+    terms = _axis_terms(spec.family, x[..., 0] / t, x[..., 1] / t)
+    return sum(a * b for a, b in terms) / (t * t)
 
 
 def fourier_kernel(spec: KernelSpec, xi) -> np.ndarray:
@@ -85,10 +97,9 @@ def kernel_integral(spec: KernelSpec) -> float:
     t = spec.scale
     side = 24.0 * t
     h = side / _INTEGRAL_NODES
-    x = (np.arange(_INTEGRAL_NODES) + 0.5) * h - side / 2
-    X1, X2 = np.meshgrid(x, x, indexing="ij")
-    pts = np.stack([X1, X2], axis=-1)
-    return float(eval_kernel(spec, pts).sum() * h * h)
+    v = ((np.arange(_INTEGRAL_NODES) + 0.5) * h - side / 2) / t
+    terms = _axis_terms(spec.family, v, v)
+    return float(sum(a.sum() * b.sum() for a, b in terms) * h * h / (t * t))
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +131,12 @@ def sample_wrapped(spec: KernelSpec, side: float, step: float,
     the lattice on which convolution outputs live.
     """
     n = int(round(side / step))
+    t = spec.scale
     w = _wrapped_coords(side, n, offset)
-    W1, W2 = np.meshgrid(w, w, indexing="ij")
-    out = np.zeros((n, n))
-    for a in range(-_RING, _RING + 1):
-        for b in range(-_RING, _RING + 1):
-            pts = np.stack([W1 + a * side, W2 + b * side], axis=-1)
-            out += eval_kernel(spec, pts)
-    return PlanarGrid(side, step, out, PERIODIC)
+    v = (w + side * np.arange(-_RING, _RING + 1)[:, None]) / t
+    out = sum(np.outer(a.sum(axis=0), b.sum(axis=0))
+              for a, b in _axis_terms(spec.family, v, v))
+    return PlanarGrid(side, step, out / (t * t), PERIODIC)
 
 
 @dataclass(frozen=True)
@@ -142,8 +151,8 @@ class IdentityCheck:
 
 def _check_probe(alpha: float, beta: float, side: float, step: float):
     s = math.hypot(alpha, beta)
-    # periodisation truncated at the 5x5 ring: require the dropped images,
-    # which sit at distance >= 2*side, to be below 1e-12 in magnitude
+    # periodisation truncated at 5 images per axis, the 5 x 5 images: require
+    # the dropped images, at distance >= 2*side, to be below 1e-12 in magnitude
     spec = KernelSpec("k", s)
     tail = abs(float(eval_kernel(spec, np.array([2.0 * side, 0.0]))))
     if tail > 1e-12:

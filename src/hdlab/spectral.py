@@ -20,8 +20,9 @@ nonnegative terms.
 Forms come in derivative pairs: the Laplacian slot takes the weights
 -2 pi s dc_d/ds, so telescoping sums over a matched pair are exact up to
 the outer quadrature.  Weights carry T outer scale nodes on their last axis;
-``counting._form_values`` cuts T so that each (offsets^2 x T) or
-(offsets x angles x T) block stays within ``_kernels.STACK_ELEMENTS``.
+``counting._form_values`` cuts T so that each (offsets^2 x T) block and
+each block of ring profiles, (angles/4 + 1) x offsets per scale, stays
+within ``_kernels.STACK_ELEMENTS``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import support_box
+from .gaussian import gauss1
 
 _SQPI = math.sqrt(math.pi)
 _BATCH = 64  # offset products per batched transform ...
@@ -109,11 +111,8 @@ def _erfcx(x):
 
 
 # ---------------------------------------------------------------------------
-# 1-d Gaussian/tent building blocks (dilation g1_a(u) = exp(-pi u^2/a^2)/a)
-
-
-def gauss1(x, a):
-    return np.exp(-np.pi * np.minimum((x / a) ** 2, 700.0 / np.pi)) / a
+# 1-d Gaussian/tent building blocks on ``gaussian.gauss1``, the dilation
+# g1_a(u) = exp(-pi u^2/a^2)/a
 
 
 def _lattice_second_difference(fn, x, h):

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import KernelSpec, eval_kernel
+from .gaussian import KernelSpec, _axis_terms, eval_kernel
 from .grid import ZERO, PlanarGrid
 
 DEFAULT_NODES = 256
-_FOLD_ELEMENTS = 1 << 16  # radii x folded nodes per block of the folded sum
 
 
 @dataclass(frozen=True)
@@ -58,15 +57,19 @@ def smooth_sphere(q: CircleQuadrature, kernel: KernelSpec, side: float,
                   step: float) -> SmoothedSphere:
     """Sample (sigma_lam * kernel) on a zero-extended grid, centred in the window.
 
-    The result is flagged under-resolved when the node spacing on the
-    circle exceeds four kernel widths.
+    Per kernel term a (x) b the node sum is one (n x M) @ (M x n) product
+    A B^T / M, with A[i, j] = a((x_i - w_j1) / t) and B[i, j] = b((x_i - w_j2) / t)
+    for the nodes w_j.  The result is flagged under-resolved when the node
+    spacing on the circle exceeds four kernel widths.
     """
     n = int(round(side / step))
-    under = kernel.scale < 2.0 * math.pi * q.dilation / (4.0 * q.node_count)
+    t = kernel.scale
+    under = t < 2.0 * math.pi * q.dilation / (4.0 * q.node_count)
     x = (np.arange(n) + 0.5) * step - side / 2
-    X1, X2 = np.meshgrid(x, x, indexing="ij")
-    pts = np.stack([X1, X2], axis=-1)
-    vals = smooth_sphere_value(q, kernel, pts)
+    nodes = q.nodes()
+    terms = _axis_terms(kernel.family, (x[:, None] - nodes[:, 0]) / t,
+                        (x[:, None] - nodes[:, 1]) / t)
+    vals = sum(a @ b.T for a, b in terms) / (q.node_count * t * t)
     return SmoothedSphere(PlanarGrid(side, step, vals, ZERO), under)
 
 
@@ -83,32 +86,14 @@ def sphere_fourier_radial(q: CircleQuadrature, u) -> np.ndarray:
 
     Valid as a radial object while ``2 pi lam u`` stays safely below the
     node count; chunked so large tables do not allocate M copies at once.
-
-    The node sum is folded when the phase is 0 and M is divisible by 4:
-    cos(z cos theta) is even in cos theta, and the M nodes take only the
-    M/4 + 1 distinct values |cos theta_j|, j = 0 .. M/4, with
-    multiplicities 2, 4, ..., 4, 2.  Any other M, and a nonzero phase,
-    take the plain sum over all M nodes.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
-    m = q.node_count
-    if q.phase == 0.0 and m % 4 == 0:
-        cosang = np.cos(q.angles()[:m // 4 + 1])
-        weights = np.full(len(cosang), 4.0)
-        weights[[0, -1]] = 2.0
-        flat = u.ravel()
-        out = np.empty_like(flat)
-        size = max(1, _FOLD_ELEMENTS // len(cosang))
-        for lo in range(0, len(flat), size):
-            out[lo:lo + size] = np.cos(2.0 * np.pi * q.dilation * flat[lo:lo + size, None]
-                                       * cosang) @ weights
-        return out.reshape(u.shape) / m
     cosang = np.cos(q.angles())
     out = np.zeros_like(u)
     for lo in range(0, len(cosang), 64):
         block = cosang[lo:lo + 64]
         out += np.cos(2.0 * np.pi * q.dilation * u[..., None] * block).sum(axis=-1)
-    return out / m
+    return out / q.node_count
 
 
 def decay_envelope(q: CircleQuadrature, radii) -> float:

@@ -2,13 +2,58 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdlab import (KernelSpec, dft, eval_kernel, fourier_kernel,
                    heat_flow_check, kernel_integral, verify_conv_hh,
                    verify_conv_kg)
-from hdlab.gaussian import conv_kg_identity, sample_wrapped
+from hdlab.gaussian import FAMILIES, _wrapped_coords, conv_kg_identity, sample_wrapped
 
 from conftest import seeded_rng
+
+
+def eval_kernel_ref(spec, x):
+    """The joint formula: the family's polynomial in v = x/t times
+    exp(-pi |v|^2), with |v|^2 capped at 700/pi."""
+    x = np.asarray(x, dtype=np.float64)
+    t = spec.scale
+    v1 = x[..., 0] / t
+    v2 = x[..., 1] / t
+    r2 = v1 * v1 + v2 * v2
+    e = np.exp(-np.pi * np.minimum(r2, 700.0 / np.pi))
+    if spec.family == "g":
+        base = e
+    elif spec.family == "h1":
+        base = -2.0 * np.pi * v1 * e
+    elif spec.family == "h2":
+        base = -2.0 * np.pi * v2 * e
+    else:
+        base = (4.0 * np.pi**2 * r2 - 4.0 * np.pi) * e
+    return base / (t * t)
+
+
+def joint_magnitude_ref(spec, x):
+    """The joint formula with every term taken by its absolute value."""
+    t = spec.scale
+    v = np.asarray(x, dtype=np.float64) / t
+    r2 = (v * v).sum(axis=-1)
+    poly = {"g": 1.0, "h1": 2.0 * np.pi * np.abs(v[..., 0]),
+            "h2": 2.0 * np.pi * np.abs(v[..., 1]),
+            "k": 4.0 * np.pi**2 * r2 + 4.0 * np.pi}[spec.family]
+    return poly * np.exp(-np.pi * np.minimum(r2, 700.0 / np.pi)) / (t * t)
+
+
+def sample_wrapped_ref(spec, side, step, offset=0.5):
+    """The joint formula summed over the 5 x 5 torus images on the 2-d grid."""
+    n = int(round(side / step))
+    w = _wrapped_coords(side, n, offset)
+    W1, W2 = np.meshgrid(w, w, indexing="ij")
+    out = np.zeros((n, n))
+    for a in range(-2, 3):
+        for b in range(-2, 3):
+            out += eval_kernel_ref(spec, np.stack([W1 + a * side, W2 + b * side], axis=-1))
+    return out
 
 
 def test_gaussian_at_origin():
@@ -39,6 +84,35 @@ def test_dilation_rule():
         lhs = eval_kernel(KernelSpec(fam, t), x)
         rhs = eval_kernel(KernelSpec(fam, 1.0), x / t) / t**2
         assert lhs == pytest.approx(rhs, rel=1e-14)
+
+
+@settings(max_examples=200)
+@given(family=st.sampled_from(FAMILIES), t=st.floats(1e-3, 10.0),
+       count=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_eval_kernel_matches_joint_formula(family, t, count, seed):
+    # the per-axis products against the joint formula, out to 20 scales.
+    # exp(a) exp(b) and exp(a + b) differ by the round-off of exponents up
+    # to 700; per-axis caps at 700/pi differ from the joint cap on r^2 only
+    # below 1e-296
+    spec = KernelSpec(family, t)
+    x = seeded_rng(seed).uniform(-20.0, 20.0, (count, 2)) * t
+    err = np.abs(eval_kernel(spec, x) - eval_kernel_ref(spec, x))
+    assert (err <= 1e-12 * joint_magnitude_ref(spec, x) + 1e-296 / (t * t)).all()
+
+
+@settings(max_examples=100)
+@given(family=st.sampled_from(FAMILIES), offset=st.sampled_from([0.5, 1.0]),
+       n=st.integers(8, 128), side=st.floats(1.0, 32.0), frac=st.floats(0.0, 1.0))
+def test_sample_wrapped_matches_image_loop(family, offset, n, side, frac):
+    # per-axis image sums and their outer products against the joint formula
+    # on every one of the 5 x 5 images; scales from 3 steps to side/6 (log
+    # scale, either way round when 3 steps exceed side/6)
+    step = side / n
+    t = 3.0 * step * (side / (18.0 * step)) ** frac
+    spec = KernelSpec(family, t)
+    got = sample_wrapped(spec, side, step, offset).values
+    ref = sample_wrapped_ref(spec, side, step, offset)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_fourier_values():

@@ -9,6 +9,7 @@ from scipy.special import jv
 from hdlab import (CircleQuadrature, KernelSpec, gaussian_domination_check,
                    lower_bound_constant, measure, smooth_sphere,
                    smooth_sphere_value, sphere_fourier, sphere_fourier_radial)
+from hdlab.gaussian import FAMILIES
 from hdlab.sphere import _GAMMA_MAX, THETA, decay_envelope, domination_integral
 
 from conftest import seeded_rng
@@ -36,7 +37,7 @@ def test_radial_transform_matches_jacobi_anger(half_nodes, lam, reach, seed):
 
 
 def plain_node_sum(q, u):
-    """(1/M) sum_j cos(2 pi lam u cos theta_j) over all M nodes, unfolded."""
+    """(1/M) sum_j cos(2 pi lam u cos theta_j) over all M nodes at once."""
     arg = 2.0 * np.pi * q.dilation * np.asarray(u)[:, None] * np.cos(q.angles())
     return np.cos(arg).mean(axis=1)
 
@@ -46,9 +47,9 @@ def plain_node_sum(q, u):
        phase=st.sampled_from([0.0]) | st.floats(1e-3, 2.0 * math.pi),
        lam=st.floats(0.01, 10.0), reach=st.floats(0.0, 3.0), radii=st.integers(1, 2000),
        seed=st.integers(0, 2**32 - 1))
-def test_folded_node_sum_matches_plain_sum(quarter, rest, phase, lam, reach, radii, seed):
-    # M = 0 (mod 4) at phase 0 takes the folded sum over M/4 + 1 nodes, in
-    # blocks of radii; M = 2 (mod 4) and a nonzero phase take the plain sum
+def test_radial_transform_matches_plain_node_sum(quarter, rest, phase, lam, reach, radii, seed):
+    # the transform's node sum, taken over all M nodes in blocks of 64, against
+    # one sum over all nodes: M = 0 and 2 (mod 4), at phase 0 and off it
     m = 4 * quarter + rest
     q = CircleQuadrature(m, lam, phase)
     u = seeded_rng(seed).uniform(0.0, reach * m, radii) / (2.0 * math.pi * lam)
@@ -90,6 +91,21 @@ def test_smoothed_grids_integrals():
     assert measure(res.grid) == pytest.approx(1.0, abs=1e-6)
     res_k = smooth_sphere(q, KernelSpec("k", 1.0), 16.0, 1 / 32)
     assert abs(measure(res_k.grid)) <= 1e-6
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_smooth_sphere_matches_node_sum(family):
+    # the per-term (n x M) @ (M x n) products against the pointwise node sum
+    # at the node centres, from M = 12 to 256 nodes
+    step = 1 / 16
+    x = (np.arange(96) + 0.5) * step - 3.0
+    pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
+    for m in (12, 40, 256):
+        q = CircleQuadrature(m, 1.5, 0.3)
+        spec = KernelSpec(family, 0.4)
+        got = smooth_sphere(q, spec, 6.0, step).grid.values
+        want = smooth_sphere_value(q, spec, pts)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_smoothed_grid_positive_and_radial():
