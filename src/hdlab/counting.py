@@ -47,7 +47,6 @@ class CountingParams:
     estimator: str = EXACT
     mc_samples: int = 20000
     seed: int | None = None
-    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_DIMENSION:
@@ -139,11 +138,11 @@ def _exact_cost(params: CountingParams, n_nodes: int) -> int:
     return tuples * n_nodes**2 * (1 << params.n)
 
 
-def _require_budget(cost: int, budget: int, what: str):
-    if cost > budget:
+def _require_budget(cost: int, what: str):
+    if cost > DEFAULT_BUDGET:
         raise ValueError(
             f"{what}: exact quadrature needs ~{cost:.3g} elementary operations, "
-            f"over the configured budget {budget:.3g}; lower M/N or use monte_carlo"
+            f"over the budget {DEFAULT_BUDGET:.3g}; lower M/N or use monte_carlo"
         )
 
 
@@ -190,18 +189,23 @@ def _ring_angles(params: CountingParams, step: float) -> int:
     return -(-max(params.quadrature_nodes, need, 64) // 4) * 4
 
 
-def _pair_correlation(f: PlanarGrid, lam: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, a): the 1-d offsets that ``_correlation_offsets`` gives and the
-    pair correlation at the 2-d offsets they span, in the layout of ``ring_tents``.
-
-    The torus of ``spectral.pair_spectrum`` is memoised on the grid.
-    """
+def _pair_torus(f: PlanarGrid) -> np.ndarray:
+    """The torus of ``spectral.pair_spectrum``, memoised on the grid."""
     memo = _grid_memo(f, "_pair_correlation")
     if "torus" not in memo:
         memo["torus"] = spectral.pair_spectrum(f.values, f.step, f.periodic)
+    return memo["torus"]
+
+
+def _pair_correlation(f: PlanarGrid, lam: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, a): the 1-d offsets that ``_correlation_offsets`` gives and the
+    pair correlation at the 2-d offsets they span, on the stored half of
+    ``ring_tents`` (a is even, so its mirror rows hold the same values).
+    """
+    torus = _pair_torus(f)
     offsets = _correlation_offsets(f, lam, scale)
-    at = offsets % len(memo["torus"])
-    return offsets, memo["torus"][np.ix_(at, at)].ravel()
+    at = offsets % len(torus)
+    return offsets, torus[np.ix_(at, at)].ravel()[:(len(at) ** 2 + 1) // 2]
 
 
 def _correlation_offsets(f: PlanarGrid, lam: float, scale: float) -> np.ndarray:
@@ -259,10 +263,9 @@ def _form_values(f: PlanarGrid, tab: spectral.FourPointTable | None, m: int, lam
     return np.concatenate([values(slice(i, i + size)) for i in range(0, len(scales), size)])
 
 
-def _offset_table(f: PlanarGrid, budget: int = DEFAULT_BUDGET,
-                  what: str = "four-point table") -> spectral.FourPointTable:
+def _offset_table(f: PlanarGrid, what: str = "four-point table") -> spectral.FourPointTable:
     """The four-point table of f, memoised on f.  Refused before anything is
-    allocated when over ``budget``: a transform of the (2e)^2 support-box
+    allocated when over ``DEFAULT_BUDGET``: a transform of the (2e)^2 support-box
     torus per stored row, (2e)^2 log2(2e) each, plus the triangle's bytes
     at ``_BYTE_COST`` each.
     """
@@ -271,7 +274,7 @@ def _offset_table(f: PlanarGrid, budget: int = DEFAULT_BUDGET,
     side = 2 * max(spectral.support_extent(f.values), 1)
     rows, entries = spectral.table_size(side // 2)
     cost = int(rows * side * side * math.log2(side)) + _BYTE_COST * 4 * entries
-    _require_budget(cost, budget, what)
+    _require_budget(cost, what)
     memo = _grid_memo(f, "_offset_tables")
     if "table" not in memo:
         memo["table"] = spectral.build_offset_table(f.values, f.step)
@@ -287,7 +290,7 @@ def counting_sharp(f: PlanarGrid, params: CountingParams) -> CountingReport:
     if params.estimator == MONTE_CARLO:
         return _mc_report(f, params, smooth=False)
     cost = _exact_cost(params, f.node_count)
-    _require_budget(cost, params.budget, "counting_sharp")
+    _require_budget(cost, "counting_sharp")
     cos_t, sin_t = _angles(params.quadrature_nodes)
     val = _kernels.sharp_sum(f.values, f.step, params.lam, cos_t, sin_t,
                              params.n, f.periodic)
@@ -309,9 +312,9 @@ def counting_smooth(f: PlanarGrid, params: CountingParams) -> CountingReport:
         torus = f.node_count if f.periodic else 2 * max(spectral.support_extent(f.values), 1)
         nd = len(_correlation_offsets(f, params.lam, scale))
         cost = torus * torus * 8 + nd * nd * _ring_angles(params, f.step)
-        _require_budget(cost, params.budget, "counting_smooth")
+        _require_budget(cost, "counting_smooth")
     else:
-        tab = _offset_table(f, params.budget, "counting_smooth")
+        tab = _offset_table(f, "counting_smooth")
     value = float(_form_values(f, tab, 0, params.lam, [scale], params=params)[0])
     return CountingReport(value, 0.0, params)
 
@@ -321,49 +324,29 @@ def counting_smooth(f: PlanarGrid, params: CountingParams) -> CountingReport:
 # which realises the full-plane shift integral exactly)
 
 
-def _torus_values(f: PlanarGrid) -> tuple[np.ndarray, float]:
-    if f.periodic:
-        return f.values, f.step
-    n = f.node_count
-    padded = np.zeros((2 * n, 2 * n))
-    padded[:n, :n] = f.values
-    return padded, f.step
-
-
-def _u2_fourth_spectral(values: np.ndarray, h: float) -> float:
-    n = values.shape[0]
-    coef = np.fft.fft2(values) * h * h
-    side = n * h
-    return float((np.abs(coef) ** 4).sum() / side**2)
-
-
-def _u2_fourth_autocorr(f: PlanarGrid) -> float:
-    # oracle: the pair correlation by Wiener-Khinchin, squared and integrated
-    c = spectral.pair_spectrum(f.values, f.step, f.periodic)
-    return float((c * c).sum() * f.step * f.step)
-
-
 def gowers_norm(f: PlanarGrid, n: int) -> float:
     """Box norm of order n on the plane (nonnegative f).
 
-    U^2 is the Parseval sum of the fourth power of the transform on the
-    torus; the eighth power of U^3 integrates the fourth power of
-    U^2(m_d), m_d = f f(. + d), over the shifts d.  m_-d is a translate of
-    m_d, so ``spectral.offset_products`` transforms one of each pair, on
-    the torus of its bounding box for a zero-extended grid.  The tests
-    check U^2 against two private oracles that agree with it
+    The fourth power of U^2 integrates the square of the pair correlation
+    a(d) = h^2 sum_x f(x) f(x + dh), the torus memoised for the smoothed
+    forms; the eighth power of U^3 integrates the fourth power of
+    U^2(m_d), m_d = f f(. + d), over the shifts d, by Parseval.  m_-d is a
+    translate of m_d, so ``spectral.offset_products`` transforms one of
+    each pair, on the torus of its bounding box for a zero-extended grid.
+    The tests check U^2 against two oracles that agree with it
     algebraically: direct shifted sums (``_kernels.u2_fourth_direct``) and
-    the squared pair correlation (``_u2_fourth_autocorr``).
+    the Parseval sum of the fourth power of the transform.
     """
     if not 1 <= n <= MAX_DIMENSION:
         raise ValueError(f"box norm order must be 1..{MAX_DIMENSION}")
     if float(f.values.min()) < 0:
         raise ValueError("box norms are defined here for nonnegative samples")
-    vals, h = _torus_values(f)
+    h = f.step
     if n == 1:
-        return abs(float(vals.sum() * h * h))
+        return abs(float(f.values.sum() * h * h))
     if n == 2:
-        return _u2_fourth_spectral(vals, h) ** 0.25
+        a = _pair_torus(f)
+        return float((a * a).sum() * h * h) ** 0.25
     total = 0.0
     for d, spectra, torus, _ in spectral.offset_products(f.values, f.periodic):
         # the rfft2 half-lattice holds each frequency but its own mirror once

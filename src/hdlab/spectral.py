@@ -2,12 +2,14 @@
 
 The sharp and Monte Carlo kernels read f bilinearly, so on the lattice a
 smoothed form sums over offsets d with closed-form tent weights
-``c_d = integral of slot_kernel(y) tent_d(y) dy`` (erf expressions; ``_erf``
-is a NumPy port of Cephes, so the package needs no SciPy).  The slot kernel
-is a Gaussian on a ring of circle nodes (``ring_tents``), evaluated on a
-quarter turn and the offsets d >= 0 since the nodes share the square's
-symmetries; the box form's plain Gaussian is the ring of radius 0 with
-four nodes (``ball_tents``).
+``c_d = integral of slot_kernel(y) tent_d(y) dy`` (erfc expressions through
+``_erfcx``, a NumPy port of Cephes, so the package needs no SciPy).  The
+slot kernel is a Gaussian on a ring of circle nodes (``ring_tents``),
+evaluated on a quarter turn and the offsets d >= 0 since the nodes share
+the square's symmetries; the box form's plain Gaussian is the ring of
+radius 0 with four nodes (``ball_tents``).  The pair correlation and the
+four-point table are even, so weights are written on the stored half of
+the offsets, up to d = 0, each row carrying its mirror -d as well.
 
 One-slot forms are the pair correlation a(d) = h^2 sum_x f(x) f(x + dh)
 (``pair_spectrum``) times the tent weights.  Two-slot forms contract the
@@ -43,10 +45,10 @@ _ROW_BLOCK = 128  # table rows per stored block, read by one product in ``assemb
 
 
 # ---------------------------------------------------------------------------
-# erf: the rational approximations of Cephes ndtr.c (S. L. Moshier, "Methods
-# and Programs for Mathematical Functions", 1989), which scipy.special.erf
-# also evaluates.  Coefficients highest degree first; the leading 1 of U and
-# Q is implicit.
+# erfcx from the rational approximations of Cephes ndtr.c (S. L. Moshier,
+# "Methods and Programs for Mathematical Functions", 1989), which
+# scipy.special.erf and erfc also evaluate.  Coefficients highest degree
+# first; the leading 1 of U and Q is implicit.
 
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
           7.00332514112805075473e3, 5.55923013010394962768e4)
@@ -74,36 +76,19 @@ def _horner(x, coef, monic):
     return acc
 
 
-def _erf(x):
-    """erf(x) elementwise, as Cephes evaluates it: x T(x^2) / U(x^2) for
-    |x| <= 1, else 1 - exp(-x^2) erfcx(|x|) with the sign of x (+-1 from
-    |x| = 6 on).  No floating-point warning; NaN maps to NaN and the sign
-    of zero is kept."""
-    x = np.asarray(x, dtype=np.float64)
-    flat = x.ravel()
-    out = np.empty_like(flat)
-    ax = np.abs(flat)
-    small = ax <= 1.0
-    xs = flat[small]
-    z = xs * xs
-    y = _horner(z, _ERF_T, False)
-    y *= xs
-    y /= _horner(z, _ERF_U, True)
-    out[small] = y
-    if not small.all():
-        a = np.minimum(ax[~small], 27.0)
-        out[~small] = np.copysign(1.0 - np.exp(-a * a) * _erfcx(a), flat[~small])
-    return out.reshape(x.shape)
-
-
 def _erfcx(x):
-    """exp(x^2) erfc(x) for x >= 0 from the Cephes forms of erfc:
-    exp(x^2) (1 - erf(x)) below 1, P(x) / Q(x) below 8, then R(x) / S(x)."""
+    """exp(x^2) erfc(x) for x >= 0 from the Cephes forms: exp(x^2) (1 -
+    erf(x)) below 1, erf(x) = x T(x^2) / U(x^2), then the forms of erfc,
+    P(x) / Q(x) below 8 and R(x) / S(x) from 8 on."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     small, large = x < 1.0, x >= 8.0
     a = x[small]
-    out[small] = np.exp(a * a) * (1.0 - _erf(a))
+    z = a * a
+    erf = _horner(z, _ERF_T, False)
+    erf *= a
+    erf /= _horner(z, _ERF_U, True)
+    out[small] = np.exp(z) * (1.0 - erf)
     for part, num, den in ((~(small | large), _ERFC_P, _ERFC_Q), (large, _ERFC_R, _ERFC_S)):
         a = x[part]
         out[part] = _horner(a, num, False) / _horner(a, den, True)
@@ -264,7 +249,7 @@ class FourPointTable:
     the upper triangle of its rows and columns up to d = 0 holds it, stored
     in blocks of ``_ROW_BLOCK`` rows packed in ``power``.  Block b holds the
     columns from ``starts[b]`` (at least its first row) on; before, its
-    rows are 0.
+    rows are 0.  Tent weights come on the same half rows (``ring_tents``).
     """
 
     step: float
@@ -332,21 +317,25 @@ def build_offset_table(values: np.ndarray, step: float) -> FourPointTable:
 def ring_tents(offsets: np.ndarray, step: float, lam: float, scales, angles: int,
                deriv: bool = False, both: bool = False):
     """Tent weights of sigma_lam * g_s (equal-weight circle nodes) at the
-    offsets d = (offsets[a], offsets[b]) * step, flat index a nd + b.
+    offsets d = (offsets[a], offsets[b]) * step, on the stored half: the
+    rows k = a nd + b up to d = 0, in the row order of ``FourPointTable``.
 
-    Returns an (offsets^2, T) array for the T scales s, or with ``deriv``
-    their derivatives d/ds, or with ``both`` the pair of them from one pass
-    over the profiles.  The offsets are symmetric about 0 and 4 must divide
-    ``angles``.  The nodes theta, pi - theta, pi + theta and -theta carry
-    the four sign patterns of (cos theta, sin theta), and sin theta_j =
-    cos theta_(q-j) for q = angles / 4, so with S_j(d) = G(d - lam cos
-    theta_j) + G(d + lam cos theta_j), G the Gaussian-tent profile,
+    Returns a (ceil(nd^2 / 2), T) array for the T scales s, or with
+    ``deriv`` their derivatives d/ds, or with ``both`` the pair of them from
+    one pass over the profiles.  The offsets are symmetric about 0 and 4
+    must divide ``angles``.  The nodes theta, pi - theta, pi + theta and
+    -theta carry the four sign patterns of (cos theta, sin theta), and
+    sin theta_j = cos theta_(q-j) for q = angles / 4, so with S_j(d) =
+    G(d - lam cos theta_j) + G(d + lam cos theta_j), G the Gaussian-tent
+    profile,
 
         c(d1, d2) = c(|d1|, |d2|) = sum_(j=0..q) w_j S_j(|d1|) S_(q-j)(|d2|) / angles,
 
     w_0 = w_q = 1/2 and w_j = 1 between.  The profiles are evaluated on the
     q + 1 nodes of a quarter turn, folded onto d >= 0, contracted in one
     (T, e, q+1) @ (T, q+1, e) product per term and gathered at |d1|, |d2|.
+    Row k holds c(d) times its mirror count: 2, as -d has the same weight,
+    or 1 for d = 0, its own mirror when nd is odd.
     """
     if angles % 4:
         raise ValueError(f"ring_tents needs an angle count divisible by 4, got {angles}")
@@ -358,6 +347,8 @@ def ring_tents(offsets: np.ndarray, step: float, lam: float, scales, angles: int
     w[[0, q]] = 0.5
     at = np.arange(nd)
     at = np.maximum(at - nd // 2, (nd - 1) // 2 - at)  # index of |offsets[a]| in the fold
+    k = np.arange((nd * nd + 1) // 2)
+    ia, ib = at[k // nd], at[k % nd]
 
     def folded(fn):
         """(S_j transposed, w_j S_(q-j)): S on the offsets >= 0, the
@@ -366,15 +357,20 @@ def ring_tents(offsets: np.ndarray, step: float, lam: float, scales, angles: int
         p = p[..., nd // 2:] + p[..., (nd - 1) // 2::-1]
         return p.transpose(0, 2, 1), w * p[:, ::-1]
 
-    def flat(c):
-        return (c / angles)[:, at[:, None], at].reshape(len(s), -1).T
+    def half(c):
+        c = (c / angles)[:, ia, ib].T
+        c[:nd * nd // 2] *= 2.0
+        return c
 
     g, gw = folded(gauss_tent)
     if not (deriv or both):
-        return flat(g @ gw)
+        return half(g @ gw)
     dg, dgw = folded(gauss_tent_da)
-    dc = flat(dg @ gw + g @ dgw)
-    return (flat(g @ gw), dc) if both else dc
+    dc = half(dg @ gw + g @ dgw)
+    return (half(g @ gw), dc) if both else dc
+
+
+_ring_tents = ring_tents  # ball_tents' call, which a wrapper of the public name does not see
 
 
 def ball_tents(offsets: np.ndarray, step: float, scales, deriv: bool = False,
@@ -383,37 +379,28 @@ def ball_tents(offsets: np.ndarray, step: float, scales, deriv: bool = False,
 
     The ring of radius 0 with four nodes; same layout as ``ring_tents``.
     """
-    return ring_tents(offsets, step, 0.0, scales, 4, deriv, both)
+    return _ring_tents(offsets, step, 0.0, scales, 4, deriv, both)
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
 
-def _fold(weights: np.ndarray, half: int) -> np.ndarray:
-    """Weights of all offsets onto the stored half: Q is even in each
-    argument, so row k takes W[k] + W[nd^2 - 1 - k] and d = 0 its own."""
-    folded = weights[:half].copy()
-    folded[:-1] += weights[:half - 1:-1]
-    return folded
-
-
 def assemble(tab: FourPointTable, slot1: np.ndarray, slot2: np.ndarray) -> np.ndarray:
     """sum_{d1, d2} W1[d1, t] W2[d2, t] Q(d1, d2) for each t.
 
-    ``slot1`` W1 and ``slot2`` W2 are (offsets^2, T) weights in the layout
-    of ``ring_tents``.  Each stored block is read once, in float64: its
-    product with W2 covers the pairs with d1 in the block, and its product
-    beyond its rows with W1 the mirrored pairs.
+    ``slot1`` W1 and ``slot2`` W2 are (ceil(nd^2 / 2), T) weights on the
+    stored half, each row with its mirror's weight added, as ``ring_tents``
+    writes them.  Each stored block is read once, in float64: its product
+    with W2 covers the pairs with d1 in the block, and its product beyond
+    its rows with W1 the mirrored pairs.
     """
-    half = len(tab.offsets) ** 2 // 2 + 1
-    w1, w2 = _fold(slot1, half), _fold(slot2, half)
-    total = np.zeros(w1.shape[1])
+    total = np.zeros(slot1.shape[1])
     for r0, r1, c0, block in tab.blocks():
         q = block.astype(np.float64)
         beyond = max(r1, c0)
-        total += np.einsum("it,it->t", w1[r0:r1], q @ w2[c0:])
-        total += np.einsum("it,it->t", w2[r0:r1], q[:, beyond - c0:] @ w1[beyond:])
+        total += np.einsum("it,it->t", slot1[r0:r1], q @ slot2[c0:])
+        total += np.einsum("it,it->t", slot2[r0:r1], q[:, beyond - c0:] @ slot1[beyond:])
     return total
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hdlab import _kernels, counting, gowers_norm, load_constants, make_indicator, spectral
+from hdlab import _kernels, gowers_norm, load_constants, make_indicator, spectral
 from hdlab.calibrate import random_mask
 
 # one profile for every property test: examples drawn from the test's source
@@ -16,12 +16,36 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+def torus_values(g) -> np.ndarray:
+    """The samples of g on a torus that realises the plane's shift
+    integrals: a periodic grid is its own, a zero-extended one is padded
+    to 2N nodes."""
+    if g.periodic:
+        return g.values
+    n = g.node_count
+    padded = np.zeros((2 * n, 2 * n))
+    padded[:n, :n] = g.values
+    return padded
+
+
 def u2_routes(g) -> list[float]:
-    """U^2 of g by ``gowers_norm`` and by its two oracles: direct shifted
-    sums and the squared pair correlation."""
-    vals, h = counting._torus_values(g)
+    """U^2 of g by ``gowers_norm`` and by two oracles: direct shifted sums
+    and the Parseval sum of the fourth power of the transform."""
+    vals, h = torus_values(g), g.step
+    coef = np.fft.fft2(vals) * h * h
+    side = len(vals) * h
     return [gowers_norm(g, 2), _kernels.u2_fourth_direct(vals, h) ** 0.25,
-            counting._u2_fourth_autocorr(g) ** 0.25]
+            float((np.abs(coef) ** 4).sum() / side**2) ** 0.25]
+
+
+def fold(weights):
+    """Weights of all nd^2 offsets, flat index k = a nd + b, onto the
+    stored half up to d = 0: row k takes W[k] + W[nd^2 - 1 - k], the weight
+    of its mirror -d, and d = 0 (odd nd) its own alone."""
+    size = len(weights)
+    folded = weights[:(size + 1) // 2].copy()
+    folded[:size // 2] += weights[::-1][:size // 2]
+    return folded
 
 
 _FOUR_POINT_CACHE = {}

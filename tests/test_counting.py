@@ -368,7 +368,8 @@ def test_under_resolved_width_gives_the_direct_value(eps):
     # rule in one slot once drove the n = 2 value negative.  Tents and the
     # four-point table are nonnegative, so the value is a sum of nonnegative
     # terms, as the n = 1 value is, and it is the direct sum over all pairs
-    # of window offsets
+    # of window offsets, the table's half rows and columns taking the tents
+    # on the stored half, as Q is even in each argument
     f = random_mask(1.0, 8, 0.125, 0)
     assert counting_smooth(f, CountingParams(n=1, lam=1.5 * f.step, eps=eps)).value > 0
     params = CountingParams(n=2, lam=1.5 * f.step, eps=eps)
@@ -376,21 +377,23 @@ def test_under_resolved_width_gives_the_direct_value(eps):
     offsets = np.arange(-7, 8)
     c = spectral.ring_tents(offsets, f.step, params.lam, [eps * params.lam],
                             counting._ring_angles(params, f.step))[:, 0]
-    want, magnitude = assemble_ref(four_point_ref(f.values, f.step, offsets), c, c)
+    half = len(c)
+    q = four_point_ref(f.values, f.step, offsets)[:half, :half]
+    want, magnitude = assemble_ref(q, c, c)
     assert got >= 0.0 and abs(got - want) <= 1e-6 * magnitude, (got, want)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_smooth_budget_rejection(n):
     f = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.25}], 1.0, 1 / 16)
-    with pytest.raises(ValueError, match="budget"):
-        counting_smooth(f, CountingParams(n=n, lam=0.25, eps=0.5, quadrature_nodes=16, budget=1))
+    with mock.patch.object(counting, "DEFAULT_BUDGET", 1), pytest.raises(ValueError, match="budget"):
+        counting_smooth(f, CountingParams(n=n, lam=0.25, eps=0.5, quadrature_nodes=16))
 
 
 def test_sharp_budget_rejection():
     g = make_indicator([], 1.0, 1 / 64)
-    params = CountingParams(n=3, lam=0.1, quadrature_nodes=256, budget=10**6)
-    with pytest.raises(ValueError, match="budget"):
+    params = CountingParams(n=3, lam=0.1, quadrature_nodes=256)
+    with mock.patch.object(counting, "DEFAULT_BUDGET", 10**6), pytest.raises(ValueError, match="budget"):
         counting_sharp(g, params)
 
 
@@ -399,13 +402,15 @@ def test_sharp_budget_counts_unordered_tuples():
     # 136 * 64 * 4 = 34 816, under a budget that the 16^2 = 256 ordered
     # tuples (65 536) would exceed
     g = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.4}], 1.0, 1 / 8)
-    params = CountingParams(n=2, lam=0.25, quadrature_nodes=16, budget=50_000)
-    value = counting_sharp(g, params).value
+    params = CountingParams(n=2, lam=0.25, quadrature_nodes=16)
+    with mock.patch.object(counting, "DEFAULT_BUDGET", 50_000):
+        value = counting_sharp(g, params).value
     th = 2.0 * np.pi * np.arange(16) / 16
     ref = sharp_sum_loop(g.values, g.step, 0.25, np.cos(th), np.sin(th), 2, False)
     assert value > 0 and abs(value - ref) <= 1e-12 * ref
-    with pytest.raises(ValueError, match="needs ~3.48e"):
-        counting_sharp(g, CountingParams(n=2, lam=0.25, quadrature_nodes=16, budget=34_815))
+    with mock.patch.object(counting, "DEFAULT_BUDGET", 34_815), \
+            pytest.raises(ValueError, match="needs ~3.48e"):
+        counting_sharp(g, params)
 
 
 def test_sharp_monotone_in_f(disk_r4):

@@ -1,13 +1,12 @@
 import math
 import tracemalloc
-import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf, erfc
+from scipy.special import erf, erfc, erfcx
 
 from hdlab import (PERIODIC, ZERO, CountingParams, L_form, PlanarGrid, ScaleLadder,
                    _kernels, counting, check_error_bound, check_structured_bound,
@@ -18,7 +17,7 @@ from hdlab.calibrate import random_mask
 from hdlab.counting import _offset_table, _ring_angles
 from hdlab.decomposition import _log_nodes, _outer_sums, lp_pow_sum
 
-from conftest import assemble_ref, four_point_ref, packed_table, seeded_rng
+from conftest import assemble_ref, fold, four_point_ref, packed_table, seeded_rng
 
 
 def test_ladder_validation():
@@ -307,9 +306,9 @@ def test_half_offset_table_matches_full_table(nodes, density, grey, box, corner,
 def test_assemble_rounds_a_row_alike_in_any_table(entries, columns):
     # a symmetric Q with random entries among the offsets -6 .. 6, stored in
     # its own 85-row table and among the zero rows of the 1105-row table of
-    # the offsets -23 .. 23: a one-hot weight in each slot reads one entry
-    # through the fold and the triangle blocks, alone and exactly, so both
-    # tables give the same bits, and those of the entry
+    # the offsets -23 .. 23: a one-hot weight in each slot, folded onto the
+    # stored half, reads one entry through the triangle blocks, alone and
+    # exactly, so both tables give the same bits, and those of the entry
     rng = seeded_rng(entries * 1000 + columns)
     small, big = np.arange(-6, 7), np.arange(-23, 24)
     q = np.zeros((169, 169))
@@ -328,7 +327,7 @@ def test_assemble_rounds_a_row_alike_in_any_table(entries, columns):
         c1, c2 = (np.zeros((len(offsets) ** 2, columns)) for _ in range(2))
         c1[index[pick[0]], np.arange(columns)] = 1.0
         c2[index[pick[1]], np.arange(columns)] = 1.0
-        values.append(spectral.assemble(tab, c1, c2))
+        values.append(spectral.assemble(tab, fold(c1), fold(c2)))
     assert np.array_equal(*values)
     assert np.array_equal(values[0], q[pick[0], pick[1]])
 
@@ -337,16 +336,16 @@ def test_assemble_rounds_a_row_alike_in_any_table(entries, columns):
 @given(nodes=st.integers(2, 12), density=st.floats(0.05, 1.0), columns=st.integers(1, 5),
        seed=st.integers(0, 2**32 - 1))
 def test_assemble_matches_full_table(nodes, density, columns, seed):
-    # weights with no d -> -d symmetry and different in the two slots, so
-    # every mirror pair is folded with two different weights, against the
-    # float64 sum over all pairs of offsets
+    # weights with no d -> -d symmetry and different in the two slots,
+    # folded onto the stored half, so every mirror pair sums two different
+    # weights, against the float64 sum over all pairs of offsets
     rng = seeded_rng(seed)
     f = PlanarGrid(1.0, 1.0 / nodes, (rng.random((nodes, nodes)) < density).astype(float))
     tab = spectral.build_offset_table(f.values, f.step)
     q = four_point_ref(f.values, f.step, tab.offsets)
     nd = len(tab.offsets)
     c1, c2 = rng.normal(size=(2, nd * nd, columns))
-    got = spectral.assemble(tab, c1, c2)
+    got = spectral.assemble(tab, fold(c1), fold(c2))
     for t in range(columns):
         want, magnitude = assemble_ref(q, c1[:, t], c2[:, t])
         assert abs(got[t] - want) <= 1e-6 * magnitude
@@ -375,14 +374,15 @@ def test_offset_table_memory_is_half_the_full_table():
 def test_ring_tents_match_per_scale_reference(angles, deriv):
     # the profiles are evaluated on a quarter turn and folded onto the
     # offsets >= 0; q = angles / 4 is odd (4, 12, 68) or even (8, 64), so the
-    # node pi/4, paired with itself, is absent or present
+    # node pi/4, paired with itself, is absent or present.  The reference
+    # on all offsets is folded onto the stored half
     f = random_mask(1.0, 12, 0.5, 3)
     tab = _offset_table(f)
     lam = 3.3 * tab.step
     scales = np.geomspace(0.05, 3.0, 7) * tab.step
     got = spectral.ring_tents(tab.offsets, tab.step, lam, scales, angles, deriv)
     for t, a in enumerate(scales):
-        want = ring_tents_ref(tab.offsets, tab.step, lam, a, angles, deriv)
+        want = fold(ring_tents_ref(tab.offsets, tab.step, lam, a, angles, deriv))
         assert np.abs(got[:, t] - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -404,14 +404,16 @@ def test_ring_tents_match_reference_property(nodes, quarter, sides, rel_scale, s
     # round the node positions (error eps lam / s in the profiles) and take
     # second differences of antiderivatives of size s / h (eps (s / h)^2).
     # On this domain the fold and a sum over the full ring both stay within
-    # 130 eps times that condition; the bound is 450 eps times it
+    # 130 eps times that condition; the bound is 450 eps times it.  The
+    # reference is folded onto the stored half; with an even count of
+    # offsets no row is its own mirror
     offsets = np.arange(nodes) - (nodes - 1) / 2
     angles, lam, scale = 4 * quarter, sides * nodes * step, 10.0**rel_scale * step
     tol = 1e-13 * (1.0 + 10.0 ** (2 * rel_scale) + lam / scale)
     got = spectral.ring_tents(offsets, step, lam, [scale], angles, kind == "dc", kind == "both")
     for deriv, c in ([(False, got[0]), (True, got[1])] if kind == "both" else [(kind == "dc", got)]):
-        want = ring_tents_ref(offsets, step, lam, scale, angles, deriv)
-        assert c.shape == (nodes * nodes, 1)
+        want = fold(ring_tents_ref(offsets, step, lam, scale, angles, deriv))
+        assert c.shape == ((nodes * nodes + 1) // 2, 1)
         assert np.abs(c[:, 0] - want).max() <= tol * np.abs(want).max()
 
 
@@ -456,7 +458,8 @@ def tent_value_ref(corr, c):
 def test_pair_correlation_is_the_direct_lattice_sum(nodes, density, periodic, box, corner,
                                                     reach_cells, seed):
     # one transform per grid, read at the support's offsets (zero-extended)
-    # or at every offset of the reach, far beyond N / 2 included (periodic)
+    # or at every offset of the reach, far beyond N / 2 included (periodic),
+    # on the stored half: the rows up to d = 0
     values = sub_box_mask(seeded_rng(seed), nodes, density, box, corner)
     f = PlanarGrid(1.0, 1.0 / nodes, values, PERIODIC if periodic else ZERO)
     real = spectral.pair_spectrum
@@ -469,7 +472,8 @@ def test_pair_correlation_is_the_direct_lattice_sum(nodes, density, periodic, bo
     else:
         e = max(spectral.support_extent(values), 1)
         assert np.array_equal(offsets, np.arange(-(e - 1), e))
-    want = correlation_ref(f, offsets)
+    want = correlation_ref(f, offsets)[:(len(offsets) ** 2 + 1) // 2]
+    assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * max(float(want.max()), 1e-300)
 
 
@@ -655,12 +659,13 @@ def test_two_slot_budget_counts_the_cropped_offsets():
     window_cost, support_cost = table_cost(f.node_count), table_cost(spectral.support_extent(f.values))
     budget = int(math.sqrt(window_cost * support_cost))
     assert support_cost < budget < window_cost
-    params = CountingParams(n=2, lam=0.1, eps=0.5, quadrature_nodes=16, budget=budget)
-    assert counting_smooth(f, params).value > 0
-    # the same budget still rejects a set that fills the window
-    full = make_indicator([{"type": "rect", "x0": 0, "y0": 0, "x1": 4, "y1": 4}], 4.0, 1 / 32)
-    with pytest.raises(ValueError, match="budget"):
-        counting_smooth(full, params)
+    params = CountingParams(n=2, lam=0.1, eps=0.5, quadrature_nodes=16)
+    with mock.patch.object(counting, "DEFAULT_BUDGET", budget):
+        assert counting_smooth(f, params).value > 0
+        # the same budget still rejects a set that fills the window
+        full = make_indicator([{"type": "rect", "x0": 0, "y0": 0, "x1": 4, "y1": 4}], 4.0, 1 / 32)
+        with pytest.raises(ValueError, match="budget"):
+            counting_smooth(full, params)
 
 
 def test_two_slot_budget_counts_the_padded_torus():
@@ -672,11 +677,12 @@ def test_two_slot_budget_counts_the_padded_torus():
     cost = table_cost(spectral.support_extent(f.values))
     rows, entries = spectral.table_size(spectral.support_extent(f.values))
     for lam in (0.125, 1.0):
-        with pytest.raises(ValueError, match="budget"):
-            counting_smooth(f, CountingParams(n=2, lam=lam, eps=0.5, quadrature_nodes=16,
-                                              budget=cost - 64 * 4 * entries))
-        params = CountingParams(n=2, lam=lam, eps=0.5, quadrature_nodes=16, budget=cost)
-        assert counting_smooth(f, params).value > 0
+        params = CountingParams(n=2, lam=lam, eps=0.5, quadrature_nodes=16)
+        with mock.patch.object(counting, "DEFAULT_BUDGET", cost - 64 * 4 * entries):
+            with pytest.raises(ValueError, match="budget"):
+                counting_smooth(f, params)
+        with mock.patch.object(counting, "DEFAULT_BUDGET", cost):
+            assert counting_smooth(f, params).value > 0
 
 
 @pytest.mark.parametrize("form", ["L", "theta"])
@@ -716,7 +722,8 @@ def test_ball_tents_are_the_radius_zero_ring():
     # 1-d profiles bit for bit, tents and scale derivatives alike: the
     # profiles are exactly even, so the fold doubles them and the weights
     # 1/2 and 1/4 undo it.  Those weights round below the smallest normal
-    # number, so there the ring may differ from the product by that much
+    # number, so there the ring may differ from the product by that much.
+    # The product on all offsets is folded onto the stored half
     f = random_mask(1.0, 16, 0.5, 5)
     tab = _offset_table(f)
     x = tab.offsets * tab.step
@@ -727,7 +734,7 @@ def test_ball_tents_are_the_radius_zero_ring():
              True: dg[:, :, None] * g[:, None, :] + g[:, :, None] * dg[:, None, :]}
     tiny = np.finfo(float).tiny
     for deriv, c in outer.items():
-        want = c.reshape(len(s), -1).T
+        want = fold(c.reshape(len(s), -1).T)
         got = spectral.ball_tents(tab.offsets, tab.step, s[:, 0], deriv)
         normal = np.abs(want) >= tiny
         assert np.array_equal(got[normal], want[normal])
@@ -751,46 +758,21 @@ def test_gauss_tent_profiles_match_three_point_formula():
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def ulps(a, b):
-    """Distance in units in the last place, through the ordered integer
-    image of the doubles (-0 and +0 coincide)."""
-    def ordered(v):
-        i = np.asarray(v, dtype=np.float64).view(np.int64)
-        return np.where(i < 0, -(i & 0x7FFFFFFFFFFFFFFF), i)
-    return np.abs(ordered(a) - ordered(b))
-
-
 @settings(max_examples=300)
-@given(xs=st.lists(st.one_of(st.floats(-7.0, 7.0), st.floats(allow_nan=False)),
-                   min_size=1, max_size=40))
-def test_erf_port_matches_cephes(xs):
-    # the Cephes rational forms in the same Horner order as scipy.special.erf:
-    # bit for bit where no exp enters (|x| <= 1) or the result rounds to +-1
-    # (|x| >= 6); NumPy's exp may differ from libm's by an ulp in between
-    x = np.array(xs)
-    got, want = spectral._erf(x), erf(x)
-    exact = (np.abs(x) <= 1.0) | (np.abs(x) >= 6.0)
-    assert np.array_equal(got[exact].view(np.int64), want[exact].view(np.int64))
-    assert ulps(got, want).max() <= 1
-    assert max(ulps(g, math.erf(v)) for g, v in zip(got, xs)) <= 3
-
-
-def test_erf_port_special_inputs():
-    tiny = np.array([5e-324, -5e-324, 2.2250738585072014e-308, -1e-310])
-    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
-        warnings.simplefilter("error")
-        signed = spectral._erf(np.array([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308]))
-        nan = spectral._erf(np.array([np.nan]))
-        sub = spectral._erf(tiny)
-        scalar, zero_d = spectral._erf(0.5), spectral._erf(np.array(-2.5))
-        empty, empty_2d = spectral._erf(np.array([])), spectral._erf(np.empty((0, 3)))
-    assert np.array_equal(signed, [0.0, 0.0, 1.0, -1.0, 1.0, -1.0])
-    assert list(np.signbit(signed)) == [False, True, False, True, False, True]
-    assert np.isnan(nan).all()
-    assert np.array_equal(sub.view(np.int64), erf(tiny).view(np.int64))
-    assert scalar.shape == () and scalar == erf(0.5)
-    assert zero_d.shape == () and ulps(zero_d, erf(-2.5)) <= 1
-    assert empty.shape == (0,) and empty_2d.shape == (0, 3)
+@given(xs=st.lists(st.floats(0.0, 27.0, exclude_max=True), min_size=1, max_size=40))
+def test_erfcx_port_matches_scipy(xs):
+    # the Cephes forms on [0, 27), where the tents read them, with the edges
+    # of each branch: below 1 through erf, in the same Horner order as
+    # scipy.special.erf, so bit for bit with exp(x^2) (1 - erf(x)); then the
+    # forms of erfc, within 1e-14 of SciPy's erfcx (2.1e-15 seen at most)
+    edges = [0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0, math.nextafter(8.0, 0.0), 8.0,
+             math.nextafter(27.0, 0.0)]
+    x = np.array(edges + xs)
+    got, want = spectral._erfcx(x), erfcx(x)
+    assert (np.abs(got - want) <= 1e-14 * want).all()
+    low = x < 1.0
+    below = np.exp(x[low] * x[low]) * (1.0 - erf(x[low]))
+    assert np.array_equal(got[low].view(np.int64), below.view(np.int64))
 
 
 # --- the scale-integrated box form ---------------------------------------------

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdlab import (PERIODIC, ZERO, PlanarGrid, counting, gowers_cs_bound,
-                   gowers_norm, make_indicator)
+from hdlab import (PERIODIC, ZERO, PlanarGrid, gowers_cs_bound, gowers_norm,
+                   make_indicator)
 from hdlab.calibrate import random_grid
 
-from conftest import seeded_rng, u2_routes
+from conftest import seeded_rng, torus_values, u2_routes
 
 U2_UNIT_SQUARE = (4.0 / 9.0) ** 0.25  # tent-correlation integral per axis is 2/3
 
@@ -59,7 +59,7 @@ def test_u3_matches_direct_sum(nodes, density, seed, periodic):
     rng = seeded_rng(seed)
     values = rng.random((nodes, nodes)) * (rng.random((nodes, nodes)) < density)
     g = PlanarGrid(1.0, 1.0 / nodes, values, PERIODIC if periodic else ZERO)
-    vals, h = counting._torus_values(g)
+    vals, h = torus_values(g), g.step
     t = len(vals)
     plus = (np.arange(t)[:, None] + np.arange(t)) % t  # plus[b, x] = x + b mod t
 
