@@ -164,20 +164,26 @@ def _stack_len(box, elements):
 # vertex product F_n(x; y_1..y_n) = prod over r in {0,1}^n of f(x + sum r_k y_k)
 
 
-def vertex_product(values, h, x1, x2, ys, periodic):
-    """The 2^n vertices read in one ``read_bilinear`` call: vertex r adds
-    the edges of its set bits in slot order, and the values multiply in r
-    order, stopping at the first zero product."""
-    n = ys.shape[0]
-    r = np.arange(1 << n)
+def cube_vertices(x1, x2, edges):
+    """(p1, p2) of the 2^n vertices of the cube at base (x1, x2) with edge
+    vectors ``edges[k]``: vertex r adds the edges of its set bits to the
+    base, in slot order."""
+    r = np.arange(1 << len(edges))
     p1 = np.full(len(r), np.float64(x1))
     p2 = np.full(len(r), np.float64(x2))
-    for k in range(n):
+    for k, (e1, e2) in enumerate(edges):
         on = (r >> k) & 1 == 1
-        p1[on] += ys[k, 0]
-        p2[on] += ys[k, 1]
+        p1[on] += e1
+        p2[on] += e2
+    return p1, p2
+
+
+def vertex_product(values, h, x1, x2, ys, periodic):
+    """The 2^n vertices (``cube_vertices``) read in one ``read_bilinear``
+    call; the values multiply in r order, stopping at the first zero
+    product."""
     prod = 1.0
-    for v in read_bilinear(values, h, p1, p2, periodic).tolist():
+    for v in read_bilinear(values, h, *cube_vertices(x1, x2, ys), periodic).tolist():
         prod *= v
         if prod == 0.0:
             return 0.0
@@ -209,6 +215,21 @@ def _vertex_sums(values, h, periodic, box, windows, prod, r0, ex, ey):
         if not prod.any():
             break
     return prod.reshape(prod.shape[0], -1).sum(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the circle's nodes: sharp quadrature, ring tents, candidate scan, circle quadrature
+
+
+def circle_angles(m):
+    """The m equispaced angles 2 pi k / m, k = 0 .. m - 1."""
+    return 2.0 * np.pi * np.arange(m) / m
+
+
+def circle_nodes(m):
+    """(cos, sin) of ``circle_angles(m)``."""
+    th = circle_angles(m)
+    return np.cos(th), np.sin(th)
 
 
 # ---------------------------------------------------------------------------

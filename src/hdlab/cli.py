@@ -36,22 +36,19 @@ from .decomposition import ScaleLadder, decomposition_report
 from .embedding import (PlanarSet, SearchSpec, avoided_distance_demo,
                         find_copy, pigeonhole_interval, read_pgm, verify_copy)
 from .gaussian import heat_flow_check, verify_conv_hh, verify_conv_kg
-from .grid import from_shape_json
+from .grid import SHAPE_FIELDS, from_shape_json
 
 # ---------------------------------------------------------------------------
 # config schemas
 
-# the fields each shape type requires (see grid.make_indicator)
-_SHAPE_FIELDS = {"rect": ["x0", "y0", "x1", "y1"], "disk": ["cx", "cy", "r"],
-                 "stripes1d": ["intervals"]}
 _NUMBER = {"type": "number"}
 _NUMBER_PAIR = {"type": "array", "minItems": 2, "maxItems": 2, "items": _NUMBER}
 _SHAPE_ITEM = {
     "type": "object",
-    "properties": {**dict.fromkeys(_SHAPE_FIELDS["rect"] + _SHAPE_FIELDS["disk"], _NUMBER),
+    "properties": {**dict.fromkeys(SHAPE_FIELDS["rect"] + SHAPE_FIELDS["disk"], _NUMBER),
                    "intervals": {"type": "array", "items": _NUMBER_PAIR}, "axis": {"enum": [0, 1]}},
     "allOf": [{"if": {"properties": {"type": {"const": kind}}}, "then": {"required": fields}}
-              for kind, fields in _SHAPE_FIELDS.items()],
+              for kind, fields in SHAPE_FIELDS.items()],
 }
 
 _SHAPE = {
@@ -176,15 +173,9 @@ def _load_set(doc) -> tuple:
 
 
 def _search_spec(doc, default_step) -> SearchSpec:
-    doc = doc or {}
-    return SearchSpec(
-        x_step=doc.get("x_step", default_step),
-        angle_count=doc.get("angles", 0),
-        eta_len=doc.get("eta_len", 0.0),
-        eta_gap=doc.get("eta_gap", 0.0),
-        budget=doc.get("budget", 1 << 40),
-        resume_cursor=doc.get("resume_cursor", 0),
-    )
+    """The fields the config sets (``angles`` is ``angle_count``) over the defaults."""
+    fields = {"angle_count" if k == "angles" else k: v for k, v in (doc or {}).items()}
+    return SearchSpec(**{"x_step": default_step, **fields})
 
 
 def _copy_dict(copy):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, spectral, sphere
-from .grid import PlanarGrid, measure
+from .grid import PlanarGrid, measure, shape_mask
 
 # the benchmark's tracer patches this name here; nothing in this module calls it
 sphere_fourier_radial = sphere.sphere_fourier_radial
@@ -55,6 +55,7 @@ class CountingParams:
             raise ValueError("dilation must be positive")
         if not 0 < self.eps <= 1:
             raise ValueError("smoothing width must satisfy 0 < eps <= 1")
+        _require_int("quadrature_nodes", self.quadrature_nodes, 1)
         if self.estimator not in (EXACT, MONTE_CARLO):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.estimator == MONTE_CARLO:
@@ -127,15 +128,16 @@ def _eval_F_recurrence(f: PlanarGrid, x, ys) -> float:
 # estimator internals
 
 
-def _angles(m: int) -> tuple[np.ndarray, np.ndarray]:
-    th = 2.0 * np.pi * np.arange(m) / m
-    return np.cos(th), np.sin(th)
-
-
 def _exact_cost(params: CountingParams, n_nodes: int) -> int:
     # sharp_sum evaluates one angle tuple per multiset of slot angles
     tuples = math.comb(params.quadrature_nodes + params.n - 1, params.n)
     return tuples * n_nodes**2 * (1 << params.n)
+
+
+def _require_int(name: str, value, least: int):
+    """Refuse a count that is not an integer of at least ``least``, naming it."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _require_budget(cost: int, what: str):
@@ -213,7 +215,7 @@ def _correlation_offsets(f: PlanarGrid, lam: float, scale: float) -> np.ndarray:
     # at scale (g_s(y) / g_s(0) < 1e-17 at |y| = 3.6 s), read at d mod N;
     # zero-extended: those of the support extent e, beyond which a vanishes
     k = (math.ceil((lam + 3.6 * scale) / f.step) + 1 if f.periodic
-         else max(spectral.support_extent(f.values), 1) - 1)
+         else spectral.support_extent(f.values) - 1)
     return np.arange(-k, k + 1)
 
 
@@ -234,6 +236,10 @@ def _form_values(f: PlanarGrid, tab: spectral.FourPointTable | None, m: int, lam
     scales = np.asarray(scales, dtype=np.float64)
     angles = 1 if params is None else _ring_angles(params, f.step)
     if tab is None:
+        # the torus's transform and a scale's offsets^2 x angles tents, priced first
+        torus = f.node_count if f.periodic else 2 * spectral.support_extent(f.values)
+        nd = len(_correlation_offsets(f, lam, float(scales.max())))
+        _require_budget(torus * torus * 8 + nd * nd * angles, "n = 1 form")
         offsets, corr = _pair_correlation(f, lam, float(scales.max()))
     else:
         offsets = tab.offsets
@@ -271,7 +277,7 @@ def _offset_table(f: PlanarGrid, what: str = "four-point table") -> spectral.Fou
     """
     if f.periodic:
         raise ValueError("the exact two-slot path needs a zero-extended grid")
-    side = 2 * max(spectral.support_extent(f.values), 1)
+    side = 2 * spectral.support_extent(f.values)
     rows, entries = spectral.table_size(side // 2)
     cost = int(rows * side * side * math.log2(side)) + _BYTE_COST * 4 * entries
     _require_budget(cost, what)
@@ -291,7 +297,7 @@ def counting_sharp(f: PlanarGrid, params: CountingParams) -> CountingReport:
         return _mc_report(f, params, smooth=False)
     cost = _exact_cost(params, f.node_count)
     _require_budget(cost, "counting_sharp")
-    cos_t, sin_t = _angles(params.quadrature_nodes)
+    cos_t, sin_t = _kernels.circle_nodes(params.quadrature_nodes)
     val = _kernels.sharp_sum(f.values, f.step, params.lam, cos_t, sin_t,
                              params.n, f.periodic)
     return CountingReport(float(val), 0.0, params)
@@ -305,17 +311,8 @@ def counting_smooth(f: PlanarGrid, params: CountingParams) -> CountingReport:
         raise ValueError(
             "counting_smooth: the exact path supports n <= 2; use the monte_carlo estimator for n = 3"
         )
-    scale = params.eps * params.lam
-    tab = None
-    if params.n == 1:
-        # the correlation torus's transform, then offsets^2 x angles tents
-        torus = f.node_count if f.periodic else 2 * max(spectral.support_extent(f.values), 1)
-        nd = len(_correlation_offsets(f, params.lam, scale))
-        cost = torus * torus * 8 + nd * nd * _ring_angles(params, f.step)
-        _require_budget(cost, "counting_smooth")
-    else:
-        tab = _offset_table(f, "counting_smooth")
-    value = float(_form_values(f, tab, 0, params.lam, [scale], params=params)[0])
+    tab = _offset_table(f, "counting_smooth") if params.n == 2 else None
+    value = float(_form_values(f, tab, 0, params.lam, [params.eps * params.lam], params=params)[0])
     return CountingReport(value, 0.0, params)
 
 
@@ -378,10 +375,9 @@ def gowers_cs_bound(f: PlanarGrid, n: int, cube: tuple[float, float, float]) -> 
     x0, y0, side = cube
     if side <= 0:
         raise ValueError("cube side must be positive")
-    coords = f.node_coords()
-    inside1 = (coords >= x0) & (coords <= x0 + side)
-    inside2 = (coords >= y0) & (coords <= y0 + side)
-    outside = np.where(~(inside1[:, None] & inside2[None, :]), f.values, 0.0)
+    x = f.node_coords()
+    cube = {"type": "rect", "x0": x0, "y0": y0, "x1": x0 + side, "y1": y0 + side}
+    outside = np.where(~shape_mask([cube], x[:, None], x[None, :]), f.values, 0.0)
     if float(np.abs(outside).max(initial=0.0)) > 0:
         raise ValueError("support leaks outside the declared cube")
     lhs = gowers_norm(f, n)
@@ -417,7 +413,7 @@ def degenerate_mass(params: CountingParams, tol: float) -> float:
     length at most tol.  Depends only on the quadrature.
     """
     n, m, lam = params.n, params.quadrature_nodes, params.lam
-    cos_t, sin_t = _angles(m)
+    cos_t, sin_t = _kernels.circle_nodes(m)
     signs = _sign_vectors(n)
     if n == 1:
         return 1.0 if lam <= tol else 0.0

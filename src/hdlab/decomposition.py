@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import (CountingParams, _form_values, _grid_memo, _offset_table, counting_sharp,
-                       counting_smooth)
+from .counting import (CountingParams, _form_values, _grid_memo, _offset_table, _require_int,
+                       counting_sharp, counting_smooth)
 from .grid import PlanarGrid, measure
 
 # the outer quadrature converges when one refinement moves it by less than this
@@ -157,6 +157,7 @@ def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
     ``2 tnodes - 1`` nodes, the coarse one every other node; one batched
     evaluation gives both.
     """
+    _require_int("tnodes", tnodes, 2)
     if not 0 < alpha < beta <= 1:
         raise ValueError("need 0 < alpha < beta <= 1")
     if not 1 <= m <= n:
@@ -189,6 +190,7 @@ def theta_form(f: PlanarGrid, gammas, m: int, nodes: int = 128) -> QuadratureVal
     the telescoping total is an error.  The fine outer quadrature has
     ``2 nodes - 1`` nodes, the coarse one every other node.
     """
+    _require_int("nodes", nodes, 2)
     gammas = tuple(float(g) for g in gammas)
     n = len(gammas)
     if n > 2:

@@ -25,8 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
+from .counting import _require_int
 from .decomposition import error_part
-from .grid import PlanarGrid, measure as grid_measure
+from .grid import PlanarGrid, measure as grid_measure, shape_mask
 
 _SAMPLES_PER_INTERVAL = 5  # scales searched inside the chosen interval
 
@@ -62,22 +63,7 @@ class PlanarSet:
             j = np.clip((p2 / g.step).astype(np.int64), 0, g.node_count - 1)
             return inside & (g.values[i, j] >= 0.5)
         if self.kind == "shapes":
-            hit = np.zeros_like(inside)
-            for s in self.shapes:
-                t = s["type"]
-                if t == "rect":
-                    hit |= (p1 >= s["x0"]) & (p1 <= s["x1"]) & (p2 >= s["y0"]) & (p2 <= s["y1"])
-                elif t == "disk":
-                    hit |= (p1 - s["cx"]) ** 2 + (p2 - s["cy"]) ** 2 <= s["r"] ** 2
-                elif t == "stripes1d":
-                    coord = p1 if s.get("axis", 0) == 0 else p2
-                    m = np.zeros_like(inside)
-                    for a, b in s["intervals"]:
-                        m |= (coord >= a) & (coord <= b)
-                    hit |= m
-                else:
-                    raise ValueError(f"unknown shape type {t!r}")
-            return inside & hit
+            return inside & shape_mask(self.shapes, p1, p2)
         raise ValueError(f"unknown set kind {self.kind!r}")
 
 
@@ -96,17 +82,8 @@ class HypercubeCopy:
         return len(self.edges)
 
     def vertices(self) -> np.ndarray:
-        n = self.order
-        base = np.array(self.base)
-        edges = np.array(self.edges)
-        out = np.empty((1 << n, 2))
-        for r in range(1 << n):
-            p = base.copy()
-            for k in range(n):
-                if (r >> k) & 1:
-                    p = p + edges[k]
-            out[r] = p
-        return out
+        """(2^n, 2) array of ``_kernels.cube_vertices``, row r vertex r."""
+        return np.stack(_kernels.cube_vertices(*self.base, self.edges), axis=1)
 
     def min_pairwise_gap(self) -> float:
         v = self.vertices()
@@ -167,9 +144,7 @@ def _check_search(search: SearchSpec) -> None:
         if not (math.isfinite(v) and v >= 0):
             raise ValueError(f"{name} must be finite and non-negative (0 = default), got {v!r}")
     for name, least in (("angle_count", 0), ("budget", 1), ("resume_cursor", 0)):
-        v = getattr(search, name)
-        if not (isinstance(v, (int, np.integer)) and v >= least):
-            raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+        _require_int(name, getattr(search, name), least)
 
 
 def find_copy(A: PlanarSet, lengths, search: SearchSpec) -> ScanOutcome:
@@ -194,8 +169,7 @@ def find_copy(A: PlanarSet, lengths, search: SearchSpec) -> ScanOutcome:
     spec = search.resolved(lengths)
     n = len(lengths)
     m = spec.angle_count
-    th = 2.0 * np.pi * np.arange(m) / m
-    cos_t, sin_t = np.cos(th), np.sin(th)
+    cos_t, sin_t = _kernels.circle_nodes(m)
     xs1, xs2 = _x_lattice(A.side, spec.x_step)
     tuples = m**n
     total = len(xs1) * tuples
@@ -296,21 +270,18 @@ def estimate_banach_density(A: PlanarSet, window_sides) -> float:
     translates is replaced by a full sweep of lattice placements.
     """
     if A.kind == "bitmap":
-        g = A.bitmap
+        vals, step = A.bitmap.values, A.bitmap.step
     else:
-        # rasterise shapes; membership at cell centres
-        n = 512
-        h = A.side / n
-        x = (np.arange(n) + 0.5) * h
-        X1, X2 = np.meshgrid(x, x, indexing="ij")
-        vals = A.membership(X1.ravel(), X2.ravel()).reshape(n, n)
-        g = PlanarGrid(A.side, h, vals.astype(np.float64))
-    n = g.node_count
+        # shapes rasterised at the centres of 512 x 512 nodes
+        step = A.side / 512
+        x = (np.arange(512) + 0.5) * step
+        vals = shape_mask(A.shapes, x[:, None], x[None, :]).astype(np.float64)
+    n = len(vals)
     sat = np.zeros((n + 1, n + 1))
-    sat[1:, 1:] = g.values.cumsum(axis=0).cumsum(axis=1)
+    sat[1:, 1:] = vals.cumsum(axis=0).cumsum(axis=1)
     best = 0.0
     for side in window_sides:
-        r = int(round(side / g.step))
+        r = int(round(side / step))
         if r < 1 or r > n:
             continue
         window = (

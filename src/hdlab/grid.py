@@ -107,8 +107,34 @@ def _require_inside(lo1, lo2, hi1, hi2, side, what):
         )
 
 
+# the fields each shape type reads, besides ``type`` (stripes1d also reads
+# an optional ``axis``, 0 by default)
+SHAPE_FIELDS = {"rect": ["x0", "y0", "x1", "y1"], "disk": ["cx", "cy", "r"],
+                "stripes1d": ["intervals"]}
+
+
+def shape_mask(shapes, p1, p2) -> np.ndarray:
+    """Membership of the points (p1, p2) in a union of shapes, boundaries
+    included, broadcast over p1 and p2.  The shapes are not validated."""
+    hit = np.zeros(np.broadcast(p1, p2).shape, dtype=bool)
+    for s in shapes:
+        kind = s.get("type")
+        if kind == "rect":
+            hit |= (p1 >= s["x0"]) & (p1 <= s["x1"]) & (p2 >= s["y0"]) & (p2 <= s["y1"])
+        elif kind == "disk":
+            r = s["r"]
+            hit |= (p1 - s["cx"]) ** 2 + (p2 - s["cy"]) ** 2 <= r * r
+        elif kind == "stripes1d":
+            coord = p1 if int(s.get("axis", 0)) == 0 else p2
+            for a, b in s["intervals"]:
+                hit |= (coord >= a) & (coord <= b)
+        else:
+            raise ValueError(f"unknown shape type {kind!r}")
+    return hit
+
+
 def make_indicator(shapes, side, step, boundary=ZERO) -> PlanarGrid:
-    """Rasterise a union of shapes; membership is tested at node centres.
+    """Rasterise a union of shapes; ``shape_mask`` at the node centres.
 
     ``shapes`` is a list of dicts: ``{"type": "rect", "x0", "y0", "x1", "y1"}``,
     ``{"type": "disk", "cx", "cy", "r"}``, or
@@ -121,9 +147,6 @@ def make_indicator(shapes, side, step, boundary=ZERO) -> PlanarGrid:
     n = int(round(side / step))
     if abs(n * step - side) > step / 2:
         raise ValueError("side must be an integer multiple of step")
-    x = (np.arange(n) + 0.5) * step
-    X1, X2 = np.meshgrid(x, x, indexing="ij")
-    mask = np.zeros((n, n), dtype=bool)
     for s in shapes:
         kind = s.get("type")
         if kind == "rect":
@@ -131,26 +154,21 @@ def make_indicator(shapes, side, step, boundary=ZERO) -> PlanarGrid:
             if x1 < x0 or y1 < y0:
                 raise ValueError("rect with negative extent")
             _require_inside(x0, y0, x1, y1, side, "rect")
-            mask |= (X1 >= x0) & (X1 <= x1) & (X2 >= y0) & (X2 <= y1)
         elif kind == "disk":
             cx, cy, r = s["cx"], s["cy"], s["r"]
             if r < 0:
                 raise ValueError("disk with negative radius")
             _require_inside(cx - r, cy - r, cx + r, cy + r, side, "disk")
-            mask |= (X1 - cx) ** 2 + (X2 - cy) ** 2 <= r * r
         elif kind == "stripes1d":
-            axis = int(s.get("axis", 0))
-            if axis not in (0, 1):
+            if int(s.get("axis", 0)) not in (0, 1):
                 raise ValueError("stripes1d axis must be 0 or 1")
-            coord = X1 if axis == 0 else X2
             for a, b in s["intervals"]:
                 if b < a:
                     raise ValueError("stripe interval with negative length")
                 if a < 0 or b > side:
                     raise ValueError(f"stripe [{a},{b}] outside [0,{side}]")
-                mask |= (coord >= a) & (coord <= b)
-        else:
-            raise ValueError(f"unknown shape type {kind!r}")
+    x = (np.arange(n) + 0.5) * step
+    mask = shape_mask(shapes, x[:, None], x[None, :])
     return PlanarGrid(side, step, mask.astype(np.float64), boundary)
 
 

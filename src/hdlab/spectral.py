@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import support_box
+from ._kernels import circle_angles, support_box
 from .gaussian import gauss1
 
 _SQPI = math.sqrt(math.pi)
@@ -148,12 +148,9 @@ def gauss_tent_da(x, a, h):
 
 
 def support_extent(values: np.ndarray) -> int:
-    """Side in nodes of the bounding square of the support (0 if empty)."""
-    box = support_box(values)
-    if box is None:
-        return 0
-    i0, i1, j0, j1 = box
-    return max(i1 - i0, j1 - j0)
+    """Side in nodes of the bounding square of the support; 1 for an empty grid."""
+    i0, i1, j0, j1 = support_box(values) or (0, 0, 0, 0)
+    return max(i1 - i0, j1 - j0, 1)
 
 
 # torus sides the FFT takes fast, 2^a 3^b 5^c up to 2^12
@@ -187,7 +184,7 @@ def _products(values):
     row, first column) of the bounding box of each nonempty m_(a, b) over
     the support box, sorted, from the support alone; ``product(*box)`` is
     m_(a, b) on its box."""
-    e = max(support_extent(values), 1)
+    e = support_extent(values)
     i0, _, j0, _ = support_box(values) or (0, 0, 0, 0)
     f = np.zeros((e, e))
     box = values[i0:i0 + e, j0:j0 + e]
@@ -278,7 +275,7 @@ def build_offset_table(values: np.ndarray, step: float) -> FourPointTable:
     integer-valued grid the correlations are rounded to Q / h^2, an integer.
     """
     boxes, product = _products(values)
-    e = max(support_extent(values), 1)
+    e = support_extent(values)
     offs = np.arange(-(e - 1), e)
     nd = len(offs)
     half = (nd * nd + 1) // 2
@@ -342,7 +339,7 @@ def ring_tents(offsets: np.ndarray, step: float, lam: float, scales, angles: int
     q, nd = angles // 4, len(offsets)
     x = offsets * step
     s = np.asarray(scales, dtype=np.float64)[:, None, None]
-    u = x[None, :] - lam * np.cos(2.0 * np.pi * np.arange(q + 1) / angles)[:, None]
+    u = x[None, :] - lam * np.cos(circle_angles(angles)[:q + 1])[:, None]
     w = np.ones((q + 1, 1))
     w[[0, q]] = 0.5
     at = np.arange(nd)
@@ -415,7 +412,7 @@ def pair_spectrum(values: np.ndarray, step: float, periodic: bool) -> np.ndarray
     buf = values
     if not periodic:
         i0, i1, j0, j1 = support_box(values) or (0, 0, 0, 0)
-        e = max(i1 - i0, j1 - j0, 1)
+        e = support_extent(values)
         buf = np.zeros((2 * e, 2 * e))
         buf[:i1 - i0, :j1 - j0] = values[i0:i1, j0:j1]
     fm = np.fft.rfft2(buf)

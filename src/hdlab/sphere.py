@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import circle_angles
 from .gaussian import KernelSpec, _axis_terms, eval_kernel
 from .grid import ZERO, PlanarGrid
 
@@ -31,7 +32,7 @@ class CircleQuadrature:
             raise ValueError("dilation must be positive")
 
     def angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.node_count) / self.node_count + self.phase
+        return circle_angles(self.node_count) + self.phase
 
     def nodes(self) -> np.ndarray:
         """(M, 2) array of points on the dilated circle."""

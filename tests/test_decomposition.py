@@ -702,6 +702,39 @@ def test_two_slot_forms_check_the_budget_before_the_build(form):
     spy.assert_not_called()
 
 
+@pytest.mark.parametrize("form", ["smooth", "L", "theta"])
+def test_one_slot_forms_check_the_budget_before_the_correlation(form):
+    # every n = 1 form prices the correlation torus and its tents, and refuses
+    # before the correlation is made
+    f = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.25}], 1.0, 1 / 16)
+    with mock.patch.object(counting, "DEFAULT_BUDGET", 1), \
+            mock.patch.object(spectral, "pair_spectrum") as spy:
+        with pytest.raises(ValueError, match="budget"):
+            if form == "smooth":
+                counting_smooth(f, CountingParams(n=1, lam=0.25, eps=0.5, quadrature_nodes=16))
+            elif form == "L":
+                L_form(f, 0.25, 0.25, 1.0, 1, 1, tnodes=4, quadrature_nodes=16)
+            else:
+                theta_form(f, (1.0,), 1, nodes=8)
+    spy.assert_not_called()
+
+
+@pytest.mark.parametrize("field, value", [("quadrature_nodes", 0), ("quadrature_nodes", 2.5),
+                                          ("quadrature_nodes", -4), ("tnodes", 1), ("tnodes", 2.5),
+                                          ("nodes", 1), ("nodes", 2.5)])
+def test_node_counts_are_refused_by_name(field, value):
+    # a node count that is not an integer, or below the least a rule can use
+    # (one circle node, two outer nodes), is a ValueError naming the field
+    f = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.25}], 1.0, 1 / 16)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        if field == "quadrature_nodes":
+            CountingParams(n=1, lam=0.25, quadrature_nodes=value)
+        elif field == "tnodes":
+            L_form(f, 0.25, 0.25, 1.0, 1, 1, tnodes=value, quadrature_nodes=16)
+        else:
+            theta_form(f, (1.0,), 1, nodes=value)
+
+
 def test_default_budget_caps_the_table_memory():
     # a table byte is priced at 64 operations, so the default budget admits
     # support extents up to 74 nodes (a 236 MB triangle), the 64-node

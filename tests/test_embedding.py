@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hdlab import (CountingParams, HypercubeCopy, PlanarSet,
@@ -345,16 +345,48 @@ def test_verify_copy_rejects_wrong_length():
     assert not verify_copy(sq, copy, eta_len=1e-3)
 
 
-def test_bitmap_membership_matches_shapes():
-    shapes = [{"type": "disk", "cx": 2, "cy": 2, "r": 1.2}]
-    g = make_indicator(shapes, 4.0, 1 / 64)
-    A_shape = PlanarSet.from_shapes(shapes, 4.0)
-    A_bmp = PlanarSet.from_bitmap(g)
-    pts = g.node_coords()
-    X1, X2 = np.meshgrid(pts, pts, indexing="ij")
-    m1 = A_shape.membership(X1.ravel(), X2.ravel())
-    m2 = A_bmp.membership(X1.ravel(), X2.ravel())
-    assert np.array_equal(m1, m2)
+@st.composite
+def shape_unions(draw):
+    """(shapes, side, step): a union of rects, disks and stripes on both axes
+    inside the window, with some edges, disk centres and radii on node-centre
+    coordinates or node spacings, so that nodes fall on the boundaries."""
+    side, nodes = draw(st.sampled_from([(1.0, 8), (1.0, 10), (3.0, 12), (4.0, 64)]))
+    step = side / nodes
+    coord = st.one_of(st.integers(0, nodes - 1).map(lambda i: (i + 0.5) * step),
+                      st.floats(0.0, side))
+
+    def span():
+        return sorted((draw(coord), draw(coord)))
+
+    shapes = []
+    for kind in draw(st.lists(st.sampled_from(["rect", "disk", "stripes1d"]), min_size=1, max_size=4)):
+        if kind == "rect":
+            (x0, x1), (y0, y1) = span(), span()
+            shapes.append({"type": "rect", "x0": x0, "y0": y0, "x1": x1, "y1": y1})
+        elif kind == "disk":
+            cx, cy = draw(coord), draw(coord)
+            reach = min(cx, cy, side - cx, side - cy)
+            r = draw(st.one_of(st.integers(0, nodes).map(lambda k: k * step), st.floats(0.0, reach)))
+            assume(r <= reach and 0 <= cx - r and cx + r <= side and 0 <= cy - r and cy + r <= side)
+            shapes.append({"type": "disk", "cx": cx, "cy": cy, "r": r})
+        else:
+            shapes.append({"type": "stripes1d", "axis": draw(st.sampled_from([0, 1])),
+                           "intervals": [span() for _ in range(draw(st.integers(1, 3)))]})
+    return shapes, side, step
+
+
+@settings(max_examples=150)
+@given(shape_unions())
+def test_bitmap_membership_matches_shapes(union):
+    # the raster of a shape union and the union's own membership test agree
+    # exactly at every node centre, boundary nodes included; so does the
+    # bitmap set read back from the raster
+    shapes, side, step = union
+    g = make_indicator(shapes, side, step)
+    X1, X2 = np.meshgrid(g.node_coords(), g.node_coords(), indexing="ij")
+    from_shapes = PlanarSet.from_shapes(shapes, side).membership(X1, X2)
+    assert np.array_equal(g.values, from_shapes.astype(np.float64))
+    assert np.array_equal(PlanarSet.from_bitmap(g).membership(X1, X2), from_shapes)
 
 
 # --- exact 1-d demos ----------------------------------------------------------
