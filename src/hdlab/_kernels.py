@@ -324,20 +324,6 @@ def mc_values(values, h, ys, periodic, out):
 
 
 # ---------------------------------------------------------------------------
-# Gowers box sum on a torus by direct shifts (a test oracle for U^2)
-
-
-def u2_fourth_direct(values, h):
-    n = values.shape[0]
-    total = 0.0
-    for d1 in range(n):
-        for d2 in range(n):
-            inner = (values * np.roll(values, (-d1, -d2), axis=(0, 1))).sum()
-            total += (inner * h * h) ** 2
-    return total * h * h
-
-
-# ---------------------------------------------------------------------------
 # candidate scan over (x, angle tuple) space: a depth-first walk of the
 # angle tree in lexicographic cursor order, early exit, budget with resume
 # cursor

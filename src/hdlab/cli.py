@@ -172,10 +172,11 @@ def _load_set(doc) -> tuple:
     return grid, PlanarSet.from_bitmap(grid)
 
 
-def _search_spec(doc, default_step) -> SearchSpec:
-    """The fields the config sets (``angles`` is ``angle_count``) over the defaults."""
+def _search_spec(doc, **defaults) -> SearchSpec:
+    """The fields the config sets (``angles`` is ``angle_count``) over
+    ``defaults``, then over ``SearchSpec``'s own."""
     fields = {"angle_count" if k == "angles" else k: v for k, v in (doc or {}).items()}
-    return SearchSpec(**{"x_step": default_step, **fields})
+    return SearchSpec(**{**defaults, **fields})
 
 
 def _copy_dict(copy):
@@ -255,7 +256,7 @@ def _run_decompose(cfg, consts) -> dict:
 def _run_embed(cfg, consts) -> dict:
     grid, pset = _load_set(cfg["set"])
     lengths = cfg["lengths"]
-    search = _search_spec(cfg.get("search"), default_step=max(grid.step * 4, grid.side / 64))
+    search = _search_spec(cfg.get("search"), x_step=max(grid.step * 4, grid.side / 64))
     search = search.resolved(lengths)  # the scan's tolerances verify its witness
     out = find_copy(pset, lengths, search)
     verified = bool(out.copy and verify_copy(pset, out.copy, search.eta_len, search.eta_gap))
@@ -266,9 +267,7 @@ def _run_embed(cfg, consts) -> dict:
 
 def _run_interval(cfg, consts) -> dict:
     grid, pset = _load_set(cfg["set"])
-    search = None
-    if "search" in cfg:
-        search = _search_spec(cfg["search"], default_step=grid.step * 4)
+    search = _search_spec(cfg.get("search"))  # pigeonhole_interval fills what it omits
     coeff = consts.value("J_coeff") if "J_coeff" in consts.entries else None
     res = pigeonhole_interval(pset, cfg["delta"], cfg["n"], cfg["eps"], cfg["J"],
                               search=search, quadrature_nodes=cfg.get("M", 128),

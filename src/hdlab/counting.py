@@ -12,7 +12,8 @@ The smoothed form is the T = 1, slot-0 call of ``_form_values``, which also
 gives the derivative and box forms of ``decomposition`` at T outer scales.
 For n = 1 it is the pair correlation of f times tent weights; for n = 2 the
 four-point table of f contracted with tent weights in both slots.  The
-correlation and the table depend only on f and are memoised on the grid.
+correlation and the table depend only on f and are memoised on the grid,
+as are the tents' Gaussian profiles, which depend on the grid's offsets.
 """
 
 from __future__ import annotations
@@ -109,19 +110,6 @@ def eval_F(f: PlanarGrid, x, ys) -> float:
     return float(
         _kernels.vertex_product(f.values, f.step, float(x[0]), float(x[1]), ys, f.periodic)
     )
-
-
-def _eval_F_recurrence(f: PlanarGrid, x, ys) -> float:
-    """``eval_F`` by splitting off the last edge vector and multiplying the
-    two half-products; an independent oracle for the direct product."""
-    ys = np.asarray(ys, dtype=np.float64).reshape(-1, 2)
-    x = np.asarray(x, dtype=np.float64)
-    if len(ys) == 1:
-        a = float(f.value_at(x[0], x[1]))
-        b = float(f.value_at(x[0] + ys[0, 0], x[1] + ys[0, 1]))
-        return a * b
-    head, last = ys[:-1], ys[-1]
-    return _eval_F_recurrence(f, x, head) * _eval_F_recurrence(f, x + last, head)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +219,10 @@ def _form_values(f: PlanarGrid, tab: spectral.FourPointTable | None, m: int, lam
     ``tent_scales`` (default ``scales``, where the table's swap symmetry
     makes m = 1 and m = 2 one form and one profile pass gives c and dc).
     Nodes go in chunks whose blocks of ``column`` elements per node stay
-    within ``_kernels.STACK_ELEMENTS``.
+    within ``_kernels.STACK_ELEMENTS``.  The tents' folded profiles are
+    memoised on f (``_tent_profiles``, see ``spectral.ring_tents``) per
+    chunk of scales, so forms that share a chunk, its radius and its angle
+    count evaluate them once.
     """
     scales = np.asarray(scales, dtype=np.float64)
     angles = 1 if params is None else _ring_angles(params, f.step)
@@ -245,10 +236,11 @@ def _form_values(f: PlanarGrid, tab: spectral.FourPointTable | None, m: int, lam
         offsets = tab.offsets
     nd = len(offsets)
     column = max(nd * nd, (nd + 2) * angles)
+    memo = _grid_memo(f, "_tent_profiles")
 
     def tents(s, deriv, both=False):
-        return (spectral.ball_tents(offsets, f.step, s, deriv, both) if params is None
-                else spectral.ring_tents(offsets, f.step, lam, s, angles, deriv, both))
+        return (spectral.ball_tents(offsets, f.step, s, deriv, both, memo) if params is None
+                else spectral.ring_tents(offsets, f.step, lam, s, angles, deriv, both, memo))
 
     def slot(s, laplacian):
         return -2.0 * math.pi * s * tents(s, True) if laplacian else tents(s, False)
@@ -331,8 +323,8 @@ def gowers_norm(f: PlanarGrid, n: int) -> float:
     translate of m_d, so ``spectral.offset_products`` transforms one of
     each pair, on the torus of its bounding box for a zero-extended grid.
     The tests check U^2 against two oracles that agree with it
-    algebraically: direct shifted sums (``_kernels.u2_fourth_direct``) and
-    the Parseval sum of the fourth power of the transform.
+    algebraically: direct shifted sums and the Parseval sum of the fourth
+    power of the transform (``tests/conftest.py::u2_routes``).
     """
     if not 1 <= n <= MAX_DIMENSION:
         raise ValueError(f"box norm order must be 1..{MAX_DIMENSION}")

@@ -230,8 +230,9 @@ def check_structured_bound(sets, lam_values, n: int, frozen: float | None = None
                            **kw) -> BoundCheck:
     """Minimum of smooth_1 / ((|B|/R^2)^(2^n) R^2) over sets and scales.
 
-    A set's memoised four-point table is dropped once its scales are done,
-    so a list of sets holds at most one table at a time.
+    A set's memoised four-point table and tent profiles are dropped once
+    its scales are done, so a list of sets holds at most one of each at a
+    time.
     """
     ratios = []
     for f in sets:
@@ -240,7 +241,8 @@ def check_structured_bound(sets, lam_values, n: int, frozen: float | None = None
         for lam in lam_values:
             val = structured_part(f, lam, n, **kw)
             ratios.append(val / denom)
-        vars(f).pop("_offset_tables", None)
+        for memo in ("_offset_tables", "_tent_profiles"):
+            vars(f).pop(memo, None)
     worst = min(ratios)
     bound = frozen if frozen is not None else 0.0
     return BoundCheck(worst, bound, worst >= bound, {"ratios": ratios})

@@ -94,7 +94,7 @@ class HypercubeCopy:
 
 @dataclass(frozen=True)
 class SearchSpec:
-    x_step: float
+    x_step: float = 0.0           # 0 = unset: pigeonhole_interval fills it, find_copy refuses it
     angle_count: int = 0          # 0 = default for the order searched
     eta_len: float = 0.0          # 0 = x_step
     eta_gap: float = 0.0          # 0 = min(lengths) / 1000
@@ -320,9 +320,11 @@ def pigeonhole_interval(A: PlanarSet, delta: float, n: int, eps: float, depth: i
 
     For each j the error part smooth_eps - smooth_1 is evaluated at the
     midpoint of I_j = [4^-j, 2 * 4^-j); the j minimising its size wins, and
-    copies are searched at ``_SAMPLES_PER_INTERVAL`` scales inside I_j.  A result
-    without any witness carries ``witness_found=False``: the scan is
-    resolution-limited, absence is not a refutation.
+    copies are searched at ``_SAMPLES_PER_INTERVAL`` scales inside I_j, by
+    ``search`` (default ``SearchSpec()``) with an unset ``x_step`` taken as
+    max(4h, |I_j| / 8).  A result without any witness carries
+    ``witness_found=False``: the scan is resolution-limited, absence is not
+    a refutation.
     """
     if A.kind != "bitmap":
         raise ValueError("the interval selection runs on bitmap sets")
@@ -339,8 +341,9 @@ def pigeonhole_interval(A: PlanarSet, delta: float, n: int, eps: float, depth: i
     lo, hi = 4.0**-best_j, 2.0 * 4.0**-best_j
     scales = tuple(lo * (1.0 + (2 * k + 1) / (2.0 * _SAMPLES_PER_INTERVAL))
                    for k in range(_SAMPLES_PER_INTERVAL))
-    if search is None:
-        search = SearchSpec(x_step=max(4 * g.step, lo / 8))
+    search = search or SearchSpec()
+    if not search.x_step:
+        search = replace(search, x_step=max(4 * g.step, lo / 8))
     witnesses = []
     for lam in scales:
         out = find_copy(A, (lam,) * n, search)

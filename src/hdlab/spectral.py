@@ -25,6 +25,14 @@ the outer quadrature.  Weights carry T outer scale nodes on their last axis;
 ``counting._form_values`` cuts T so that each (offsets^2 x T) block and
 each block of ring profiles, (angles/4 + 1) x offsets per scale, stays
 within ``_kernels.STACK_ELEMENTS``.
+
+The folded profiles are the erfcx-heavy part of the tents, and the forms
+of one grid ask for the same ones again: L_form's n = 1 and n = 2 share
+their rings, theta_form's slots share their balls.  So ``_form_values``
+hands ``ring_tents`` and ``ball_tents`` a dict memo that lives on the
+grid, as the four-point table does; the same profiles then come from one
+evaluation, and the contraction and the gather onto the stored half are
+redone per call.
 """
 
 from __future__ import annotations
@@ -312,7 +320,7 @@ def build_offset_table(values: np.ndarray, step: float) -> FourPointTable:
 
 
 def ring_tents(offsets: np.ndarray, step: float, lam: float, scales, angles: int,
-               deriv: bool = False, both: bool = False):
+               deriv: bool = False, both: bool = False, memo: dict | None = None):
     """Tent weights of sigma_lam * g_s (equal-weight circle nodes) at the
     offsets d = (offsets[a], offsets[b]) * step, on the stored half: the
     rows k = a nd + b up to d = 0, in the row order of ``FourPointTable``.
@@ -333,6 +341,11 @@ def ring_tents(offsets: np.ndarray, step: float, lam: float, scales, angles: int
     (T, e, q+1) @ (T, q+1, e) product per term and gathered at |d1|, |d2|.
     Row k holds c(d) times its mirror count: 2, as -d has the same weight,
     or 1 for d = 0, its own mirror when nd is odd.
+
+    ``memo``, a dict, keeps each folded profile array (T, q+1, e) under its
+    kind, lam, the angle count, the offsets times ``step`` and the scales,
+    so calls that share them evaluate the profiles once; the products and
+    the gather are redone per call.
     """
     if angles % 4:
         raise ValueError(f"ring_tents needs an angle count divisible by 4, got {angles}")
@@ -347,11 +360,16 @@ def ring_tents(offsets: np.ndarray, step: float, lam: float, scales, angles: int
     k = np.arange((nd * nd + 1) // 2)
     ia, ib = at[k // nd], at[k % nd]
 
+    memo = {} if memo is None else memo
+
     def folded(fn):
         """(S_j transposed, w_j S_(q-j)): S on the offsets >= 0, the
         profile at -d added to that at d."""
-        p = fn(u, s, step)
-        p = p[..., nd // 2:] + p[..., (nd - 1) // 2::-1]
+        key = (fn.__name__, lam, angles, x.tobytes(), s.tobytes())
+        if key not in memo:
+            p = fn(u, s, step)
+            memo[key] = p[..., nd // 2:] + p[..., (nd - 1) // 2::-1]
+        p = memo[key]
         return p.transpose(0, 2, 1), w * p[:, ::-1]
 
     def half(c):
@@ -371,12 +389,13 @@ _ring_tents = ring_tents  # ball_tents' call, which a wrapper of the public name
 
 
 def ball_tents(offsets: np.ndarray, step: float, scales, deriv: bool = False,
-               both: bool = False):
+               both: bool = False, memo: dict | None = None):
     """Tent weights of the plain Gaussians g_s centred at the origin.
 
-    The ring of radius 0 with four nodes; same layout as ``ring_tents``.
+    The ring of radius 0 with four nodes; same layout and ``memo`` as
+    ``ring_tents``.
     """
-    return _ring_tents(offsets, step, 0.0, scales, 4, deriv, both)
+    return _ring_tents(offsets, step, 0.0, scales, 4, deriv, both, memo)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,23 @@ def test_interval_command(tmp_path):
     assert doc["report"]["witness_found"] is True
 
 
+def test_interval_search_block_without_x_step_keeps_the_default_step(tmp_path):
+    # the scan steps at max(4h, |I_j| / 8) = 1/32 here, whether or not a
+    # search block is given; at 4h = 1/64 the first witness base moves
+    base = {"command": "interval",
+            "set": {"R": 1.0, "h": 1 / 256,
+                    "shapes": [{"type": "rect", "x0": 0.3, "y0": 0.3, "x1": 0.7, "y1": 0.7}]},
+            "delta": 0.1, "n": 1, "eps": 0.5, "J": 1, "M": 16}
+    reports = []
+    for extra in ({}, {"search": {}}):
+        out = tmp_path / f"out{len(extra)}"
+        assert run_cli(["interval", "--config", write_config(tmp_path, {**base, **extra}),
+                        "--out", out]) == 0
+        reports.append(json.loads((out / "interval.json").read_text())["report"])
+    assert reports[0] == reports[1]
+    assert reports[0]["witnesses"][0]["base"] == [0.328125, 0.328125]
+
+
 def test_counterexample_command(tmp_path):
     cfg = write_config(tmp_path, {"command": "counterexample", "kind": "banach_Z",
                                   "lambda": 0.5})

@@ -11,7 +11,6 @@ from hdlab import (PERIODIC, ZERO, CountingParams, PlanarGrid, _kernels, countin
                    counting_sharp, counting_smooth, degenerate_mass, eval_F,
                    make_indicator, spectral)
 from hdlab.calibrate import random_grid, random_mask
-from hdlab.counting import _eval_F_recurrence
 
 from conftest import assemble_ref, four_point_ref, seeded_rng
 
@@ -34,6 +33,19 @@ def test_eval_F_unit_square_cases():
     assert outside == 0.0
 
 
+def eval_F_recurrence(f, x, ys) -> float:
+    """``eval_F`` by splitting off the last edge vector and multiplying the
+    two half-products; an independent oracle for the direct product."""
+    ys = np.asarray(ys, dtype=np.float64).reshape(-1, 2)
+    x = np.asarray(x, dtype=np.float64)
+    if len(ys) == 1:
+        a = float(f.value_at(x[0], x[1]))
+        b = float(f.value_at(x[0] + ys[0, 0], x[1] + ys[0, 1]))
+        return a * b
+    head, last = ys[:-1], ys[-1]
+    return eval_F_recurrence(f, x, head) * eval_F_recurrence(f, x + last, head)
+
+
 def test_eval_F_recurrence_agrees_with_direct():
     rng = seeded_rng(11)
     g = PlanarGrid(1.0, 1 / 32, rng.random((32, 32)))
@@ -43,7 +55,7 @@ def test_eval_F_recurrence_agrees_with_direct():
         x = rng.uniform(0, 1, 2)
         ys = rng.uniform(-0.4, 0.4, (n, 2))
         a = eval_F(g, x, ys)
-        b = _eval_F_recurrence(g, x, ys)
+        b = eval_F_recurrence(g, x, ys)
         worst = max(worst, abs(a - b))
     assert worst <= 1e-12
 
@@ -75,7 +87,7 @@ def test_eval_F_routes_agree(n, nodes, seed, periodic, reach):
     x = rng.uniform(0.0, 1.0, 2)
     ys = rng.uniform(-reach, reach, (n, 2))
     a = eval_F(g, x, ys)
-    b = _eval_F_recurrence(g, x, ys)
+    b = eval_F_recurrence(g, x, ys)
     assert abs(a - b) <= 1e-12 * abs(b), (a, b)
     # one batched read of the vertices gives the bits of one read per vertex
     assert a == vertex_product_ref(g.values, g.step, x[0], x[1], ys, g.periodic)

@@ -71,8 +71,9 @@ def test_structured_bound_sub_square_sweep():
 
 
 def test_structured_bound_holds_one_set_of_tables_at_a_time():
-    # each set's memoised table goes once its scales are done: the
-    # peak over three sets is that of one, and the ratios are unchanged
+    # each set's memoised table and tent profiles go once its scales are
+    # done: the peak over three sets is that of one, and the ratios are
+    # unchanged
     masks = [random_mask(1.0, 24, 0.5, 40 + i) for i in range(3)]
     lams = (0.125, 0.25)
 
@@ -87,7 +88,7 @@ def test_structured_bound_holds_one_set_of_tables_at_a_time():
     alone = [traced([random_mask(1.0, 24, 0.5, 40 + i)]) for i in range(3)]
     chk, peak = traced(masks)
     assert chk.detail["ratios"] == [r for c, _ in alone for r in c.detail["ratios"]]
-    assert not any(hasattr(f, "_offset_tables") for f in masks)
+    assert not any(hasattr(f, memo) for f in masks for memo in ("_offset_tables", "_tent_profiles"))
     # a 24-node mask's table is the triangle of its 1105 half rows and
     # columns in float32, 2.7 MB; holding all three tables would add 5.4 MB
     # to the single-set peak
@@ -568,6 +569,45 @@ def test_counting_smooth_matches_single_node_reference(n, boundary, nodes, densi
     got = counting_smooth(f, params).value
     # the tolerances of test_batched_forms_match_node_loops
     assert abs(got - want) <= (1e-12 if n == 1 else 1e-6) * magnitude, (got, want)
+
+
+def memo_calls(boundary, lam):
+    """Forms of one grid whose tents share folded profiles: on a zero-extended
+    grid L_form's n = 1 and n = 2 share rings and theta_form's slots share
+    balls.  The two counting_smooth calls share their scale and angle count
+    (M = 128 is above 6 pi / eps) but not lam; on a periodic grid the n = 1
+    offsets depend on lam and, through L_form's largest scale, on beta,
+    while its first scale node is alpha lam for either beta."""
+    smooth = [lambda f, n=n, radius=radius, eps=eps: counting_smooth(f, CountingParams(
+                  n=n, lam=radius, eps=eps, quadrature_nodes=128)).value
+              for n in ((1,) if boundary == PERIODIC else (1, 2))
+              for radius, eps in ((lam, 0.5), (2.0 * lam, 0.25))]
+    if boundary == PERIODIC:
+        return smooth + [lambda f, beta=beta: L_form(f, lam, 0.25, beta, 1, 1, tnodes=3,
+                                                     quadrature_nodes=16) for beta in (0.5, 1.0)]
+    return smooth + \
+        [lambda f, n=n, m=m: L_form(f, lam, 0.25, 1.0, m, n, tnodes=3, quadrature_nodes=16)
+         for n, m in ((1, 1), (2, 1), (2, 2))] + \
+        [lambda f, n=n, m=m: theta_form(f, (1.0, math.sqrt(2.0))[:n], m, nodes=3)
+         for n, m in ((1, 1), (2, 1), (2, 2))]
+
+
+@pytest.mark.parametrize("boundary", [ZERO, PERIODIC])
+@settings(max_examples=15)
+@given(nodes=st.integers(4, 10), density=st.floats(0.1, 1.0), seed=st.integers(0, 2**32 - 1),
+       lam_cells=st.floats(1.0, 4.0), order=st.permutations(range(10)),
+       stack_elements=st.sampled_from([1, 3000, _kernels.STACK_ELEMENTS]))
+def test_memoised_forms_equal_forms_on_a_fresh_grid(boundary, nodes, density, seed, lam_cells,
+                                                     order, stack_elements):
+    # a stack of one element makes each scale node its own chunk, so forms
+    # that share a node share the memo entry of its profiles
+    values = (seeded_rng(seed).random((nodes, nodes)) < density).astype(float)
+    calls = memo_calls(boundary, lam_cells / nodes)
+    with mock.patch.object(_kernels, "STACK_ELEMENTS", stack_elements):
+        warm = PlanarGrid(1.0, 1.0 / nodes, values, boundary)
+        got = {i: calls[i](warm) for i in order if i < len(calls)}
+        for i, call in enumerate(calls):
+            assert got[i] == call(PlanarGrid(1.0, 1.0 / nodes, values, boundary)), i
 
 
 def test_edge_heavy_draws_keep_two_slot_values_nonnegative():
