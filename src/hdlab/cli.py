@@ -8,6 +8,15 @@ of a named PGM file), so identical runs are byte-identical and served from
 the cache.  One run at a time per output directory (lock file holding the
 PID; a lock whose PID is no longer running is taken over).
 
+The schemas (``SCHEMAS``) are JSON Schema documents, checked by
+``schema_error``, which implements the subset of Draft 2020-12 they use:
+``type``, ``required``, ``properties``, ``additionalProperties: false``,
+``enum``, ``const``, ``minimum``, ``maximum``, ``exclusiveMinimum``,
+``minItems``, ``maxItems``, ``items``, ``oneOf``, ``allOf`` and
+``if``/``then``.  ``tests/test_cli.py::test_schemas_use_only_implemented_keywords``
+fails on any other keyword, and a property test there holds the checker
+to jsonschema's ``Draft202012Validator`` on mutated configs.
+
 Exit codes: 0 success, 1 numerical invariant failure (named on stderr),
 2 config/schema violation.
 """
@@ -18,6 +27,7 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import os
 import shutil
 import sys
@@ -25,7 +35,6 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -154,6 +163,137 @@ SCHEMAS = {
     }),
     "calibrate": _command_schema("calibrate", [], {}),
 }
+
+
+def _is_type(x, kind: str) -> bool:
+    """JSON types of a parsed value: true is no number, 1.0 is an integer."""
+    if kind in ("number", "integer"):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            return False
+        return kind == "number" or isinstance(x, int) or x.is_integer()
+    return isinstance(x, {"object": dict, "array": list, "string": str,
+                          "boolean": bool, "null": type(None)}[kind])
+
+
+def _equal(x, want) -> bool:
+    """JSON equality with a scalar ``want``: true and 1 differ, 1.0 and 1 do not."""
+    return isinstance(x, bool) == isinstance(want, bool) and x == want
+
+
+# Each check is a generator of the (path, message) violations of one keyword,
+# given the value, the keyword's argument, the schema holding it and the path.
+
+
+def _type(x, kinds, schema, path):
+    if not any(_is_type(x, k) for k in ([kinds] if isinstance(kinds, str) else kinds)):
+        yield path, f"{x!r} is not of type {kinds!r}"
+
+
+def _required(x, keys, schema, path):
+    if isinstance(x, dict):
+        for k in keys:
+            if k not in x:
+                yield path, f"{k!r} is a required property"
+
+
+def _properties(x, props, schema, path):
+    if isinstance(x, dict):
+        for k, sub in props.items():
+            if k in x:
+                yield from _violations(x[k], sub, path + (k,))
+
+
+def _no_additional(x, allowed, schema, path):
+    # only ``false``: test_schemas_use_only_implemented_keywords enforces it
+    if isinstance(x, dict):
+        for k in x:
+            if k not in schema.get("properties", {}):
+                yield path, f"additionalProperties are not allowed ({k!r} was unexpected)"
+
+
+def _enum(x, values, schema, path):
+    if not any(_equal(x, v) for v in values):
+        yield path, f"{x!r} is not one of the enum {values!r}"
+
+
+def _const(x, value, schema, path):
+    if not _equal(x, value):
+        yield path, f"{x!r} is not the const {value!r}"
+
+
+def _bound(fails, words: str):
+    # compares the way a violation is worded, so NaN passes, as in jsonschema
+    def check(x, bound, schema, path):
+        if _is_type(x, "number") and fails(x, bound):
+            yield path, f"{x!r} is {words} {bound!r}"
+    return check
+
+
+def _length(fails, keyword: str):
+    def check(x, bound, schema, path):
+        if isinstance(x, list) and fails(len(x), bound):
+            yield path, f"{len(x)} items against {keyword} {bound}"
+    return check
+
+
+def _items(x, sub, schema, path):
+    if isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from _violations(v, sub, path + (i,))
+
+
+def _one_of(x, branches, schema, path):
+    found = [next(_violations(x, branch, path), None) for branch in branches]
+    matches = found.count(None)
+    if matches > 1:
+        yield path, f"valid under {matches} oneOf branches, not exactly one"
+    elif matches == 0:
+        # the branch that got furthest into the value names the fault; on a
+        # tie none does
+        depths = [len(where) for where, _ in found]
+        if depths.count(max(depths)) == 1:
+            yield found[depths.index(max(depths))]
+        else:
+            yield path, "valid under none of the oneOf branches"
+
+
+def _all_of(x, subs, schema, path):
+    for sub in subs:
+        yield from _violations(x, sub, path)
+
+
+def _if(x, cond, schema, path):
+    if next(_violations(x, cond, path), None) is None:
+        yield from _violations(x, schema.get("then", {}), path)
+
+
+_CHECKS = {
+    "type": _type, "required": _required, "properties": _properties,
+    "additionalProperties": _no_additional, "enum": _enum, "const": _const,
+    "minimum": _bound(operator.lt, "less than the minimum of"),
+    "maximum": _bound(operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum of"),
+    "minItems": _length(operator.lt, "minItems"), "maxItems": _length(operator.gt, "maxItems"),
+    "items": _items, "oneOf": _one_of, "allOf": _all_of,
+    "if": _if, "then": lambda x, sub, schema, path: iter(()),  # read by "if"
+}
+
+
+def _violations(x, schema: dict, path: tuple = ()):
+    """The (path, message) violations of ``x`` against ``schema``, lazily."""
+    for keyword, argument in schema.items():
+        yield from _CHECKS[keyword](x, argument, schema, path)
+
+
+def schema_error(config, schema: dict):
+    """``"<JSON path>: <message>"`` for the first way ``config`` breaks
+    ``schema``, or None when it conforms.  ``schema`` uses only the
+    keywords of the module docstring."""
+    found = next(_violations(config, schema), None)
+    if found is None:
+        return None
+    path, message = found
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path) + f": {message}"
 
 
 class InvariantFailure(RuntimeError):
@@ -397,14 +537,13 @@ def run(config: dict, out_dir, constants_path=None, use_cache: bool = True) -> i
     if command not in SCHEMAS:
         print(f"error: unknown command {command!r}", file=sys.stderr)
         return 2
-    # jsonschema.validate without its metaschema check of the schema, which
-    # costs ~10 ms a run; tests check each schema against its metaschema once
-    schema = SCHEMAS[command]
-    exc = jsonschema.exceptions.best_match(
-        jsonschema.validators.validator_for(schema)(schema).iter_errors(config))
-    if exc is not None:
-        print(f"error: config does not match the {command} schema: "
-              f"{exc.json_path}: {exc.message}", file=sys.stderr)
+    # Draft 2020-12 restricted to type, required, properties,
+    # additionalProperties: false, enum, const, minimum, maximum,
+    # exclusiveMinimum, minItems, maxItems, items, oneOf, allOf and if/then;
+    # test_schemas_use_only_implemented_keywords fails on any other keyword
+    problem = schema_error(config, SCHEMAS[command])
+    if problem is not None:
+        print(f"error: config does not match the {command} schema: {problem}", file=sys.stderr)
         return 2
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -480,6 +619,9 @@ def main(argv=None) -> int:
             return 2
     else:
         config = {"command": args.command}
+    if not isinstance(config, dict):
+        print(f"error: config is not a JSON object: {config!r}", file=sys.stderr)
+        return 2
     if config.get("command") != args.command:
         print(
             f"error: config command {config.get('command')!r} does not match "

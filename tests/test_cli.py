@@ -7,6 +7,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdlab import CountingParams, cli, counting_smooth
 from hdlab.calibrate import random_mask
@@ -98,6 +100,174 @@ def test_schemas_are_valid(command):
     # run validates configs without checking the schema itself
     schema = cli.SCHEMAS[command]
     jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def unimplemented_keywords(schema) -> list:
+    """The keywords of ``schema`` and its subschemas that ``cli.schema_error``
+    does not implement, in walk order."""
+    bad = []
+    for key, arg in schema.items():
+        if (key not in cli._CHECKS or (key == "additionalProperties" and arg is not False)
+                or (key == "then" and "if" not in schema)):
+            bad.append(key)
+        subs = (arg.values() if key == "properties" else arg if key in ("oneOf", "allOf")
+                else [arg] if key in ("items", "if", "then") else [])
+        for sub in subs:
+            bad += unimplemented_keywords(sub)
+    return bad
+
+
+@pytest.mark.parametrize("command", sorted(cli.SCHEMAS))
+def test_schemas_use_only_implemented_keywords(command):
+    assert unimplemented_keywords(cli.SCHEMAS[command]) == []
+
+
+def test_unimplemented_keyword_is_reported():
+    schema = {"type": "object", "properties": {"a": {"items": {"pattern": "x"}}},
+              "additionalProperties": {"type": "number"}, "then": {}}
+    assert unimplemented_keywords(schema) == ["pattern", "additionalProperties", "then"]
+
+
+# one valid config per command, together using every property and every
+# kind of set; the property test below mutates them
+VALID_CONFIGS = [
+    {"command": "identities", "pairs": [[1.0, 2]], "seed": 3, "side": 8.0, "step": 0.25},
+    {"command": "counting",
+     "set": {"R": 1.0, "h": 0.25, "boundary": "periodic", "shapes": [
+         {"type": "rect", "x0": 0, "y0": 0, "x1": 1, "y1": 1},
+         {"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.25},
+         {"type": "stripes1d", "axis": 1, "intervals": [[0.1, 0.2]]}]},
+     "params": {"n": 2, "lambda": 0.5, "eps": 1, "M": 8, "estimator": "monte_carlo",
+                "mc_samples": 2, "seed": 0},
+     "form": "smooth"},
+    {"command": "decompose", "set": {"pgm": "set.pgm", "side": 2.0}, "n": 1, "eps": 0.5,
+     "M": 4, "ladder": {"smallest": 0.125, "count": 2, "ratio": 2}},
+    {"command": "embed", "set": DISK_SET, "lengths": [0.2, 0.3, 0.4],
+     "search": {"x_step": 0.1, "angles": 4, "eta_len": 0, "eta_gap": 0.1, "budget": 1,
+                "resume_cursor": 0}},
+    {"command": "interval", "set": {"R": 1.0, "h": 0.5, "boundary": "zero", "shapes": []},
+     "delta": 0.5, "n": 2, "eps": 1, "J": 1, "M": 4, "search": {}},
+    {"command": "counterexample", "kind": "stripes", "lambda": "1/2", "eps": 0.25},
+    {"command": "calibrate"},
+]
+
+
+def schema_bounds(schema) -> set:
+    """Every minimum, maximum and exclusiveMinimum of a schema tree."""
+    if isinstance(schema, list):
+        return set().union(*map(schema_bounds, schema))
+    if not isinstance(schema, dict):
+        return set()
+    own = {v for k, v in schema.items() if k in ("minimum", "maximum", "exclusiveMinimum")}
+    return own.union(*map(schema_bounds, schema.values()))
+
+
+BOUNDS = sorted(schema_bounds(list(cli.SCHEMAS.values())))
+# numbers at, next to and across each bound, integral ones as integers and
+# as floats (a set would keep only one of 1 and 1.0)
+NUMBERS = [b + d for b in BOUNDS for d in (-1, -0.5, -1e-9, 0, 1e-9, 0.5, 1)]
+NUMBERS += [float(b) for b in NUMBERS if float(b).is_integer()]
+# a value of every JSON type, true and 1.0 among them
+OTHER_TYPES = [True, False, None, 1.0, 1, 0, -1, 0.5, float("nan"), float("inf"), "1", "",
+               "stripes", [], [1.0, 2.0], {}, {"type": "rect"}]
+# keys a config may lack or not know: a set's R, h or pgm next to the
+# other branch's, a shape's type, and unknown names
+EXTRA_KEYS = [("pgm", "set.pgm"), ("R", 1.0), ("h", 0.25), ("side", 1.0), ("type", "disk"),
+              ("type", "stripes1d"), ("command", "embed"), ("M", 4), ("unknown", 1),
+              ("resume", 0)]
+
+
+def config_nodes(doc, path=()):
+    """Every (path, value) of a config, the root first."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from config_nodes(value, path + (key,))
+
+
+def mutate(doc, data) -> object:
+    """``doc`` with one node changed: a key dropped or added, a value
+    swapped for another type or moved across a bound, or an array resized."""
+    nodes = list(config_nodes(doc))
+    op = data.draw(st.sampled_from(["drop", "add", "swap", "number", "resize"]))
+    targets = {
+        "drop": [p for p, v in nodes if isinstance(v, dict) and v],
+        "add": [p for p, v in nodes if isinstance(v, dict)],
+        "number": [p for p, v in nodes if isinstance(v, (int, float)) and not isinstance(v, bool)],
+        "resize": [p for p, v in nodes if isinstance(v, list)],
+    }.get(op, [p for p, _ in nodes[1:]])
+    if not targets:
+        return doc
+    path = data.draw(st.sampled_from(targets))
+    node = dict(nodes)[path]
+    if op == "drop":
+        key = data.draw(st.sampled_from(sorted(node)))
+        value = {k: v for k, v in node.items() if k != key}
+    elif op == "add":
+        key, extra = data.draw(st.sampled_from(EXTRA_KEYS))
+        value = {**node, key: extra}
+    elif op == "swap":
+        value = data.draw(st.sampled_from(OTHER_TYPES))
+    elif op == "number":
+        value = data.draw(st.sampled_from(NUMBERS))
+    else:
+        fill = node[-1] if node else data.draw(st.sampled_from([0.5, [0.1, 0.2]]))
+        value = (node + [fill] * 5)[:data.draw(st.integers(0, 5))]
+    return replace_at(doc, path, value)
+
+
+def replace_at(doc, path, value):
+    """A copy of ``doc`` with ``value`` at ``path``."""
+    if not path:
+        return value
+    out = json.loads(json.dumps(doc))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+ORACLES = {command: jsonschema.Draft202012Validator(schema)
+           for command, schema in cli.SCHEMAS.items()}
+
+
+@settings(max_examples=600)
+@given(base=st.sampled_from(VALID_CONFIGS), mutations=st.integers(1, 3), data=st.data())
+def test_schema_error_agrees_with_jsonschema(base, mutations, data, tmp_path_factory):
+    command = base["command"]
+    assert cli.schema_error(base, cli.SCHEMAS[command]) is None
+    cfg = base
+    for _ in range(mutations):
+        cfg = mutate(cfg, data)
+    error = cli.schema_error(cfg, cli.SCHEMAS[command])
+    assert (error is None) == ORACLES[command].is_valid(cfg), error
+    if error is not None:
+        # an invalid config exits 2 before the run makes its output directory
+        tmp = tmp_path_factory.getbasetemp()
+        out = tmp / "schema-property-out"
+        assert run_cli([command, "--config", write_config(tmp, cfg), "--out", out]) == 2
+        assert not out.exists()
+
+
+def test_each_single_substitution_agrees_with_jsonschema():
+    # every value of the pools at every node of every valid config: the
+    # property above reaches a given leaf with a given value only rarely
+    disagree = []
+    for base in VALID_CONFIGS:
+        schema, oracle = cli.SCHEMAS[base["command"]], ORACLES[base["command"]]
+        for path, _ in list(config_nodes(base))[1:]:
+            for value in OTHER_TYPES + NUMBERS:
+                cfg = replace_at(base, path, value)
+                if (cli.schema_error(cfg, schema) is None) != oracle.is_valid(cfg):
+                    disagree.append((base["command"], path, value))
+    assert disagree == []
+
+
+def test_config_that_is_no_object_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, [{"command": "calibrate"}])
+    assert run_cli(["calibrate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith("error: config is not a JSON object")
 
 
 def test_command_mismatch_exit_2(tmp_path):

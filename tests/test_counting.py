@@ -33,30 +33,35 @@ def test_eval_F_unit_square_cases():
     assert outside == 0.0
 
 
-def eval_F_recurrence(f, x, ys) -> float:
+def eval_F_recurrence(f, x, ys):
     """``eval_F`` by splitting off the last edge vector and multiplying the
-    two half-products; an independent oracle for the direct product."""
-    ys = np.asarray(ys, dtype=np.float64).reshape(-1, 2)
+    two half-products; an independent oracle for the direct product.
+
+    ``x`` (..., 2) and ``ys`` (..., n, 2) may carry leading axes of draws
+    sharing one n; each recursion leaf reads its vertices of every draw in
+    one array ``value_at`` call."""
+    ys = np.asarray(ys, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if len(ys) == 1:
-        a = float(f.value_at(x[0], x[1]))
-        b = float(f.value_at(x[0] + ys[0, 0], x[1] + ys[0, 1]))
+    if ys.shape[-2] == 1:
+        a = f.value_at(x[..., 0], x[..., 1])
+        b = f.value_at(x[..., 0] + ys[..., 0, 0], x[..., 1] + ys[..., 0, 1])
         return a * b
-    head, last = ys[:-1], ys[-1]
+    head, last = ys[..., :-1, :], ys[..., -1, :]
     return eval_F_recurrence(f, x, head) * eval_F_recurrence(f, x + last, head)
 
 
 def test_eval_F_recurrence_agrees_with_direct():
     rng = seeded_rng(11)
     g = PlanarGrid(1.0, 1 / 32, rng.random((32, 32)))
-    worst = 0.0
+    draws = {1: [], 2: [], 3: []}
     for _ in range(10_000):
         n = int(rng.integers(1, 4))
-        x = rng.uniform(0, 1, 2)
-        ys = rng.uniform(-0.4, 0.4, (n, 2))
-        a = eval_F(g, x, ys)
-        b = eval_F_recurrence(g, x, ys)
-        worst = max(worst, abs(a - b))
+        draws[n].append((rng.uniform(0, 1, 2), rng.uniform(-0.4, 0.4, (n, 2))))
+    worst = 0.0
+    for n, xys in draws.items():
+        x, ys = (np.array(v) for v in zip(*xys))
+        a = np.array([eval_F(g, xi, yi) for xi, yi in xys])
+        worst = max(worst, np.abs(a - eval_F_recurrence(g, x, ys)).max())
     assert worst <= 1e-12
 
 

@@ -1,7 +1,8 @@
 """Every name a module of the package or a test file imports is used in it,
-and the CLI starts without SciPy."""
+and the CLI starts without SciPy or jsonschema."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -43,11 +44,17 @@ def test_unused_import_is_reported():
 
 
 def test_cli_import_loads_no_scipy():
-    # SciPy is a test-only reference; a fresh interpreter importing the CLI
-    # must not load any of it
+    # SciPy is a test-only reference and jsonschema (with its referencing
+    # and rpds) a test-only oracle of cli.schema_error: a fresh interpreter
+    # importing the CLI must load none of them.  It loads every module of the
+    # package all the same, so the saving is not a deferred import
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    code = ("import sys, hdlab.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    code = ("import json, sys, hdlab.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'jsonschema', 'referencing', 'rpds', 'hdlab'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    loaded = set(json.loads(out.stdout))
+    assert sorted(m for m in loaded if not m.startswith("hdlab")) == []
+    package = {"hdlab"} | {f"hdlab.{p.stem}" for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    assert package <= loaded, sorted(package - loaded)
