@@ -328,10 +328,12 @@ def mc_values(values, h, ys, periodic, out):
 # angle tree in lexicographic cursor order, early exit, budget with resume
 # cursor
 
-# base points, or child prefixes, made in one vectorised step of the scan
-# (the chunk of 65 536 cursors of the exhaustive walk it replaced); a step
-# holds at most SCAN_CHUNK * 2^n vertex coordinates per level
-SCAN_CHUNK = 1 << 16
+# base points, or child prefixes, made in one vectorised step of the scan.
+# A scan that ends at a hit computes at most one block per slot past that
+# hit.  One level's vertex arrays hold at most SCAN_CHUNK * 2^n * 16 B
+# (512 KB at n = 3), so they stay in cache and exhaustive scans run no
+# slower than with blocks of 2^16
+SCAN_CHUNK = 1 << 12
 
 
 def scan_bitmap(member, xs1, xs2, cos_t, sin_t, lengths, eta_gap, start, stop) -> int:

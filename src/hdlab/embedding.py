@@ -9,7 +9,9 @@ not test every cursor: base points outside the set are skipped, and the
 angle tuples sharing a prefix are dropped as soon as one vertex of the
 prefix leaves the set.  The hit is still the lexicographically first one,
 and ``examined``, ``budget`` and ``resume_cursor`` count logical cursors,
-not membership tests.  Absence of a hit says the scan found none at its
+not membership tests.  Candidates are made in blocks of at most
+``_kernels.SCAN_CHUNK`` per slot, so the work past the first hit is at most
+one block per slot.  Absence of a hit says the scan found none at its
 resolution, nothing more.
 
 The one-dimensional counterexample demos use exact rational interval
@@ -155,10 +157,12 @@ def find_copy(A: PlanarSet, lengths, search: SearchSpec) -> ScanOutcome:
     independent of how the set was assembled.  Base points outside the set
     and angle prefixes with a vertex outside it are skipped without testing
     the cursors below them; the hit returned is still the lexicographically
-    first.  ``budget`` bounds the cursors of one call, ``resume_cursor``
-    is where a call starts, and ``examined`` is the span of cursors a call
-    covered, all counted as logical cursors, not membership tests, so a
-    budgeted scan resumed piece by piece ends where one call does.
+    first, and the work past it is at most one block of
+    ``_kernels.SCAN_CHUNK`` candidates per slot.  ``budget`` bounds the
+    cursors of one call, ``resume_cursor`` is where a call starts, and
+    ``examined`` is the span of cursors a call covered, all counted as
+    logical cursors, not membership tests, so a budgeted scan resumed piece
+    by piece ends where one call does.
     """
     lengths = tuple(float(a) for a in lengths)
     if not lengths:
@@ -372,10 +376,15 @@ def scale_scan(A: PlanarSet, lam_values, n: int, search: SearchSpec):
 
 
 # ---------------------------------------------------------------------------
-# PGM (P5) bitmaps, threshold 128
+# PGM (P5) bitmaps, threshold at half the maxval
 
 
 def read_pgm(path, side: float = 1.0) -> PlanarGrid:
+    """Binary PGM (P5) bitmap as a 0/1 grid on a window of ``side``.
+
+    A pixel is in the set when its value v has 2 v > maxval, whatever the
+    maxval (1 to 255).
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     tokens = []
@@ -397,12 +406,20 @@ def read_pgm(path, side: float = 1.0) -> PlanarGrid:
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     if width != height:
         raise ValueError("bitmap must be square")
+    if width < 1:
+        raise ValueError(f"PGM width and height must be at least 1, got {width} x {height}")
     if maxval > 255:
         raise ValueError("16-bit PGM not supported")
+    if maxval < 1:
+        raise ValueError(f"PGM maxval must be at least 1, got {maxval}")
     i += 1  # single whitespace after maxval
+    if len(data) - i < width * height:
+        raise ValueError(f"PGM raster holds {max(len(data) - i, 0)} bytes, "
+                         f"expected {width * height} for {width} x {height} pixels")
     raster = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=i)
     img = raster.reshape(height, width)
     # PGM rows run top to bottom; flip so row 0 is the bottom of the window,
-    # then transpose so the first index runs along x1
-    vals = (img[::-1, :].T >= 128).astype(np.float64)
+    # then transpose so the first index runs along x1.  v > maxval // 2 is
+    # 2 v > maxval without overflowing uint8, and v >= 128 at maxval 255
+    vals = (img[::-1, :].T > maxval // 2).astype(np.float64)
     return PlanarGrid(side, side / width, vals)

@@ -299,7 +299,22 @@ def test_dense_scan_memory_is_bounded_by_chunks():
     finally:
         tracemalloc.stop()
     assert (out.status, out.examined) == ("not_found", 256 * 24**3)
-    assert peak < 40e6
+    # blocks of 2^16 children peaked at 18.2 MB here
+    assert peak < 4e6
+
+
+def test_first_hit_scan_stops_soon_after_the_witness():
+    # the benchmark's PGM set at its seed-1 placement: the first witness lies
+    # deep in cursor order and every slot block is cut short by the hit
+    c, yb = 1 / 128, 30
+    shapes = [{"type": "disk", "cx": 84 * c, "cy": yb * c, "r": 14 * c},
+              {"type": "rect", "x0": 98 * c, "y0": (yb - 3) * c, "x1": 116 * c, "y1": (yb + 3) * c}]
+    A = CountedSet(PlanarSet.from_bitmap(make_indicator(shapes, 1.0, c)))
+    out = find_copy(A, (0.1, 0.08, 0.06), SearchSpec(x_step=1 / 64, angle_count=24))
+    assert out.status == "found"
+    assert verify_copy(A, out.copy)
+    # blocks of 2^16 children tested 357 792 points here (2^12: 32 664)
+    assert A.tested <= 357_792 // 5
 
 
 @pytest.mark.parametrize("lengths,change,field", [
@@ -526,6 +541,34 @@ def test_pgm_roundtrip(tmp_path):
     g = read_pgm(path, side=1.0)
     assert g.node_count == 64
     assert np.array_equal(g.values.astype(bool), vals)
+
+
+@pytest.mark.parametrize("maxval", [1, 15])
+def test_pgm_roundtrip_low_maxval(tmp_path, maxval):
+    # set pixels at maxval and maxval // 2 + 1, clear ones at 0 and maxval // 2
+    vals = np.zeros((4, 4), dtype=bool)
+    vals[1:3, 1:3] = True
+    vals[0, 3] = True
+    img = np.where(vals, maxval, 0)
+    img[0, 3], img[3, 0] = maxval // 2 + 1, maxval // 2
+    raster = img.T[::-1, :].astype(np.uint8)
+    path = tmp_path / "mask.pgm"
+    path.write_bytes(b"P5\n4 4\n%d\n" % maxval + raster.tobytes())
+    g = read_pgm(path, side=1.0)
+    assert np.array_equal(g.values.astype(bool), vals)
+
+
+@pytest.mark.parametrize("data,match", [
+    (b"P5\n2 2\n0\n" + bytes(4), "PGM maxval must be at least 1, got 0"),
+    (b"P5\n0 0\n255\n", "PGM width and height must be at least 1, got 0 x 0"),
+    (b"P5\n-2 -2\n255\n" + bytes(4), "PGM width and height must be at least 1"),
+    (b"P5\n4 4\n255\n" + bytes(10), "PGM raster holds 10 bytes, expected 16"),
+], ids=["maxval-0", "size-0", "size-negative", "short-raster"])
+def test_pgm_rejects_malformed(tmp_path, data, match):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=match):
+        read_pgm(path)
 
 
 def test_pgm_rejects_ascii(tmp_path):
