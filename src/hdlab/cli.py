@@ -357,14 +357,17 @@ def _run_identities(cfg, consts) -> dict:
     return {"identities.json": report}
 
 
+# config key -> CountingParams field; a key the config omits keeps its default
+_PARAM_NAMES = {"n": "n", "lambda": "lam", "eps": "eps", "M": "quadrature_nodes",
+                "estimator": "estimator", "mc_samples": "mc_samples", "seed": "seed"}
+# circle nodes of decompose and interval when the config sets no M
+_FORM_NODES = 128
+
+
 def _run_counting(cfg, consts) -> dict:
     grid, _ = _load_set(cfg["set"])
     p = cfg["params"]
-    params = CountingParams(
-        n=p["n"], lam=p["lambda"], eps=p.get("eps", 1.0),
-        quadrature_nodes=p.get("M", 256), estimator=p.get("estimator", "exact_quadrature"),
-        mc_samples=p.get("mc_samples", 20000), seed=p.get("seed"),
-    )
+    params = CountingParams(**{name: p[key] for key, name in _PARAM_NAMES.items() if key in p})
     fn = counting_sharp if cfg["form"] == "sharp" else counting_smooth
     rep = fn(grid, params)
     doc = rep.to_dict()
@@ -378,7 +381,7 @@ def _run_decompose(cfg, consts) -> dict:
     ladder = ScaleLadder.geometric(lad["smallest"], lad["count"], lad.get("ratio", 2.0))
     rep = decomposition_report(grid, ladder, cfg["eps"], cfg["n"],
                                constants={"version": consts.version},
-                               quadrature_nodes=cfg.get("M", 128))
+                               quadrature_nodes=cfg.get("M", _FORM_NODES))
     c_uni = consts.value("C_uni") if "C_uni" in consts.entries else None
     lines = ["lambda,eps,structured,error,uniform,bound_rhs,pass"]
     for row in rep.rows():
@@ -410,7 +413,7 @@ def _run_interval(cfg, consts) -> dict:
     search = _search_spec(cfg.get("search"))  # pigeonhole_interval fills what it omits
     coeff = consts.value("J_coeff") if "J_coeff" in consts.entries else None
     res = pigeonhole_interval(pset, cfg["delta"], cfg["n"], cfg["eps"], cfg["J"],
-                              search=search, quadrature_nodes=cfg.get("M", 128),
+                              search=search, quadrature_nodes=cfg.get("M", _FORM_NODES),
                               depth_coefficient=coeff)
     if res.depth_bound_ok is False:
         raise InvariantFailure("configured J exceeds the frozen depth coefficient bound")

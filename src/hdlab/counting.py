@@ -12,8 +12,8 @@ The smoothed form is the T = 1, slot-0 call of ``_form_values``, which also
 gives the derivative and box forms of ``decomposition`` at T outer scales.
 For n = 1 it is the pair correlation of f times tent weights; for n = 2 the
 four-point table of f contracted with tent weights in both slots.  The
-correlation and the table depend only on f and are memoised on the grid,
-as are the tents' Gaussian profiles, which depend on the grid's offsets.
+correlation, the table and the tents' Gaussian profiles are kept in the
+grid's cache (``grid.PlanarGrid.cache``).
 """
 
 from __future__ import annotations
@@ -57,13 +57,15 @@ class CountingParams:
         if not 0 < self.eps <= 1:
             raise ValueError("smoothing width must satisfy 0 < eps <= 1")
         _require_int("quadrature_nodes", self.quadrature_nodes, 1)
+        _require_int("mc_samples", self.mc_samples, 2)
+        if self.seed is not None:
+            _require_int("seed", self.seed, 0)
+            if self.seed >> 64:
+                raise ValueError(f"seed must be below 2**64, got {self.seed!r}")
         if self.estimator not in (EXACT, MONTE_CARLO):
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.estimator == MONTE_CARLO:
-            if self.seed is None:
-                raise ValueError("monte_carlo estimator requires a seed")
-            if self.mc_samples < 2:
-                raise ValueError("monte_carlo estimator requires at least 2 samples")
+        if self.estimator == MONTE_CARLO and self.seed is None:
+            raise ValueError("monte_carlo estimator requires a seed")
 
     def to_dict(self) -> dict:
         return {
@@ -123,8 +125,8 @@ def _exact_cost(params: CountingParams, n_nodes: int) -> int:
 
 
 def _require_int(name: str, value, least: int):
-    """Refuse a count that is not an integer of at least ``least``, naming it."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
+    """Refuse a count that is not an integer (a bool is none) of at least ``least``, naming it."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -161,15 +163,6 @@ def _mc_report(f: PlanarGrid, params: CountingParams, smooth: bool) -> CountingR
     return CountingReport(value, stderr, params)
 
 
-def _grid_memo(f: PlanarGrid, name: str) -> dict:
-    """A dict stored on the grid, so it lives exactly as long as the grid."""
-    memo = getattr(f, name, None)
-    if memo is None:
-        memo = {}
-        object.__setattr__(f, name, memo)
-    return memo
-
-
 def _ring_angles(params: CountingParams, step: float) -> int:
     # nodes at most a sixth of the smoothing width or a cell apart, rounded
     # up to a multiple of 4, which ``spectral.ring_tents`` folds onto a
@@ -180,11 +173,10 @@ def _ring_angles(params: CountingParams, step: float) -> int:
 
 
 def _pair_torus(f: PlanarGrid) -> np.ndarray:
-    """The torus of ``spectral.pair_spectrum``, memoised on the grid."""
-    memo = _grid_memo(f, "_pair_correlation")
-    if "torus" not in memo:
-        memo["torus"] = spectral.pair_spectrum(f.values, f.step, f.periodic)
-    return memo["torus"]
+    """The torus of ``spectral.pair_spectrum``, kept in ``f.cache``."""
+    if "pair_torus" not in f.cache:
+        f.cache["pair_torus"] = spectral.pair_spectrum(f.values, f.step, f.periodic)
+    return f.cache["pair_torus"]
 
 
 def _pair_correlation(f: PlanarGrid, lam: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -207,24 +199,25 @@ def _correlation_offsets(f: PlanarGrid, lam: float, scale: float) -> np.ndarray:
     return np.arange(-k, k + 1)
 
 
-def _form_values(f: PlanarGrid, tab: spectral.FourPointTable | None, m: int, lam: float, scales,
+def _form_values(f: PlanarGrid, tab: spectral.FourPointTable | None, m: int, scales,
                  tent_scales=None, params: CountingParams | None = None) -> np.ndarray:
     """A form at T scales with the Laplacian in slot m (none for m = 0),
-    smoothed on the circle of radius ``lam`` (``params``) or, with ``params``
-    None, by plain Gaussians.
+    smoothed on the circle of radius ``params.lam`` or, with ``params``
+    None, by plain Gaussians (the ring of radius 0).
 
-    A slot takes the tents c, or -2 pi s dc/ds as the Laplacian slot.  n = 1
-    (no ``tab``): the pair correlation times slot 1 at ``scales``.  n = 2:
-    the four-point table contracted with slot 1 at ``scales`` and slot 2 at
-    ``tent_scales`` (default ``scales``, where the table's swap symmetry
-    makes m = 1 and m = 2 one form and one profile pass gives c and dc).
-    Nodes go in chunks whose blocks of ``column`` elements per node stay
-    within ``_kernels.STACK_ELEMENTS``.  The tents' folded profiles are
-    memoised on f (``_tent_profiles``, see ``spectral.ring_tents``) per
-    chunk of scales, so forms that share a chunk, its radius and its angle
-    count evaluate them once.
+    A slot takes the tents c, or -2 pi s dc/ds as the Laplacian slot.  Slot
+    1 takes ``scales``, the Laplacian when m = 1; slot 2 takes
+    ``tent_scales`` (default ``scales``), the Laplacian when m = 2.  n = 1
+    (no ``tab``): the pair correlation contracted with slot 1.  n = 2: the
+    four-point table contracted with both slots.  Nodes go in chunks whose
+    blocks of ``column`` elements per node stay within
+    ``_kernels.STACK_ELEMENTS``.  The tents' folded profiles are kept in
+    ``f.cache`` (``grid.PlanarGrid.cache``) per chunk of scales, so forms
+    that share a chunk, its radius and its angle count evaluate them once.
     """
     scales = np.asarray(scales, dtype=np.float64)
+    tent_scales = scales if tent_scales is None else tent_scales
+    lam = 0.0 if params is None else params.lam
     angles = 1 if params is None else _ring_angles(params, f.step)
     if tab is None:
         # the torus's transform and a scale's offsets^2 x angles tents, priced first
@@ -236,33 +229,24 @@ def _form_values(f: PlanarGrid, tab: spectral.FourPointTable | None, m: int, lam
         offsets = tab.offsets
     nd = len(offsets)
     column = max(nd * nd, (nd + 2) * angles)
-    memo = _grid_memo(f, "_tent_profiles")
-
-    def tents(s, deriv, both=False):
-        return (spectral.ball_tents(offsets, f.step, s, deriv, both, memo) if params is None
-                else spectral.ring_tents(offsets, f.step, lam, s, angles, deriv, both, memo))
 
     def slot(s, laplacian):
-        return -2.0 * math.pi * s * tents(s, True) if laplacian else tents(s, False)
+        c = (spectral.ball_tents(offsets, f.step, s, laplacian, f.cache) if params is None
+             else spectral.ring_tents(offsets, f.step, lam, s, angles, laplacian, f.cache))
+        return -2.0 * math.pi * s * c if laplacian else c
 
     def values(sl):
-        s = scales[sl]
+        first = slot(scales[sl], m == 1)
         if tab is None:
-            return corr @ slot(s, m == 1)
-        if tent_scales is not None:
-            return spectral.assemble(tab, slot(s, m == 1), slot(tent_scales[sl], m == 2))
-        if m == 0:
-            c = tents(s, False)
-            return spectral.assemble(tab, c, c)
-        c, dc = tents(s, True, both=True)
-        return spectral.assemble(tab, c, -2.0 * math.pi * s * dc)
+            return corr @ first
+        return spectral.assemble(tab, first, slot(tent_scales[sl], m == 2))
 
     size = max(1, _kernels.STACK_ELEMENTS // column)
     return np.concatenate([values(slice(i, i + size)) for i in range(0, len(scales), size)])
 
 
 def _offset_table(f: PlanarGrid, what: str = "four-point table") -> spectral.FourPointTable:
-    """The four-point table of f, memoised on f.  Refused before anything is
+    """The four-point table of f, kept in ``f.cache``.  Refused before anything is
     allocated when over ``DEFAULT_BUDGET``: a transform of the (2e)^2 support-box
     torus per stored row, (2e)^2 log2(2e) each, plus the triangle's bytes
     at ``_BYTE_COST`` each.
@@ -273,10 +257,9 @@ def _offset_table(f: PlanarGrid, what: str = "four-point table") -> spectral.Fou
     rows, entries = spectral.table_size(side // 2)
     cost = int(rows * side * side * math.log2(side)) + _BYTE_COST * 4 * entries
     _require_budget(cost, what)
-    memo = _grid_memo(f, "_offset_tables")
-    if "table" not in memo:
-        memo["table"] = spectral.build_offset_table(f.values, f.step)
-    return memo["table"]
+    if "four_point_table" not in f.cache:
+        f.cache["four_point_table"] = spectral.build_offset_table(f.values, f.step)
+    return f.cache["four_point_table"]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +287,7 @@ def counting_smooth(f: PlanarGrid, params: CountingParams) -> CountingReport:
             "counting_smooth: the exact path supports n <= 2; use the monte_carlo estimator for n = 3"
         )
     tab = _offset_table(f, "counting_smooth") if params.n == 2 else None
-    value = float(_form_values(f, tab, 0, params.lam, [params.eps * params.lam], params=params)[0])
+    value = float(_form_values(f, tab, 0, [params.eps * params.lam], params=params)[0])
     return CountingReport(value, 0.0, params)
 
 
@@ -317,8 +300,8 @@ def gowers_norm(f: PlanarGrid, n: int) -> float:
     """Box norm of order n on the plane (nonnegative f).
 
     The fourth power of U^2 integrates the square of the pair correlation
-    a(d) = h^2 sum_x f(x) f(x + dh), the torus memoised for the smoothed
-    forms; the eighth power of U^3 integrates the fourth power of
+    a(d) = h^2 sum_x f(x) f(x + dh), the torus the smoothed forms keep
+    in ``f.cache``; the eighth power of U^3 integrates the fourth power of
     U^2(m_d), m_d = f f(. + d), over the shifts d, by Parseval.  m_-d is a
     translate of m_d, so ``spectral.offset_products`` transforms one of
     each pair, on the torus of its bounding box for a zero-extended grid.

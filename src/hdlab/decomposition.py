@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import (CountingParams, _form_values, _grid_memo, _offset_table, _require_int,
-                       counting_sharp, counting_smooth)
+from .counting import (CountingParams, _form_values, _offset_table, _require_int, counting_sharp,
+                       counting_smooth)
 from .grid import PlanarGrid, measure
 
 # the outer quadrature converges when one refinement moves it by less than this
@@ -153,9 +153,9 @@ def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
     Summed over m = 1..n this telescopes smooth_alpha - smooth_beta.  Slot
     m takes the scale derivative of the tents (``counting._form_values``);
     the n = 2 table is symmetric under the swap of slots, so m = 1 and 2
-    are one form, kept on f once evaluated.  The fine outer quadrature has
-    ``2 tnodes - 1`` nodes, the coarse one every other node; one batched
-    evaluation gives both.
+    are one form, taken in slot n and kept in ``f.cache``.  The fine outer
+    quadrature has ``2 tnodes - 1`` nodes, the coarse one every other node;
+    one batched evaluation gives both.
     """
     _require_int("tnodes", tnodes, 2)
     if not 0 < alpha < beta <= 1:
@@ -166,14 +166,14 @@ def L_form(f: PlanarGrid, lam: float, alpha: float, beta: float, m: int, n: int,
         raise ValueError("the exact derivative form supports n <= 2")
     params = CountingParams(n=n, lam=lam, eps=1.0, quadrature_nodes=quadrature_nodes)
     tab = _offset_table(f, what="L_form") if n == 2 else None
-    memo, key = _grid_memo(f, "_l_forms"), (n, lam, alpha, beta, tnodes, quadrature_nodes)
-    if key not in memo:
-        sums = _outer_sums(lambda ts: _form_values(f, tab, m, lam, ts * lam, params=params),
+    key = ("L_form", n, lam, alpha, beta, tnodes, quadrature_nodes)
+    if key not in f.cache:
+        sums = _outer_sums(lambda ts: _form_values(f, tab, n, ts * lam, params=params),
                            alpha, beta, tnodes)
         coarse, fine = (v / (2.0 * math.pi) for v in sums)
         scale = max(abs(fine), 1e-300)
-        memo[key] = QuadratureValue(fine, coarse, abs(fine - coarse) <= _FLAG_TOLERANCE * scale)
-    return memo[key]
+        f.cache[key] = QuadratureValue(fine, coarse, abs(fine - coarse) <= _FLAG_TOLERANCE * scale)
+    return f.cache[key]
 
 
 def lp_pow_sum(f: PlanarGrid, p: float) -> float:
@@ -204,7 +204,7 @@ def theta_form(f: PlanarGrid, gammas, m: int, nodes: int = 128) -> QuadratureVal
 
     tab = _offset_table(f, what="theta_form") if n == 2 else None
     coarse, fine = _outer_sums(
-        lambda ss: _form_values(f, tab, m, 0.0, ss * gammas[0], ss * gammas[-1]),
+        lambda ss: _form_values(f, tab, m, ss * gammas[0], ss * gammas[-1]),
         1e-5 * f.step, 1e3 * f.side, nodes)
     scale = 2.0 * math.pi * lp_pow_sum(f, 2.0**n)
     if fine < -1e-6 * scale:
@@ -230,9 +230,9 @@ def check_structured_bound(sets, lam_values, n: int, frozen: float | None = None
                            **kw) -> BoundCheck:
     """Minimum of smooth_1 / ((|B|/R^2)^(2^n) R^2) over sets and scales.
 
-    A set's memoised four-point table and tent profiles are dropped once
-    its scales are done, so a list of sets holds at most one of each at a
-    time.
+    A set's cache (``grid.PlanarGrid.cache``) is cleared once its scales
+    are done, so a list of sets holds at most one four-point table and one
+    set of tent profiles at a time.
     """
     ratios = []
     for f in sets:
@@ -241,8 +241,7 @@ def check_structured_bound(sets, lam_values, n: int, frozen: float | None = None
         for lam in lam_values:
             val = structured_part(f, lam, n, **kw)
             ratios.append(val / denom)
-        for memo in ("_offset_tables", "_tent_profiles"):
-            vars(f).pop(memo, None)
+        f.cache.clear()
     worst = min(ratios)
     bound = frozen if frozen is not None else 0.0
     return BoundCheck(worst, bound, worst >= bound, {"ratios": ratios})

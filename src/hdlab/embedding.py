@@ -387,11 +387,14 @@ def read_pgm(path, side: float = 1.0) -> PlanarGrid:
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    fields = ("magic number", "width", "height", "maxval")
     tokens = []
     i = 0
     while len(tokens) < 4:
         while i < len(data) and data[i : i + 1].isspace():
             i += 1
+        if i == len(data):
+            raise ValueError(f"PGM header ends before its {fields[len(tokens)]}")
         if data[i : i + 1] == b"#":
             while i < len(data) and data[i] != 0x0A:
                 i += 1
@@ -403,7 +406,10 @@ def read_pgm(path, side: float = 1.0) -> PlanarGrid:
         i = j
     if tokens[0] != b"P5":
         raise ValueError("only binary PGM (P5) bitmaps are supported")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    for name, token in zip(fields[1:], tokens[1:]):
+        if not token.removeprefix(b"-").isdigit():
+            raise ValueError(f"PGM {name} must be a decimal integer, got {token!r}")
+    width, height, maxval = (int(t) for t in tokens[1:])
     if width != height:
         raise ValueError("bitmap must be square")
     if width < 1:

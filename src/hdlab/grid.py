@@ -2,7 +2,7 @@
 
 A :class:`PlanarGrid` holds samples of a function on ``[0, R]^2`` taken at
 node centres ``((i + 1/2) h, (j + 1/2) h)``.  Values are stored row-major,
-first index along the x1 axis.  Grids are immutable after construction.
+first index along the x1 axis.  Values are immutable after construction.
 
 The discrete convolution of two grids is the plain scaled double sum
 ``c[m] = h^2 sum_k a[k] b[m - k]``; sample ``m`` of the result therefore
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,12 +33,20 @@ def _is_pow2(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PlanarGrid:
-    """Real samples of a function on [0, side]^2 at resolution ``step``."""
+    """Real samples of a function on [0, side]^2 at resolution ``step``.
+
+    ``cache`` keeps what the smoothed forms derive from the values, for as
+    long as the grid lives (a new grid starts empty): the pair-correlation
+    torus (key ``"pair_torus"``), the four-point table (``"four_point_table"``),
+    the folded tent profiles (keyed as in ``spectral.ring_tents``) and the
+    ``L_form`` values (``("L_form", n, ...)``).  Clearing it frees them.
+    """
 
     side: float
     step: float
     values: np.ndarray
     boundary: str = ZERO
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.boundary not in (ZERO, PERIODIC):

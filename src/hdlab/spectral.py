@@ -28,11 +28,10 @@ within ``_kernels.STACK_ELEMENTS``.
 
 The folded profiles are the erfcx-heavy part of the tents, and the forms
 of one grid ask for the same ones again: L_form's n = 1 and n = 2 share
-their rings, theta_form's slots share their balls.  So ``_form_values``
-hands ``ring_tents`` and ``ball_tents`` a dict memo that lives on the
-grid, as the four-point table does; the same profiles then come from one
-evaluation, and the contraction and the gather onto the stored half are
-redone per call.
+their rings, theta_form's slots share their balls, a slot's c and dc
+share those of c.  So ``_form_values`` passes the grid's cache
+(``grid.PlanarGrid.cache``) as the memo of ``ring_tents`` and
+``ball_tents``; the contraction and the gather are redone per call.
 """
 
 from __future__ import annotations
@@ -320,15 +319,14 @@ def build_offset_table(values: np.ndarray, step: float) -> FourPointTable:
 
 
 def ring_tents(offsets: np.ndarray, step: float, lam: float, scales, angles: int,
-               deriv: bool = False, both: bool = False, memo: dict | None = None):
+               deriv: bool = False, memo: dict | None = None):
     """Tent weights of sigma_lam * g_s (equal-weight circle nodes) at the
     offsets d = (offsets[a], offsets[b]) * step, on the stored half: the
     rows k = a nd + b up to d = 0, in the row order of ``FourPointTable``.
 
     Returns a (ceil(nd^2 / 2), T) array for the T scales s, or with
-    ``deriv`` their derivatives d/ds, or with ``both`` the pair of them from
-    one pass over the profiles.  The offsets are symmetric about 0 and 4
-    must divide ``angles``.  The nodes theta, pi - theta, pi + theta and
+    ``deriv`` their derivatives d/ds.  The offsets are symmetric about 0
+    and 4 must divide ``angles``.  The nodes theta, pi - theta, pi + theta and
     -theta carry the four sign patterns of (cos theta, sin theta), and
     sin theta_j = cos theta_(q-j) for q = angles / 4, so with S_j(d) =
     G(d - lam cos theta_j) + G(d + lam cos theta_j), G the Gaussian-tent
@@ -342,10 +340,10 @@ def ring_tents(offsets: np.ndarray, step: float, lam: float, scales, angles: int
     Row k holds c(d) times its mirror count: 2, as -d has the same weight,
     or 1 for d = 0, its own mirror when nd is odd.
 
-    ``memo``, a dict, keeps each folded profile array (T, q+1, e) under its
-    kind, lam, the angle count, the offsets times ``step`` and the scales,
-    so calls that share them evaluate the profiles once; the products and
-    the gather are redone per call.
+    ``memo``, a dict (the forms pass ``grid.PlanarGrid.cache``), keeps each
+    folded profile array (T, q+1, e) under its kind, lam, the angle count,
+    the offsets times ``step`` and the scales, so calls that share them
+    evaluate the profiles once; the products and the gather are redone.
     """
     if angles % 4:
         raise ValueError(f"ring_tents needs an angle count divisible by 4, got {angles}")
@@ -378,24 +376,23 @@ def ring_tents(offsets: np.ndarray, step: float, lam: float, scales, angles: int
         return c
 
     g, gw = folded(gauss_tent)
-    if not (deriv or both):
+    if not deriv:
         return half(g @ gw)
     dg, dgw = folded(gauss_tent_da)
-    dc = half(dg @ gw + g @ dgw)
-    return (half(g @ gw), dc) if both else dc
+    return half(dg @ gw + g @ dgw)
 
 
 _ring_tents = ring_tents  # ball_tents' call, which a wrapper of the public name does not see
 
 
 def ball_tents(offsets: np.ndarray, step: float, scales, deriv: bool = False,
-               both: bool = False, memo: dict | None = None):
+               memo: dict | None = None):
     """Tent weights of the plain Gaussians g_s centred at the origin.
 
     The ring of radius 0 with four nodes; same layout and ``memo`` as
     ``ring_tents``.
     """
-    return _ring_tents(offsets, step, 0.0, scales, 4, deriv, both, memo)
+    return _ring_tents(offsets, step, 0.0, scales, 4, deriv, memo)
 
 
 # ---------------------------------------------------------------------------

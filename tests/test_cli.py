@@ -503,6 +503,30 @@ def test_missing_pgm_is_a_config_error(tmp_path, capsys):
         cli._load_set({"pgm": str(missing)})
 
 
+def test_truncated_pgm_is_a_config_error(tmp_path, capsys):
+    pgm = tmp_path / "cut.pgm"
+    pgm.write_bytes(b"P5\n4")
+    cfg = write_config(tmp_path, {
+        "command": "embed", "set": {"pgm": str(pgm), "side": 1.0},
+        "lengths": [0.25], "search": {"x_step": 0.25},
+    })
+    assert run_cli(["embed", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: PGM header ends before its height\n"
+
+
+def test_counting_params_default_where_the_config_is_silent(tmp_path):
+    # each counting param key maps to a CountingParams field, and a key the
+    # config leaves out takes that field's default
+    assert set(cli._PARAM_NAMES) == set(cli.SCHEMAS["counting"]["properties"]["params"]["properties"])
+    cfg = write_config(tmp_path, {
+        "command": "counting", "set": DISK_SET, "params": {"n": 1, "lambda": 1.0}, "form": "sharp",
+    })
+    assert run_cli(["counting", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    params = json.loads((tmp_path / "out" / "counting.json").read_text())["report"]["params"]
+    assert params == CountingParams(n=1, lam=1.0).to_dict()
+
+
 def test_interrupted_cache_write_leaves_no_entry(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, {
         "command": "decompose",

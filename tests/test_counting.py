@@ -552,6 +552,17 @@ def test_params_validation():
         CountingParams(n=1, lam=1.0, estimator="bogus")
 
 
+@pytest.mark.parametrize("estimator", ["monte_carlo", "exact_quadrature"])
+@pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5), ("seed", "1"), ("seed", True),
+                                          ("seed", 1 << 64), ("mc_samples", 2.5),
+                                          ("mc_samples", 1), ("mc_samples", None)])
+def test_sampling_fields_are_refused_by_name(estimator, field, value):
+    # refused when the params are built, not at the draw: a negative or huge
+    # seed would overflow the uint64 Philox key, 1.5 would key it with 1
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        CountingParams(n=1, lam=1.0, estimator=estimator, **{"seed": 1, field: value})
+
+
 def test_report_serialisation(disk_r4):
     rep = counting_sharp(disk_r4, CountingParams(n=1, lam=1.0, quadrature_nodes=16))
     doc = rep.to_dict()

@@ -71,9 +71,9 @@ def test_structured_bound_sub_square_sweep():
 
 
 def test_structured_bound_holds_one_set_of_tables_at_a_time():
-    # each set's memoised table and tent profiles go once its scales are
-    # done: the peak over three sets is that of one, and the ratios are
-    # unchanged
+    # each set's cache (its table and tent profiles) is cleared once its
+    # scales are done: the peak over three sets is that of one, and the
+    # ratios are unchanged
     masks = [random_mask(1.0, 24, 0.5, 40 + i) for i in range(3)]
     lams = (0.125, 0.25)
 
@@ -88,7 +88,7 @@ def test_structured_bound_holds_one_set_of_tables_at_a_time():
     alone = [traced([random_mask(1.0, 24, 0.5, 40 + i)]) for i in range(3)]
     chk, peak = traced(masks)
     assert chk.detail["ratios"] == [r for c, _ in alone for r in c.detail["ratios"]]
-    assert not any(hasattr(f, memo) for f in masks for memo in ("_offset_tables", "_tent_profiles"))
+    assert not any(f.cache for f in masks)
     # a 24-node mask's table is the triangle of its 1105 half rows and
     # columns in float32, 2.7 MB; holding all three tables would add 5.4 MB
     # to the single-set peak
@@ -398,7 +398,7 @@ def test_ring_tents_refuse_angle_counts_not_divisible_by_4(angles, deriv):
 @settings(max_examples=150)
 @given(nodes=st.integers(2, 12), quarter=st.integers(1, 64), sides=st.floats(0.0, 3.0),
        rel_scale=st.floats(-4.0, 3.0), step=st.floats(1e-3, 1.0),
-       kind=st.sampled_from(["c", "dc", "both"]))
+       kind=st.sampled_from(["c", "dc"]))
 def test_ring_tents_match_reference_property(nodes, quarter, sides, rel_scale, step, kind):
     # symmetric offsets of either parity (half-integers for an even count),
     # lam up to three window sides, scales 1e-4 h .. 1e3 h.  Both routes
@@ -411,11 +411,10 @@ def test_ring_tents_match_reference_property(nodes, quarter, sides, rel_scale, s
     offsets = np.arange(nodes) - (nodes - 1) / 2
     angles, lam, scale = 4 * quarter, sides * nodes * step, 10.0**rel_scale * step
     tol = 1e-13 * (1.0 + 10.0 ** (2 * rel_scale) + lam / scale)
-    got = spectral.ring_tents(offsets, step, lam, [scale], angles, kind == "dc", kind == "both")
-    for deriv, c in ([(False, got[0]), (True, got[1])] if kind == "both" else [(kind == "dc", got)]):
-        want = fold(ring_tents_ref(offsets, step, lam, scale, angles, deriv))
-        assert c.shape == ((nodes * nodes + 1) // 2, 1)
-        assert np.abs(c[:, 0] - want).max() <= tol * np.abs(want).max()
+    got = spectral.ring_tents(offsets, step, lam, [scale], angles, kind == "dc")
+    want = fold(ring_tents_ref(offsets, step, lam, scale, angles, kind == "dc"))
+    assert got.shape == ((nodes * nodes + 1) // 2, 1)
+    assert np.abs(got[:, 0] - want).max() <= tol * np.abs(want).max()
 
 
 def correlation_ref(f, offsets):
@@ -639,7 +638,7 @@ def test_cropped_table_matches_full_window_table(form, m):
     full = PlanarGrid(1.0, 1.0 / 24, values)
     offsets = window_offsets(full)
     q = four_point_ref(values, full.step, offsets)
-    counting._grid_memo(full, "_offset_tables")["table"] = packed_table(full.step, offsets, q)
+    full.cache["four_point_table"] = packed_table(full.step, offsets, q)
     assert len(_offset_table(cropped).offsets) < len(_offset_table(full).offsets)
     lam = 3.5 * full.step
     params = CountingParams(n=2, lam=lam, eps=0.5, quadrature_nodes=16)

@@ -563,7 +563,15 @@ def test_pgm_roundtrip_low_maxval(tmp_path, maxval):
     (b"P5\n0 0\n255\n", "PGM width and height must be at least 1, got 0 x 0"),
     (b"P5\n-2 -2\n255\n" + bytes(4), "PGM width and height must be at least 1"),
     (b"P5\n4 4\n255\n" + bytes(10), "PGM raster holds 10 bytes, expected 16"),
-], ids=["maxval-0", "size-0", "size-negative", "short-raster"])
+    (b"", "PGM header ends before its magic number"),
+    (b"P5\n4", "PGM header ends before its height"),
+    (b"P5\n4 4\n", "PGM header ends before its maxval"),
+    (b"P5\n4 4 # a comment to the end", "PGM header ends before its maxval"),
+    (b"P5\nab 4 1\n", "PGM width must be a decimal integer, got b'ab'"),
+    (b"P5\n4 0x4 1\n", "PGM height must be a decimal integer"),
+    (b"P5\n4 4 1_0\n", "PGM maxval must be a decimal integer"),
+], ids=["maxval-0", "size-0", "size-negative", "short-raster", "empty", "no-height",
+        "no-maxval", "comment-to-end", "width-not-decimal", "height-hex", "maxval-underscore"])
 def test_pgm_rejects_malformed(tmp_path, data, match):
     path = tmp_path / "bad.pgm"
     path.write_bytes(data)

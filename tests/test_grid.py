@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hdlab import (PERIODIC, ZERO, PlanarGrid, _kernels, convolve, dft,
-                   from_shape_json, idft, load_grid, make_indicator, measure,
-                   save_grid)
+from hdlab import (PERIODIC, ZERO, CountingParams, PlanarGrid, _kernels, convolve,
+                   counting_smooth, dft, from_shape_json, idft, load_grid, make_indicator,
+                   measure, save_grid)
 from hdlab.calibrate import random_grid
 from hdlab.gaussian import KernelSpec, sample_wrapped
 
@@ -235,6 +235,19 @@ def test_save_load_roundtrip(tmp_path):
     assert back.side == g.side
     assert back.boundary == g.boundary
     assert np.array_equal(back.values, g.values)
+
+
+def test_new_grids_start_with_an_empty_cache(tmp_path):
+    # the smoothed forms fill a grid's cache; a grid made from its values,
+    # or saved and loaded back, starts with none of it
+    g = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.25}], 1.0, 1 / 16)
+    for n in (1, 2):
+        counting_smooth(g, CountingParams(n=n, lam=0.25, eps=0.5, quadrature_nodes=16))
+    assert {"pair_torus", "four_point_table"} <= set(g.cache)
+    assert "cache" not in repr(g)
+    save_grid(g, tmp_path / "g.grid")
+    for other in (g.with_values(g.values), load_grid(tmp_path / "g.grid")):
+        assert other.cache == {} and other.cache is not g.cache
 
 
 def test_load_rejects_bad_magic(tmp_path):
