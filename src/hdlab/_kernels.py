@@ -14,30 +14,36 @@ from numpy.lib.stride_tricks import sliding_window_view
 # bilinear reads; node centres sit at (i + 1/2) h, reads outside the window
 # return 0 in zero-extended mode and wrap in periodic mode
 
+# the corners (0, 0), (0, 1), (1, 0), (1, 1) of a read's cell, on a last axis
+_CORNER_I = np.array([0, 0, 1, 1])
+_CORNER_J = np.array([0, 1, 0, 1])
+
 
 def read_bilinear(values, h, px, py, periodic):
-    """Vectorised bilinear read at arrays of points."""
+    """Bilinear read of ``values`` at the points (px, py), broadcast together.
+
+    The four corners (a, b) of each point's cell are gathered in one step,
+    in the order of ``_CORNER_I`` and ``_CORNER_J``.  Corner (a, b) weighs
+    (fu if a else 1 - fu) * (fv if b else 1 - fv), fu and fv the point's
+    fractions of a cell, and the four terms are added in that order.
+    This is the per-point route the tests hold ``_shift_corners`` and the
+    shift stacks to, so it shares no code with them.
+    """
     n = values.shape[0]
-    u = np.asarray(px) / h - 0.5
-    v = np.asarray(py) / h - 0.5
-    i0 = np.floor(u).astype(np.int64)
-    j0 = np.floor(v).astype(np.int64)
-    fu = u - i0
-    fv = v - j0
-    out = np.zeros(np.broadcast(u, v).shape, dtype=np.float64)
-    for di in (0, 1):
-        wi = fu if di else 1.0 - fu
-        ii = i0 + di
-        for dj in (0, 1):
-            wj = fv if dj else 1.0 - fv
-            jj = j0 + dj
-            if periodic:
-                vals = values[ii % n, jj % n]
-            else:
-                ok = (ii >= 0) & (ii < n) & (jj >= 0) & (jj < n)
-                vals = np.where(ok, values[np.clip(ii, 0, n - 1), np.clip(jj, 0, n - 1)], 0.0)
-            out += wi * wj * vals
-    return out
+    u, v = np.broadcast_arrays(np.asarray(px) / h - 0.5, np.asarray(py) / h - 0.5)
+    i0 = np.floor(u).astype(np.int64)[..., None]
+    j0 = np.floor(v).astype(np.int64)[..., None]
+    fu = u[..., None] - i0
+    fv = v[..., None] - j0
+    ii = i0 + _CORNER_I
+    jj = j0 + _CORNER_J
+    if periodic:
+        vals = values[ii % n, jj % n]
+    else:
+        ok = (ii >= 0) & (ii < n) & (jj >= 0) & (jj < n)
+        vals = np.where(ok, values[np.clip(ii, 0, n - 1), np.clip(jj, 0, n - 1)], 0.0)
+    t = np.where(_CORNER_I, fu, 1.0 - fu) * np.where(_CORNER_J, fv, 1.0 - fv) * vals
+    return ((t[..., 0] + t[..., 1]) + t[..., 2]) + t[..., 3]
 
 
 def shift_grid(values, h, dy1, dy2, periodic):

@@ -18,6 +18,7 @@ grid's cache (``grid.PlanarGrid.cache``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -207,15 +208,17 @@ def _form_values(f: PlanarGrid, tab: spectral.FourPointTable | None, m: int, sca
 
     A slot takes the tents c, or -2 pi s dc/ds as the Laplacian slot.  Slot
     1 takes ``scales``, the Laplacian when m = 1; slot 2 takes
-    ``tent_scales`` (default ``scales``), the Laplacian when m = 2.  n = 1
-    (no ``tab``): the pair correlation contracted with slot 1.  n = 2: the
-    four-point table contracted with both slots.  Nodes go in chunks whose
+    ``tent_scales`` (default ``scales``), the Laplacian when m = 2; with
+    neither a Laplacian nor ``tent_scales``, slot 2 reuses slot 1's weights.
+    n = 1 (no ``tab``): the pair correlation contracted with slot 1.  n = 2:
+    the four-point table contracted with both slots.  Nodes go in chunks whose
     blocks of ``column`` elements per node stay within
     ``_kernels.STACK_ELEMENTS``.  The tents' folded profiles are kept in
     ``f.cache`` (``grid.PlanarGrid.cache``) per chunk of scales, so forms
     that share a chunk, its radius and its angle count evaluate them once.
     """
     scales = np.asarray(scales, dtype=np.float64)
+    plain = m == 0 and tent_scales is None
     tent_scales = scales if tent_scales is None else tent_scales
     lam = 0.0 if params is None else params.lam
     angles = 1 if params is None else _ring_angles(params, f.step)
@@ -239,7 +242,8 @@ def _form_values(f: PlanarGrid, tab: spectral.FourPointTable | None, m: int, sca
         first = slot(scales[sl], m == 1)
         if tab is None:
             return corr @ first
-        return spectral.assemble(tab, first, slot(tent_scales[sl], m == 2))
+        second = first if plain else slot(tent_scales[sl], m == 2)
+        return spectral.assemble(tab, first, second)
 
     size = max(1, _kernels.STACK_ELEMENTS // column)
     return np.concatenate([values(slice(i, i + size)) for i in range(0, len(scales), size)])
@@ -366,21 +370,6 @@ def gowers_cs_bound(f: PlanarGrid, n: int, cube: tuple[float, float, float]) -> 
 # degenerate-tuple diagnostics
 
 
-def _sign_vectors(n: int) -> np.ndarray:
-    """Nonzero sign patterns in {-1,0,1}^n up to global sign."""
-    out = []
-    for code in range(3**n):
-        vec = []
-        rem = code
-        for _ in range(n):
-            vec.append(rem % 3 - 1)
-            rem //= 3
-        first = next((v for v in vec if v != 0), 0)
-        if first == 1:  # keep one representative per +-pair, drop zero
-            out.append(vec)
-    return np.array(out, dtype=np.float64)
-
-
 def degenerate_mass(params: CountingParams, tol: float) -> float:
     """Fraction of quadrature angle tuples within tol of a collision plane.
 
@@ -388,16 +377,16 @@ def degenerate_mass(params: CountingParams, tol: float) -> float:
     length at most tol.  Depends only on the quadrature.
     """
     n, m, lam = params.n, params.quadrature_nodes, params.lam
-    cos_t, sin_t = _kernels.circle_nodes(m)
-    signs = _sign_vectors(n)
     if n == 1:
         return 1.0 if lam <= tol else 0.0
     if m**n > 1 << 22:
         raise ValueError("degenerate_mass: M^n too large to enumerate; lower M")
-    grids = np.meshgrid(*([np.arange(m)] * n), indexing="ij")
-    idx = np.stack([g.ravel() for g in grids])  # (n, m^n)
+    cos_t, sin_t = _kernels.circle_nodes(m)
+    idx = np.indices((m,) * n).reshape(n, -1)  # (n, m^n)
     bad = np.zeros(idx.shape[1], dtype=bool)
-    for c in signs:
+    for c in itertools.product((-1, 0, 1), repeat=n):
+        if next((v for v in c if v), 0) != 1:  # one sign pattern per +-pair, not zero
+            continue
         s1 = np.zeros(idx.shape[1])
         s2 = np.zeros(idx.shape[1])
         for k in range(n):

@@ -52,10 +52,6 @@ class ScaleLadder:
     def geometric(cls, smallest: float, count: int, ratio: float = 2.0) -> "ScaleLadder":
         return cls(tuple(smallest * ratio**j for j in range(count)))
 
-    @property
-    def depth(self) -> int:
-        return len(self.scales)
-
     def check_window(self, side: float):
         if side < 2 * self.scales[-1]:
             raise ValueError(

@@ -79,10 +79,6 @@ class HypercubeCopy:
     edges: tuple[tuple[float, float], ...]
     target_lengths: tuple[float, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.edges)
-
     def vertices(self) -> np.ndarray:
         """(2^n, 2) array of ``_kernels.cube_vertices``, row r vertex r."""
         return np.stack(_kernels.cube_vertices(*self.base, self.edges), axis=1)
@@ -126,17 +122,6 @@ def _x_lattice(side: float, step: float) -> tuple[np.ndarray, np.ndarray]:
     return x1, x2
 
 
-def _decode(cursor: int, tuples: int, m: int, n: int):
-    xi, rem = divmod(cursor, tuples)
-    digits = []
-    stride = tuples // m
-    for _ in range(n):
-        digits.append(rem // stride)
-        rem %= stride
-        stride = max(stride // m, 1)
-    return xi, digits
-
-
 def _check_search(search: SearchSpec) -> None:
     """Reject the spec fields a scan cannot run with, naming the field."""
     if not (math.isfinite(search.x_step) and search.x_step > 0):
@@ -175,26 +160,22 @@ def find_copy(A: PlanarSet, lengths, search: SearchSpec) -> ScanOutcome:
     m = spec.angle_count
     cos_t, sin_t = _kernels.circle_nodes(m)
     xs1, xs2 = _x_lattice(A.side, spec.x_step)
-    tuples = m**n
-    total = len(xs1) * tuples
+    total = len(xs1) * m**n
     start = min(spec.resume_cursor, total)
     stop = min(start + spec.budget, total)
     res = _kernels.scan_bitmap(A.membership, xs1, xs2, cos_t, sin_t, lengths,
                                spec.eta_gap, start, stop)
-    found_cursor = res if res >= 0 else None
-    exhausted = res == -1 or stop >= total
-    examined = (found_cursor + 1 - start) if found_cursor is not None else stop - start
-    if found_cursor is None:
-        if exhausted:
-            return ScanOutcome("not_found", None, total, examined)
-        return ScanOutcome("budget_exceeded", None, stop, examined)
-    xi, digits = _decode(found_cursor, tuples, m, n)
+    if res < 0:
+        if stop >= total:
+            return ScanOutcome("not_found", None, total, stop - start)
+        return ScanOutcome("budget_exceeded", None, stop, stop - start)
+    xi, *digits = np.unravel_index(res, (len(xs1),) + (m,) * n)
     edges = tuple(
         (lengths[k] * float(cos_t[d]), lengths[k] * float(sin_t[d]))
         for k, d in enumerate(digits)
     )
     copy = HypercubeCopy((float(xs1[xi]), float(xs2[xi])), edges, lengths)
-    return ScanOutcome("found", copy, found_cursor, examined)
+    return ScanOutcome("found", copy, res, res + 1 - start)
 
 
 def verify_copy(A: PlanarSet, copy: HypercubeCopy, eta_len: float = 1e-9,

@@ -146,7 +146,6 @@ class IdentityCheck:
     coefficient: float
     scale: float
     residual: float
-    rhs_sup: float
 
 
 def _check_probe(alpha: float, beta: float, side: float, step: float):
@@ -167,35 +166,28 @@ def _check_probe(alpha: float, beta: float, side: float, step: float):
         )
 
 
+def _verify_conv(alpha, beta, side, step, pairs, identity) -> IdentityCheck:
+    """Sup-norm residual of sum over ``pairs`` (a, b) of a_alpha * b_beta
+    against coef * k_s, (coef, s) = ``identity(alpha, beta)``."""
+    _check_probe(alpha, beta, side, step)
+    coef, s = identity(alpha, beta)
+    lhs = sum(convolve(sample_wrapped(KernelSpec(a, alpha), side, step),
+                       sample_wrapped(KernelSpec(b, beta), side, step)).values
+              for a, b in pairs)
+    rhs = coef * sample_wrapped(KernelSpec("k", s), side, step, offset=1.0).values
+    return IdentityCheck(alpha, beta, coef, s, float(np.max(np.abs(lhs - rhs))))
+
+
 def verify_conv_hh(alpha: float, beta: float, side: float = 16.0,
                    step: float = 1.0 / 32.0) -> IdentityCheck:
     """Sup-norm residual of the gradient-pair convolution identity."""
-    _check_probe(alpha, beta, side, step)
-    coef, s = conv_hh_identity(alpha, beta)
-    lhs = None
-    for fam in ("h1", "h2"):
-        ga = sample_wrapped(KernelSpec(fam, alpha), side, step)
-        gb = sample_wrapped(KernelSpec(fam, beta), side, step)
-        c = convolve(ga, gb)
-        lhs = c.values if lhs is None else lhs + c.values
-    rhs = coef * sample_wrapped(KernelSpec("k", s), side, step, offset=1.0).values
-    return IdentityCheck(alpha, beta, coef, s,
-                         float(np.max(np.abs(lhs - rhs))),
-                         float(np.max(np.abs(rhs))))
+    return _verify_conv(alpha, beta, side, step, (("h1", "h1"), ("h2", "h2")), conv_hh_identity)
 
 
 def verify_conv_kg(alpha: float, beta: float, side: float = 16.0,
                    step: float = 1.0 / 32.0) -> IdentityCheck:
     """Sup-norm residual of the Laplacian-Gaussian convolution identity."""
-    _check_probe(alpha, beta, side, step)
-    coef, s = conv_kg_identity(alpha, beta)
-    ka = sample_wrapped(KernelSpec("k", alpha), side, step)
-    gb = sample_wrapped(KernelSpec("g", beta), side, step)
-    c = convolve(ka, gb)
-    rhs = coef * sample_wrapped(KernelSpec("k", s), side, step, offset=1.0).values
-    return IdentityCheck(alpha, beta, coef, s,
-                         float(np.max(np.abs(c.values - rhs))),
-                         float(np.max(np.abs(rhs))))
+    return _verify_conv(alpha, beta, side, step, (("k", "g"),), conv_kg_identity)
 
 
 def heat_flow_check(t: float, x, dt: float) -> float:

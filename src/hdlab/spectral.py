@@ -22,9 +22,13 @@ nonnegative terms.
 Forms come in derivative pairs: the Laplacian slot takes the weights
 -2 pi s dc_d/ds, so telescoping sums over a matched pair are exact up to
 the outer quadrature.  Weights carry T outer scale nodes on their last axis;
-``counting._form_values`` cuts T so that each (offsets^2 x T) block and
-each block of ring profiles, (angles/4 + 1) x offsets per scale, stays
-within ``_kernels.STACK_ELEMENTS``.
+``counting._form_values`` cuts T into chunks of
+``_kernels.STACK_ELEMENTS // max(nd^2, (nd + 2) angles)`` scales, nd the
+number of 1-d offsets.  So each chunk's nd^2 x T block of weights stays
+within ``STACK_ELEMENTS``, and the (nd + 2) angles term prices its ring
+profiles, (angles/4 + 1) x nd elements per scale, at about four times
+their size.  The chunk size sets the shapes of the BLAS products, and with
+them the last bits of the forms.
 
 The folded profiles are the erfcx-heavy part of the tents, and the forms
 of one grid ask for the same ones again: L_form's n = 1 and n = 2 share

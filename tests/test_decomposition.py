@@ -609,6 +609,26 @@ def test_memoised_forms_equal_forms_on_a_fresh_grid(boundary, nodes, density, se
             assert got[i] == call(PlanarGrid(1.0, 1.0 / nodes, values, boundary)), i
 
 
+def test_plain_two_slot_form_evaluates_its_weights_once():
+    # both slots of a plain n = 2 smoothed form take the same weights, one
+    # ring_tents call; L_form's and theta_form's slots differ, so with one
+    # scale node per chunk they make two calls per node
+    f = make_indicator([{"type": "disk", "cx": 0.5, "cy": 0.5, "r": 0.25}], 1.0, 1 / 16)
+    with mock.patch.object(spectral, "ring_tents", wraps=spectral.ring_tents) as spy:
+        counting_smooth(f, CountingParams(n=2, lam=0.25, eps=0.5, quadrature_nodes=16))
+    assert spy.call_count == 1
+    fine = 2 * 3 - 1  # fine outer nodes of tnodes = nodes = 3
+    with mock.patch.object(_kernels, "STACK_ELEMENTS", 1):
+        # L_form keeps its m = 1 and 2 as one form in f.cache
+        with mock.patch.object(spectral, "ring_tents", wraps=spectral.ring_tents) as spy:
+            L_form(f, 0.25, 0.25, 1.0, 1, 2, tnodes=3, quadrature_nodes=16)
+        assert spy.call_count == 2 * fine
+        for m in (1, 2):
+            with mock.patch.object(spectral, "ball_tents", wraps=spectral.ball_tents) as spy:
+                theta_form(f, (1.0, math.sqrt(2.0)), m, nodes=3)
+            assert spy.call_count == 2 * fine, m
+
+
 def test_edge_heavy_draws_keep_two_slot_values_nonnegative():
     # 400 draws over the ranges of the reference test above, each parameter
     # at an end of its range half the time: rings wholly in the Gaussian tail

@@ -98,6 +98,32 @@ def test_shift_grid_matches_bilinear_read_at_any_shift(boundary):
         assert np.array_equal(sliced, whole), (d1, d2)
 
 
+@pytest.mark.parametrize("boundary", [ZERO, PERIODIC])
+def test_read_bilinear_broadcasts_point_arrays(boundary):
+    # px of shape (k, 1) against py of shape (1, l) reads the k x l points,
+    # each the bits of a scalar read there: node centres, cell edges and
+    # points more than one window side outside
+    n = 8
+    h = 1.0 / n
+    g = PlanarGrid(1.0, h, seeded_rng(41).random((n, n)), boundary)
+    centres = (np.arange(n) + 0.5) * h
+    edges = np.arange(n + 1) * h
+    outside = np.array([-1.0 - 0.3 * h, -2.5, 2.0 + 0.5 * h, 3.25])
+    px = np.concatenate([centres, edges, outside])[:, None]
+    py = np.concatenate([centres[::2], edges[1::2], outside])[None, :]
+    got = _kernels.read_bilinear(g.values, h, px, py, g.periodic)
+    assert got.shape == (px.shape[0], py.shape[1])
+    for a, x in enumerate(px[:, 0]):
+        for b, y in enumerate(py[0]):
+            assert got[a, b] == _kernels.read_bilinear(g.values, h, x, y, g.periodic), (x, y)
+    if boundary == ZERO:
+        assert not got[-len(outside):].any() and not got[:, -len(outside):].any()
+    else:
+        assert got[-len(outside):].all() and got[:, -len(outside):].all()
+    # a read at a node centre is that node's value
+    assert np.array_equal(got[:n, :n // 2], g.values[:, ::2])
+
+
 # --- convolution -----------------------------------------------------------
 
 
